@@ -11,9 +11,9 @@
 #   metrics      repro bench: schema-validated run report, counter
 #                invariants, regression diff against the committed BENCH
 #                baseline
-#   wirebench    criterion smoke over the zero-copy parse and arena
-#                feed-block benches: every expected benchmark must run to
-#                completion and report a number
+#   wirebench    criterion smoke over the zero-copy parse, arena feed-block
+#                and telescope/load-book benches: every expected benchmark
+#                must run to completion and report a number
 #   trace        pinned scenario with --trace-json: schema + causality
 #                validation, and `repro explain` byte-identical across
 #                worker counts
@@ -73,7 +73,7 @@ tests        cargo test --workspace + the dnswire differential suite by name
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
 chaos        kill -9 mid-run + resume must equal a clean, fault-free run
 metrics      repro bench: report schema + counter invariants + BENCH baseline diff
-wirebench    criterion smoke: every parse/feed-block bench runs and reports
+wirebench    criterion smoke: every parse/feed-block/telescope bench runs and reports
 trace        trace export schema + causality; repro explain deterministic
 sweep        bench --scale-sweep smoke: cross-jobs fingerprints + sweep schema
 suite        bench --suite all: process-suite verdicts all PASS + suite schema
@@ -287,26 +287,30 @@ gate_metrics() {
 }
 
 gate_wirebench() {
-    echo "==> wire gate: criterion smoke over parse + feed-block benches"
-    # The zero-copy parse and arena-block benches must run to completion
+    echo "==> wire gate: criterion smoke over parse + feed-block + telescope benches"
+    # The zero-copy parse and arena-block benches, and the batch hot
+    # path's sorted-run and packed-key kernels (cell merge inside the
+    # sampler, episode extraction, the load book), must run to completion
     # and report every expected benchmark — a panicking or silently-
     # dropped bench fails here. The feedblock bench's own post-run assert
     # re-proves block rows == row-path records on the bench input.
-    cargo bench -p dnsimpact-bench --bench wire --bench feedblock \
+    cargo bench -p dnsimpact-bench --bench wire --bench feedblock --bench telescope \
         > "$SMOKE/wirebench.txt" 2>&1 || {
         cat "$SMOKE/wirebench.txt" >&2
         exit 1
     }
     for B in dnswire/decode_ns_response dnswire/parse_ref_ns_response \
         dnswire/parse_ref_and_canonical_qname feedblock/classify_into_block \
-        feedblock/episodes_from_block feedblock/fanout_block_clone; do
+        feedblock/episodes_from_block feedblock/fanout_block_clone \
+        telescope/backscatter_sample telescope/classify telescope/episodes \
+        loadbook/add_585k_cells; do
         grep -q "$B" "$SMOKE/wirebench.txt" || {
             echo "benchmark $B missing from criterion smoke output" >&2
             cat "$SMOKE/wirebench.txt" >&2
             exit 1
         }
     done
-    echo "==> wire gate passed (all parse/feed-block benches ran and reported)"
+    echo "==> wire gate passed (all parse/feed-block/telescope benches ran and reported)"
 }
 
 gate_trace() {

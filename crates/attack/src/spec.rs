@@ -60,6 +60,12 @@ impl Attack {
         self.vectors.iter().any(|v| v.kind.telescope_visible())
     }
 
+    /// An upper bound on `window_overlaps().len()`, for sizing what holds
+    /// a cell per window before the windows are walked.
+    pub fn max_windows(&self) -> usize {
+        (self.duration.secs() / simcore::time::WINDOW_SECS + 2) as usize
+    }
+
     /// The 5-minute windows `[first, last]` the attack overlaps, with the
     /// fraction of each window the attack is active.
     pub fn window_overlaps(&self) -> Vec<(Window, f64)> {
@@ -200,6 +206,7 @@ mod proptests {
             };
             let w = a.window_overlaps();
             prop_assert!(!w.is_empty());
+            prop_assert!(w.len() <= a.max_windows());
             let covered: f64 =
                 w.iter().map(|(_, f)| f * simcore::time::WINDOW_SECS as f64).sum();
             prop_assert!((covered - dur as f64).abs() < 1e-6);

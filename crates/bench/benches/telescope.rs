@@ -1,10 +1,12 @@
-//! Telescope path throughput: backscatter sampling + RSDoS classification
-//! + episode extraction over a month of attacks.
+//! Telescope path throughput: backscatter sampling, RSDoS classification
+//! and episode extraction over a month of attacks; and the offered-load
+//! book at the size a batch-scale catalog fills it to.
 
 use attack::{AttackScheduler, ScheduleConfig, TargetPool};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use dnssim::LoadBook;
 use simcore::rng::RngFactory;
-use simcore::time::Month;
+use simcore::time::{Month, Window};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 use telescope::{BackscatterSampler, Darknet, RsdosClassifier};
@@ -39,6 +41,24 @@ fn bench_telescope(c: &mut Criterion) {
     g.throughput(Throughput::Elements(records.len() as u64));
     g.bench_function("episodes", |b| {
         b.iter(|| black_box(classifier.episodes(black_box(&records))));
+    });
+    g.finish();
+
+    // The batch_sparse shape: ~585k (address, window) cells, far past the
+    // cache, where the book's two maps are what `LoadBook::add` costs.
+    let cells: Vec<(Ipv4Addr, Window, f64)> = (0..585_000u32)
+        .map(|i| (Ipv4Addr::from(0xC633_0000 + i % 9_000), Window((i / 9_000 * 7) as u64), 1e3))
+        .collect();
+    let mut g = c.benchmark_group("loadbook");
+    g.throughput(Throughput::Elements(cells.len() as u64));
+    g.bench_function("add_585k_cells", |b| {
+        b.iter(|| {
+            let mut book = LoadBook::new();
+            for &(addr, w, pps) in black_box(&cells) {
+                book.add(addr, w, pps);
+            }
+            black_box(book.len())
+        });
     });
     g.finish();
 }

@@ -1042,6 +1042,17 @@ pub fn run_catalog_checkpointed(
     )
 }
 
+/// The `obs` registry is one per process and the test harness runs this
+/// crate's tests on parallel threads: a test that runs a pipeline moves the
+/// counters another test reads as a before/after delta (the sweep's record
+/// count). Every test here that does either holds this for its whole body.
+#[cfg(test)]
+pub(crate) fn registry_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed while holding it left nothing behind the next reads.
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1056,6 +1067,7 @@ mod tests {
 
     #[test]
     fn all_longitudinal_artifacts_render() {
+        let _registry = registry_test_guard();
         let ex = tiny();
         for a in [
             table1(&ex),
@@ -1081,6 +1093,7 @@ mod tests {
 
     #[test]
     fn table3_has_17_months_plus_total() {
+        let _registry = registry_test_guard();
         let ex = tiny();
         let t = table3(&ex);
         assert_eq!(t.text.lines().count(), 2 + 17 + 1);

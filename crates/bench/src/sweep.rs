@@ -207,6 +207,7 @@ mod tests {
 
     #[test]
     fn tiny_sweep_produces_valid_sorted_report() {
+        let _registry = crate::registry_test_guard();
         let cfg = SweepConfig {
             seed: 1,
             chaos_seed: Some(9),

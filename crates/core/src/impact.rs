@@ -12,7 +12,9 @@ use attack::Protocol;
 use census::{AnycastCensus, AnycastClass};
 use dnssim::{Infra, LoadBook, NsSetId, Resolver};
 use openintel::{measure::measure_domains, MeasurementStore, OutageModel, SweepSchedule};
+use simcore::hash::PackedMap;
 use simcore::rng::RngFactory;
+use simcore::time::{Window, WINDOWS_PER_DAY};
 use std::collections::HashSet;
 use telescope::{AttackEpisode, EpisodeColumns};
 
@@ -364,6 +366,13 @@ pub fn compute_impacts_columnar(
 ) -> (Vec<ImpactEvent>, MeasurementStore) {
     // Phase 1: plan (sequential; see the reference path for the scheme).
     let mut lost_days: HashSet<u64> = HashSet::new();
+    let mut day_swept = |day: u64| {
+        let swept = config.sweep_outage.is_none_or(|o| !o.day_missed(day));
+        if !swept {
+            lost_days.insert(day);
+        }
+        swept
+    };
     let mut measured_cells: HashSet<(NsSetId, u64)> = HashSet::new();
     let mut baseline_days: HashSet<(NsSetId, u64)> = HashSet::new();
     let mut tasks: Vec<MeasureTask> = Vec::new();
@@ -371,44 +380,43 @@ pub fn compute_impacts_columnar(
     // event order, carrying the *global* episode index (the row path
     // stores the event index and dereferences it later — same value).
     let mut rows: Vec<(usize, NsSetId, Option<u64>, BaselineSource)> = Vec::new();
-    let mut by_window: std::collections::BTreeMap<u64, Vec<dnssim::DomainId>> =
-        std::collections::BTreeMap::new();
+    // Each NSSet's domains by window-of-day, grouped the first time a row
+    // names it: a row then walks its own windows and meets only the
+    // domains scheduled in them, where the reference path's day scan
+    // touches every domain of the NSSet. Same measurements, and each
+    // window's domains in the same ascending id order (see
+    // `SweepSchedule::by_window_of_day`).
+    let mut groups: PackedMap<NsSetId, Vec<Vec<dnssim::DomainId>>> = PackedMap::default();
+    // The row's windows no earlier row claimed.
+    let mut unclaimed: Vec<u64> = Vec::new();
 
     for r in 0..table.len() {
         let episode_idx = table.episode_idx[r] as usize;
         let (first, last) =
             (episodes.first_windows[episode_idx], episodes.last_windows[episode_idx]);
         for &nsset in table.nssets.row(r) {
-            // Stream the sweep: count every surviving measurement, buffer
-            // only windows no earlier event already claimed. Domain-major
-            // visiting fills each window's bucket in ascending domain id
-            // order — the per-window order of the reference path's
-            // `(window, domain)`-sorted materialized list.
+            let by_window_of_day =
+                groups.entry(nsset).or_insert_with(|| schedule.by_window_of_day(infra, nsset));
+            // Count every surviving measurement; a window another row
+            // already claimed is counted but not planned again.
             let mut measured: u64 = 0;
-            by_window.clear();
-            schedule.for_each_in_window_range(infra, nsset, first, last, |d, w| {
-                let day = w.day();
-                let swept = config.sweep_outage.is_none_or(|o| !o.day_missed(day));
-                if !swept {
-                    lost_days.insert(day);
-                    return;
+            unclaimed.clear();
+            for w in first.0..=last.0 {
+                let domains = &by_window_of_day[(w % WINDOWS_PER_DAY) as usize];
+                // A window nobody is measured in does not make its day a
+                // lost one.
+                if domains.is_empty() || !day_swept(Window(w).day()) {
+                    continue;
                 }
-                measured += 1;
-                if !measured_cells.contains(&(nsset, w.0)) {
-                    by_window.entry(w.0).or_default().push(d);
+                measured += domains.len() as u64;
+                if !measured_cells.contains(&(nsset, w)) {
+                    unclaimed.push(w);
                 }
-            });
+            }
             if measured < config.min_domains_measured {
                 continue;
             }
             let attack_day = first.day();
-            let mut day_swept = |day: u64| {
-                let swept = config.sweep_outage.is_none_or(|o| !o.day_missed(day));
-                if !swept {
-                    lost_days.insert(day);
-                }
-                swept
-            };
             let (base_day, base_source) = match attack_day.checked_sub(1) {
                 Some(d) if day_swept(d) => (Some(d), BaselineSource::DayBefore),
                 _ => match attack_day.checked_sub(7) {
@@ -430,10 +438,10 @@ pub fn compute_impacts_columnar(
                 );
             }
             rows.push((episode_idx, nsset, base_day, base_source));
-            for (w, ds) in std::mem::take(&mut by_window) {
-                if measured_cells.insert((nsset, w)) {
-                    tasks.push(MeasureTask::Cell { nsset, window: w, domains: ds });
-                }
+            for &w in &unclaimed {
+                measured_cells.insert((nsset, w));
+                let domains = by_window_of_day[(w % WINDOWS_PER_DAY) as usize].clone();
+                tasks.push(MeasureTask::Cell { nsset, window: w, domains });
             }
             if let Some(day) = base_day {
                 if baseline_days.insert((nsset, day)) {

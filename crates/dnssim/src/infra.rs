@@ -6,6 +6,7 @@ use crate::ids::{DomainId, NsId, NsSet, NsSetId};
 use crate::load::{LoadModel, ServiceState};
 use dnswire::Name;
 use netbase::{Asn, Slash24};
+use simcore::hash::PackedMap;
 use simcore::time::Window;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -292,10 +293,13 @@ impl Infra {
 /// carries tens of millions of cells, and the packed keys keep it inside
 /// laptop memory. (The 17-month interval spans ≈150 K windows, far below
 /// the 2³² packing limit.)
+///
+/// The keys are integers this program packed, so both maps hash through
+/// `simcore::hash` (one multiply) in place of SipHash.
 #[derive(Clone, Debug, Default)]
 pub struct LoadBook {
-    by_addr: HashMap<u64, f64>,
-    by_slash24: HashMap<u64, f64>,
+    by_addr: PackedMap<u64, f64>,
+    by_slash24: PackedMap<u64, f64>,
 }
 
 #[inline]

@@ -11,7 +11,7 @@
 //! TransIP attacks that accumulation is exactly the 10× resolution-time
 //! blow-up OpenINTEL measured.
 
-use crate::ids::DomainId;
+use crate::ids::{DomainId, NsId};
 use crate::infra::{Infra, LoadBook};
 use crate::load::ServiceState;
 use crate::server;
@@ -66,7 +66,7 @@ impl Default for Resolver {
 /// per-server diagnostics.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AttemptTrace {
-    pub ns: crate::ids::NsId,
+    pub ns: NsId,
     pub status: QueryStatus,
     /// Time this attempt consumed: the answer RTT, or the full per-attempt
     /// timeout.
@@ -84,7 +84,7 @@ impl Resolver {
         loads: &LoadBook,
         rng: &mut R,
     ) -> QueryOutcome {
-        self.resolve_traced(infra, domain, window, loads, rng).0
+        self.resolve_with(infra, domain, rng, |ns| infra.service_state(ns, window, loads), |_| {})
     }
 
     /// As [`Resolver::resolve`], additionally returning the per-server
@@ -98,6 +98,25 @@ impl Resolver {
         loads: &LoadBook,
         rng: &mut R,
     ) -> (QueryOutcome, Vec<AttemptTrace>) {
+        let mut trace = Vec::new();
+        let state_of = |ns| infra.service_state(ns, window, loads);
+        let outcome = self.resolve_with(infra, domain, rng, state_of, |a| trace.push(a));
+        (outcome, trace)
+    }
+
+    /// The resolution itself, over the caller's view of the servers:
+    /// `state_of` answers for each contacted server (a caller resolving many
+    /// domains in one window computes each server's state once), and
+    /// `on_attempt` sees every attempt in order. Draws from `rng` exactly
+    /// as [`Resolver::resolve`] does.
+    pub fn resolve_with<R: Rng + ?Sized>(
+        &self,
+        infra: &Infra,
+        domain: DomainId,
+        rng: &mut R,
+        mut state_of: impl FnMut(NsId) -> ServiceState,
+        mut on_attempt: impl FnMut(AttemptTrace),
+    ) -> QueryOutcome {
         // Resolution must go through the parent-side delegation when it
         // disagrees with the child zone (§3.2): the parent decides which
         // servers a cold-cache resolver can reach.
@@ -105,51 +124,33 @@ impl Resolver {
         let members = infra.nsset(nsset).members();
         let mut rtt_total = 0.0;
         let mut attempts = 0;
-        let mut trace = Vec::new();
         // Random starting member, then rotate — unbound tries servers it
         // has not yet failed on.
         let start = rng.random_range(0..members.len());
         for k in 0..members.len().min(self.max_attempts as usize) {
             let ns = members[(start + k) % members.len()];
             attempts += 1;
-            let state = infra.service_state(ns, window, loads);
-            match self.one_attempt(infra, domain, ns, &state, rng) {
-                AttemptResult::Answered(rtt) => {
-                    trace.push(AttemptTrace { ns, status: QueryStatus::Ok, rtt_ms: rtt });
-                    return (
-                        QueryOutcome { status: QueryStatus::Ok, rtt_ms: rtt_total + rtt, attempts },
-                        trace,
-                    );
-                }
-                AttemptResult::ServFail(rtt) => {
-                    trace.push(AttemptTrace { ns, status: QueryStatus::ServFail, rtt_ms: rtt });
-                    return (
-                        QueryOutcome {
-                            status: QueryStatus::ServFail,
-                            rtt_ms: rtt_total + rtt,
-                            attempts,
-                        },
-                        trace,
-                    );
-                }
-                AttemptResult::Timeout => {
-                    trace.push(AttemptTrace {
-                        ns,
-                        status: QueryStatus::Timeout,
-                        rtt_ms: self.timeout_ms,
-                    });
-                    rtt_total += self.timeout_ms;
-                }
+            let state = state_of(ns);
+            let (status, rtt_ms) = match self.one_attempt(infra, domain, ns, &state, rng) {
+                AttemptResult::Answered(rtt) => (QueryStatus::Ok, rtt),
+                AttemptResult::ServFail(rtt) => (QueryStatus::ServFail, rtt),
+                AttemptResult::Timeout => (QueryStatus::Timeout, self.timeout_ms),
+            };
+            on_attempt(AttemptTrace { ns, status, rtt_ms });
+            if status == QueryStatus::Timeout {
+                rtt_total += self.timeout_ms;
+            } else {
+                return QueryOutcome { status, rtt_ms: rtt_total + rtt_ms, attempts };
             }
         }
-        (QueryOutcome { status: QueryStatus::Timeout, rtt_ms: rtt_total, attempts }, trace)
+        QueryOutcome { status: QueryStatus::Timeout, rtt_ms: rtt_total, attempts }
     }
 
     fn one_attempt<R: Rng + ?Sized>(
         &self,
         infra: &Infra,
         domain: DomainId,
-        ns: crate::ids::NsId,
+        ns: NsId,
         state: &ServiceState,
         rng: &mut R,
     ) -> AttemptResult {

@@ -23,7 +23,7 @@
 //! their scope instead (they are attributed to runs, not episodes).
 
 use crate::json::Json;
-use crate::metrics::counter;
+use crate::metrics::{counter, Counter};
 use crate::report::{MAX_PROBES_PER_ROUND, MAX_TRIGGER_LATENCY_SECS};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -230,12 +230,18 @@ pub fn emit(
         value,
         wall_micros: wall_micros(),
     };
+    // The three counters are interned on first use, as `counter` would, and
+    // then held: a registry lock and a name lookup per event was a twentieth
+    // of a sparse batch run.
+    static DROPPED: OnceLock<&Counter> = OnceLock::new();
+    static FAULT_EVENTS: OnceLock<&Counter> = OnceLock::new();
+    static EVENTS: OnceLock<&Counter> = OnceLock::new();
     let r = ring();
     let mut q = r.shards[shard_index(&event)].events.lock().unwrap();
     if q.len() == SHARD_CAPACITY {
         q.pop_front();
         r.dropped.fetch_add(1, Ordering::Relaxed);
-        counter("sched.trace.dropped").incr();
+        DROPPED.get_or_init(|| counter("sched.trace.dropped")).incr();
     }
     q.push_back(event);
     drop(q);
@@ -243,9 +249,9 @@ pub fn emit(
     // chaos namespace (excluded from chaos-vs-clean comparisons); every
     // other kind is part of the deterministic pipeline accounting.
     if kind.is_fault() {
-        counter("chaos.trace.events").incr();
+        FAULT_EVENTS.get_or_init(|| counter("chaos.trace.events")).incr();
     } else {
-        counter("trace.events").incr();
+        EVENTS.get_or_init(|| counter("trace.events")).incr();
     }
 }
 

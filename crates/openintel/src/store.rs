@@ -2,9 +2,9 @@
 
 use crate::measure::MeasurementRec;
 use dnssim::{NsSetId, QueryStatus};
+use simcore::hash::PackedMap;
 use simcore::stats::Moments;
 use simcore::time::Window;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Aggregated statistics for one NSSet in one 5-minute window — the exact
@@ -64,10 +64,13 @@ impl NsSetWindowStats {
 
 /// The measurement store: append rows, read per-window and per-day
 /// aggregates.
+///
+/// Both maps are keyed by ids this program minted, so they hash through
+/// `simcore::hash`.
 #[derive(Clone, Debug, Default)]
 pub struct MeasurementStore {
-    cells: HashMap<(NsSetId, Window), NsSetWindowStats>,
-    days: HashMap<(NsSetId, u64), NsSetWindowStats>,
+    cells: PackedMap<(NsSetId, Window), NsSetWindowStats>,
+    days: PackedMap<(NsSetId, u64), NsSetWindowStats>,
 }
 
 impl MeasurementStore {
@@ -76,9 +79,16 @@ impl MeasurementStore {
     }
 
     pub fn ingest(&mut self, recs: &[MeasurementRec]) {
-        for r in recs {
-            self.cells.entry((r.nsset, r.window)).or_default().push(r);
-            self.days.entry((r.nsset, r.window.day())).or_default().push(r);
+        // A batch is one cell's records, or a baseline's day: one probe of
+        // each map per run of equal (nsset, window), not per record.
+        for run in recs.chunk_by(|a, b| (a.nsset, a.window) == (b.nsset, b.window)) {
+            let (nsset, window) = (run[0].nsset, run[0].window);
+            let cell = self.cells.entry((nsset, window)).or_default();
+            let day = self.days.entry((nsset, window.day())).or_default();
+            for r in run {
+                cell.push(r);
+                day.push(r);
+            }
         }
     }
 

@@ -53,6 +53,24 @@ impl SweepSchedule {
             .collect()
     }
 
+    /// `nsset`'s domains grouped by window-of-day: bucket `w %
+    /// WINDOWS_PER_DAY` holds, in ascending id order, the domains measured
+    /// in window `w`. Walking `first..=last` over the buckets visits what
+    /// [`for_each_in_window_range`] visits, window-major, each window's
+    /// domains in the same ascending order, and touches only the domains
+    /// scheduled inside the range instead of every domain of the NSSet once
+    /// per day. A caller planning many ranges over one NSSet builds this
+    /// once.
+    ///
+    /// [`for_each_in_window_range`]: SweepSchedule::for_each_in_window_range
+    pub fn by_window_of_day(&self, infra: &Infra, nsset: NsSetId) -> Vec<Vec<DomainId>> {
+        let mut buckets = vec![Vec::new(); WINDOWS_PER_DAY as usize];
+        for &d in infra.domains_of_nsset(nsset) {
+            buckets[self.window_of_day(d) as usize].push(d);
+        }
+        buckets
+    }
+
     /// Domains of `nsset` measured in any window of `[first, last]`
     /// (inclusive), with their absolute windows. This is "the domains
     /// OpenINTEL measured during the attack" (§6.3's ≥5-domain filter).
@@ -215,6 +233,35 @@ mod tests {
         let mut raw = Vec::new();
         s.for_each_in_window_range(&infra, set, first, last, |d, w| raw.push((d.0, w.0)));
         assert!(raw.windows(2).all(|p| p[0] < p[1]), "domain-major visit order");
+    }
+
+    proptest::proptest! {
+        /// Walking `first..=last` over the window-of-day groups visits what
+        /// the per-domain day scan visits: equal to the `(window,
+        /// domain)`-sorted materialized list, so the same multiset and,
+        /// inside each window, the same ascending-id order. Ranges shorter
+        /// than a day (inside one or across midnight), a day exactly
+        /// (aligned or not), longer, and empty.
+        #[test]
+        fn window_of_day_groups_visit_what_the_range_scan_visits(
+            seed in 0u64..4,
+            first in 1u64..3_000,
+            span in 0usize..9,
+        ) {
+            let (infra, set) = world(1_500);
+            let s = SweepSchedule::new(seed);
+            let groups = s.by_window_of_day(&infra, set);
+            proptest::prop_assert_eq!(groups.len(), 288);
+            proptest::prop_assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), 1_500);
+            let windows = [0, 1, 12, 287, 288, 289, 700, 2_000, 288 - first % 288][span];
+            let last = first + windows - 1;
+            let mut grouped = Vec::new();
+            for w in first..=last {
+                grouped.extend(groups[(w % 288) as usize].iter().map(|&d| (d, Window(w))));
+            }
+            let scanned = s.domains_in_window_range(&infra, set, Window(first), Window(last));
+            proptest::prop_assert_eq!(grouped, scanned);
+        }
     }
 
     #[test]

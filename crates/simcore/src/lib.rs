@@ -15,6 +15,8 @@
 //!   (exponential, log-normal, Pareto, Zipf, Poisson, binomial, categorical
 //!   alias tables) implemented from scratch on top of `rand`'s uniform source.
 //! - [`events`]: a monotonic discrete-event queue.
+//! - [`hash`]: a multiply-fold hasher for maps keyed by internal integer ids
+//!   (never for keys from a trust boundary).
 //! - [`stats`]: streaming moments, Pearson correlation, quantiles and
 //!   log-spaced histograms used by the analysis pipeline.
 //! - [`intern`]: deterministic `u32` arena interner backing the columnar
@@ -22,6 +24,7 @@
 
 pub mod dist;
 pub mod events;
+pub mod hash;
 pub mod intern;
 pub mod rng;
 pub mod stats;

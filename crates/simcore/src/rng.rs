@@ -66,8 +66,14 @@ impl RngFactory {
     /// An RNG for the `idx`-th entity of the subsystem named `label`
     /// (e.g. per-attack or per-domain streams).
     pub fn stream_indexed(&self, label: &str, idx: u64) -> SmallRng {
-        let mut s = self.seed ^ hash_label(label) ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SmallRng::seed_from_u64(splitmix64(&mut s))
+        self.indexed(label).stream(idx)
+    }
+
+    /// The per-entity streams of the subsystem named `label`, with the
+    /// label hashed once: `indexed(label).stream(i)` is
+    /// `stream_indexed(label, i)` for a loop that draws one stream per entity.
+    pub fn indexed(&self, label: &str) -> IndexedStreams {
+        IndexedStreams { base: self.seed ^ hash_label(label) }
     }
 
     /// A sub-factory whose streams are all independent of this factory's
@@ -88,6 +94,19 @@ impl RngFactory {
             ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ 0xE703_7ED1_A0B4_28DB;
         RngFactory { seed: splitmix64(&mut s) }
+    }
+}
+
+/// See [`RngFactory::indexed`].
+#[derive(Clone, Copy, Debug)]
+pub struct IndexedStreams {
+    base: u64,
+}
+
+impl IndexedStreams {
+    pub fn stream(&self, idx: u64) -> SmallRng {
+        let mut s = self.base ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        SmallRng::seed_from_u64(splitmix64(&mut s))
     }
 }
 
@@ -127,6 +146,31 @@ mod tests {
         assert_ne!(a, b);
         let a2: u64 = f.stream_indexed("attack", 0).random();
         assert_eq!(a, a2);
+    }
+
+    /// The stream a label and an index name, written out the way
+    /// `stream_indexed` computed it before `indexed` took the label hash out
+    /// of the loop.
+    fn reference_stream_indexed(seed: u64, label: &str, idx: u64) -> SmallRng {
+        let mut s = seed ^ hash_label(label) ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        SmallRng::seed_from_u64(splitmix64(&mut s))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn indexed_streams_equal_stream_indexed(
+            seed in proptest::prelude::any::<u64>(),
+            label in "[a-z-]{0,16}",
+            idx in proptest::prelude::any::<u64>(),
+        ) {
+            let f = RngFactory::new(seed);
+            let want: Vec<u64> =
+                reference_stream_indexed(seed, &label, idx).random_iter().take(4).collect();
+            let hoisted: Vec<u64> = f.indexed(&label).stream(idx).random_iter().take(4).collect();
+            let direct: Vec<u64> = f.stream_indexed(&label, idx).random_iter().take(4).collect();
+            proptest::prop_assert_eq!(&hoisted, &want);
+            proptest::prop_assert_eq!(&direct, &want);
+        }
     }
 
     #[test]

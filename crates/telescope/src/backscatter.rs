@@ -6,7 +6,6 @@ use rand::rngs::SmallRng;
 use simcore::dist::poisson;
 use simcore::rng::RngFactory;
 use simcore::time::Window;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// What the telescope aggregates for one victim in one 5-minute window.
@@ -47,9 +46,11 @@ impl<'a> BackscatterSampler<'a> {
     /// Sample the telescope's view of `attacks`. Only randomly-spoofed
     /// vectors generate backscatter toward the darknet.
     pub fn sample(&self, attacks: &[Attack], rngs: &RngFactory) -> Vec<BackscatterObs> {
-        let mut out = Vec::new();
+        let streams = rngs.indexed("backscatter");
+        // At most one observation per window an attack touches.
+        let mut out = Vec::with_capacity(attacks.iter().map(Attack::max_windows).sum());
         for a in attacks {
-            let mut rng = rngs.stream_indexed("backscatter", a.id.0);
+            let mut rng = streams.stream(a.id.0);
             self.sample_attack(a, &mut rng, &mut out);
         }
         // Multiple attacks on the same victim in the same window merge, as
@@ -110,30 +111,29 @@ impl<'a> BackscatterSampler<'a> {
     }
 }
 
-fn merge_same_cell(mut obs: Vec<BackscatterObs>) -> Vec<BackscatterObs> {
-    let mut map: HashMap<(Ipv4Addr, Window), BackscatterObs> = HashMap::new();
-    for o in obs.drain(..) {
-        match map.entry((o.victim, o.window)) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(o);
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let m = e.get_mut();
+/// Coalesce the observations of one `(victim, window)` cell into one, in
+/// `(window, victim)` order. Packets and `max_ppm` add, ports add
+/// (saturating), `slash16s` takes the maximum; `protocol` and `first_port`
+/// stay those of the first attack in catalog order to hit the cell.
+///
+/// A cell's observations meet in the order `sample` emitted them, catalog
+/// order (equal keys keep input order): `max_ppm` adds up in that order
+/// (`f64` addition does not reassociate) and the first one is the survivor.
+fn merge_same_cell(obs: Vec<BackscatterObs>) -> Vec<BackscatterObs> {
+    let cell = |o: &BackscatterObs| (o.window.0 as u128) << 32 | u32::from(o.victim) as u128;
+    let mut out: Vec<BackscatterObs> = Vec::with_capacity(obs.len());
+    for row in crate::rows_in_key_order(&obs, cell) {
+        let o = &obs[row];
+        match out.last_mut() {
+            Some(m) if m.window == o.window && m.victim == o.victim => {
                 m.packets += o.packets;
                 m.slash16s = m.slash16s.max(o.slash16s);
                 m.unique_ports = m.unique_ports.saturating_add(o.unique_ports);
                 m.max_ppm += o.max_ppm;
-                // Keep the dominant vector's protocol/first-port (larger
-                // packet count wins; the merge keeps the existing one when
-                // it is at least as large).
-                if o.packets > m.packets / 2 {
-                    // o contributed the majority of the merged packets.
-                }
             }
+            _ => out.push(o.clone()),
         }
     }
-    let mut out: Vec<BackscatterObs> = map.into_values().collect();
-    out.sort_by_key(|o| (o.window, u32::from(o.victim)));
     out
 }
 
@@ -236,6 +236,30 @@ mod tests {
     }
 
     #[test]
+    fn merged_cell_keeps_the_first_attack_in_catalog_order() {
+        let d = Darknet::ucsd_like();
+        let s = BackscatterSampler::new(&d);
+        let tcp = spoofed_attack(50_000.0, 10);
+        let mut udp = spoofed_attack(90_000.0, 10);
+        udp.id = AttackId(2);
+        udp.vectors[0].protocol = Protocol::Udp;
+        udp.vectors[0].ports = vec![123];
+        // Catalog order decides, not the packet count: the UDP attack is the
+        // larger one in both catalogs.
+        for (catalog, protocol, port) in [
+            ([tcp.clone(), udp.clone()], Protocol::Tcp, 53),
+            ([udp.clone(), tcp.clone()], Protocol::Udp, 123),
+        ] {
+            let obs = s.sample(&catalog, &RngFactory::new(5));
+            assert_eq!(obs.len(), 2, "two windows, one merged cell each");
+            for o in &obs {
+                assert_eq!((o.protocol, o.first_port), (protocol, port));
+                assert_eq!(o.unique_ports, 2);
+            }
+        }
+    }
+
+    #[test]
     fn nan_rate_vector_never_aborts_sampling() {
         let d = Darknet::ucsd_like();
         let s = BackscatterSampler::new(&d);
@@ -264,5 +288,67 @@ mod tests {
         let s = BackscatterSampler::new(&d);
         let a = vec![spoofed_attack(10_000.0, 30)];
         assert_eq!(s.sample(&a, &RngFactory::new(9)), s.sample(&a, &RngFactory::new(9)));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The merge as it was before the sorted rewrite, kept as the reference.
+    fn merge_same_cell_hashmap(mut obs: Vec<BackscatterObs>) -> Vec<BackscatterObs> {
+        let mut map: HashMap<(Ipv4Addr, Window), BackscatterObs> = HashMap::new();
+        for o in obs.drain(..) {
+            match map.entry((o.victim, o.window)) {
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(o);
+                }
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let m = e.get_mut();
+                    m.packets += o.packets;
+                    m.slash16s = m.slash16s.max(o.slash16s);
+                    m.unique_ports = m.unique_ports.saturating_add(o.unique_ports);
+                    m.max_ppm += o.max_ppm;
+                }
+            }
+        }
+        let mut out: Vec<BackscatterObs> = map.into_values().collect();
+        out.sort_by_key(|o| (o.window, u32::from(o.victim)));
+        out
+    }
+
+    fn arb_obs() -> impl Strategy<Value = BackscatterObs> {
+        // Small victim and window pools, so most cells are hit repeatedly;
+        // `max_ppm` over every finite non-negative bit pattern, where the
+        // order of additions shows in the last bits of the sum.
+        let ppm_bits = 0u64..0x7FF0_0000_0000_0000;
+        (0u32..5, 0u64..6, 1u64..1_000_000, 1u32..200, 0u8..3, any::<u16>(), any::<u16>(), ppm_bits)
+            .prop_map(|(v, w, packets, slash16s, proto, first_port, unique_ports, ppm)| {
+                BackscatterObs {
+                    victim: Ipv4Addr::from(0x0A00_0000 | v),
+                    window: Window(w),
+                    packets,
+                    slash16s,
+                    protocol: [Protocol::Tcp, Protocol::Udp, Protocol::Icmp][proto as usize],
+                    first_port,
+                    unique_ports,
+                    max_ppm: f64::from_bits(ppm),
+                }
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn sorted_merge_equals_hashmap_merge(obs in prop::collection::vec(arb_obs(), 0..80)) {
+            let want = merge_same_cell_hashmap(obs.clone());
+            let got = merge_same_cell(obs);
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.max_ppm.to_bits(), w.max_ppm.to_bits());
+                prop_assert_eq!(g, w);
+            }
+        }
     }
 }

@@ -43,3 +43,19 @@ pub use darknet::Darknet;
 pub use feed::{EpisodeIndex, FeedSummary, RsdosFeed, RsdosRecord};
 pub use outage::FeedGapModel;
 pub use rsdos::{AttackEpisode, RsdosClassifier, RsdosThresholds};
+
+/// The row numbers of `rows` in ascending order of a 96-bit `key`, rows of
+/// equal key in input order. A feed interval's rows are grouped by sorting,
+/// not by hashing, and the sort is of 16-byte integers (the key above the
+/// row number): several times cheaper than a stable sort that moves the
+/// 40-byte rows, with the same order.
+pub(crate) fn rows_in_key_order<T>(
+    rows: &[T],
+    key: impl Fn(&T) -> u128,
+) -> impl Iterator<Item = usize> {
+    assert!(rows.len() <= u32::MAX as usize, "more than 2^32 rows in one feed interval");
+    let mut keyed: Vec<u128> =
+        rows.iter().enumerate().map(|(row, r)| key(r) << 32 | row as u128).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|k| k as u32 as usize)
+}

@@ -13,7 +13,6 @@ use crate::block::{RecordBlock, RecordBlockBuilder};
 use crate::feed::RsdosRecord;
 use attack::Protocol;
 use simcore::time::{SimDuration, Window};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Classifier thresholds (defaults follow the conservative Moore-style
@@ -95,7 +94,9 @@ impl RsdosClassifier {
     /// `Vec` of row structs. Block-fed and row-fed paths are held
     /// identical by the differential tests below.
     pub fn classify_into_block(&self, obs: &[BackscatterObs]) -> RecordBlock {
-        let mut b = RecordBlockBuilder::new();
+        // Nearly every observation of a real feed qualifies: one arena,
+        // sized once, instead of a doubling that copies it as it grows.
+        let mut b = RecordBlockBuilder::with_capacity(obs.len());
         for o in obs {
             if o.packets >= self.thresholds.min_packets
                 && o.slash16s >= self.thresholds.min_slash16s
@@ -119,45 +120,36 @@ impl RsdosClassifier {
     }
 
     fn episodes_from_rows<I: Iterator<Item = RsdosRecord>>(&self, rows: I) -> Vec<AttackEpisode> {
-        let mut per_victim: HashMap<Ipv4Addr, Vec<RsdosRecord>> = HashMap::new();
-        for r in rows {
-            per_victim.entry(r.victim).or_default().push(r);
-        }
-        let mut out = Vec::new();
-        for (victim, mut recs) in per_victim {
-            recs.sort_by_key(|r| r.window);
-            let mut current: Option<AttackEpisode> = None;
-            for r in recs {
-                match current.as_mut() {
-                    Some(ep)
-                        if r.window.0 - ep.last_window.0 <= self.thresholds.max_gap_windows + 1 =>
-                    {
-                        ep.last_window = r.window;
-                        ep.packets += r.packets;
-                        ep.peak_ppm = ep.peak_ppm.max(r.max_ppm);
-                        ep.unique_ports = ep.unique_ports.max(r.unique_ports);
-                        ep.slash16s = ep.slash16s.max(r.slash16s);
-                    }
-                    _ => {
-                        if let Some(done) = current.take() {
-                            out.push(done);
-                        }
-                        current = Some(AttackEpisode {
-                            victim,
-                            first_window: r.window,
-                            last_window: r.window,
-                            packets: r.packets,
-                            peak_ppm: r.max_ppm,
-                            protocol: r.protocol,
-                            first_port: r.first_port,
-                            unique_ports: r.unique_ports,
-                            slash16s: r.slash16s,
-                        });
-                    }
+        let recs: Vec<RsdosRecord> = rows.collect();
+        // One victim's records in a row, windows ascending. A feed holds
+        // one record per (victim, window); rows sharing a cell, which only
+        // a hand-built input has, fold in input order.
+        let cell = |r: &RsdosRecord| (u32::from(r.victim) as u128) << 64 | r.window.0 as u128;
+        let mut out: Vec<AttackEpisode> = Vec::new();
+        for row in crate::rows_in_key_order(&recs, cell) {
+            let r = &recs[row];
+            match out.last_mut() {
+                Some(ep)
+                    if ep.victim == r.victim
+                        && r.window.0 - ep.last_window.0 <= self.thresholds.max_gap_windows + 1 =>
+                {
+                    ep.last_window = r.window;
+                    ep.packets += r.packets;
+                    ep.peak_ppm = ep.peak_ppm.max(r.max_ppm);
+                    ep.unique_ports = ep.unique_ports.max(r.unique_ports);
+                    ep.slash16s = ep.slash16s.max(r.slash16s);
                 }
-            }
-            if let Some(done) = current.take() {
-                out.push(done);
+                _ => out.push(AttackEpisode {
+                    victim: r.victim,
+                    first_window: r.window,
+                    last_window: r.window,
+                    packets: r.packets,
+                    peak_ppm: r.max_ppm,
+                    protocol: r.protocol,
+                    first_port: r.first_port,
+                    unique_ports: r.unique_ports,
+                    slash16s: r.slash16s,
+                }),
             }
         }
         out.sort_by_key(|e| (e.first_window, u32::from(e.victim)));
@@ -298,7 +290,69 @@ mod proptests {
         )
     }
 
+    /// Episode extraction as it was before the sorted rewrite, kept as the
+    /// reference.
+    fn episodes_hashmap(max_gap_windows: u64, rows: &[RsdosRecord]) -> Vec<AttackEpisode> {
+        let mut per_victim: std::collections::HashMap<Ipv4Addr, Vec<RsdosRecord>> =
+            std::collections::HashMap::new();
+        for r in rows {
+            per_victim.entry(r.victim).or_default().push(r.clone());
+        }
+        let mut out = Vec::new();
+        for (victim, mut recs) in per_victim {
+            recs.sort_by_key(|r| r.window);
+            let mut current: Option<AttackEpisode> = None;
+            for r in recs {
+                match current.as_mut() {
+                    Some(ep) if r.window.0 - ep.last_window.0 <= max_gap_windows + 1 => {
+                        ep.last_window = r.window;
+                        ep.packets += r.packets;
+                        ep.peak_ppm = ep.peak_ppm.max(r.max_ppm);
+                        ep.unique_ports = ep.unique_ports.max(r.unique_ports);
+                        ep.slash16s = ep.slash16s.max(r.slash16s);
+                    }
+                    _ => {
+                        out.extend(current.take());
+                        current = Some(AttackEpisode {
+                            victim,
+                            first_window: r.window,
+                            last_window: r.window,
+                            packets: r.packets,
+                            peak_ppm: r.max_ppm,
+                            protocol: r.protocol,
+                            first_port: r.first_port,
+                            unique_ports: r.unique_ports,
+                            slash16s: r.slash16s,
+                        });
+                    }
+                }
+            }
+            out.extend(current.take());
+        }
+        out.sort_by_key(|e| (e.first_window, u32::from(e.victim)));
+        out
+    }
+
     proptest! {
+        /// Sorted-run extraction ≡ the per-victim `HashMap` it replaced, on
+        /// row and block input, at every gap tolerance the window pool can
+        /// bridge or split (rows sharing a cell included).
+        #[test]
+        fn sorted_episodes_equal_hashmap_episodes(
+            observations in prop::collection::vec(arb_obs(), 0..60),
+            max_gap_windows in 0u64..4,
+        ) {
+            let c = RsdosClassifier::new(RsdosThresholds {
+                min_packets: 10,
+                min_slash16s: 2,
+                max_gap_windows,
+            });
+            let records = c.classify(&observations);
+            let want = episodes_hashmap(max_gap_windows, &records);
+            prop_assert_eq!(c.episodes(&records), want.clone());
+            prop_assert_eq!(c.episodes_from_block(&c.classify_into_block(&observations)), want);
+        }
+
         /// classify→block→episodes ≡ classify→rows→episodes on arbitrary
         /// observation mixes: the arena path may never change the feed.
         #[test]
