@@ -38,9 +38,10 @@
 #                chaos seed and --jobs) and byte-diff the deterministic
 #                /seriesz + /sloz fields; the emitted dnsimpactd-live/v1
 #                report must schema-validate
-#   results      hygiene: every committed results/*.json must
-#                schema-validate, and every file under results/ must be
-#                covered by results/INDEX.md
+#   results      hygiene, over `git ls-files results`: every tracked
+#                results/*.json must schema-validate, every tracked file
+#                must be covered by results/INDEX.md, and every series
+#                INDEX.md documents must have a tracked report
 #
 # Usage:
 #   ./ci.sh                 run every gate in order
@@ -80,7 +81,7 @@ suite        bench --suite all: process-suite verdicts all PASS + suite schema
 daemon       dnsimpactd kill -9 crash recovery fingerprint-identical to clean replay
 live         /metricsz parses mid-ingest, SLO verdicts surface, repro watch renders,
              deterministic /seriesz + /sloz byte-identical across chaos seed and jobs
-results      every committed results/*.json validates; INDEX.md covers results/
+results      every tracked results/*.json validates; INDEX.md and results/ cover each other
 EOF
 }
 
@@ -128,7 +129,7 @@ done
 # --- preflight: name everything missing up front, so a mid-pipeline ----
 # --- failure can't masquerade as a perf regression ---------------------
 MISSING=""
-for T in cargo date diff grep mktemp seq basename ls cat sh; do
+for T in cargo date diff git grep mktemp seq basename sort ls cat sh; do
     command -v "$T" > /dev/null 2>&1 || MISSING="$MISSING $T"
 done
 [ -z "$MISSING" ] || {
@@ -567,17 +568,21 @@ daemon_wait() {
 
 gate_results() {
     echo "==> results gate: committed report hygiene"
+    # Judged on what is tracked (`git ls-files`), not on what happens to
+    # sit in the directory: a report that an ignore rule or a forgotten
+    # `git add` kept out of the tree is not part of the record.
+    TRACKED=$(git ls-files results)
     # Every committed machine-readable report must still parse under its
     # schema — a hand-edited or torn results/*.json fails CI here, not in
     # whatever later tooling happens to read it first.
-    for J in results/*.json; do
-        [ -e "$J" ] || continue
-        "$REPRO" validate-metrics "$J"
+    for J in $TRACKED; do
+        case "$J" in
+            *.json) "$REPRO" validate-metrics "$J" ;;
+        esac
     done
-    # And every file under results/ must be covered by the index: named
-    # outright, or matched by a documented series pattern.
-    for F in results/*; do
-        [ -f "$F" ] || continue
+    # Every tracked file under results/ must be covered by the index:
+    # named outright, or matched by a documented series pattern.
+    for F in $TRACKED; do
         B=$(basename "$F")
         case "$B" in
             INDEX.md) continue ;;
@@ -593,7 +598,17 @@ gate_results() {
             exit 1
         }
     done
-    echo "==> results gate passed (all reports valid, INDEX.md covers results/)"
+    # And the reverse: every series the index documents has at least one
+    # tracked report, so the docs cannot describe a record that never
+    # landed.
+    for SERIES in $(grep -o '[A-Z][A-Z]*_<date>' results/INDEX.md | sort -u); do
+        PREFIX=${SERIES%<date>}
+        echo "$TRACKED" | grep -q "^results/${PREFIX}.*\.json\$" || {
+            echo "results hygiene: INDEX.md documents $SERIES but no results/${PREFIX}*.json is tracked" >&2
+            exit 1
+        }
+    done
+    echo "==> results gate passed (tracked reports valid, INDEX.md and results/ cover each other)"
 }
 
 for G in $SELECTED; do

@@ -120,7 +120,7 @@ use bench_support::{
     needs_longitudinal, run_catalog_checkpointed, run_experiments_chaos, Artifact, CheckpointDir,
     ExperimentRun, Experiments, CATALOG,
 };
-use dnsimpact_core::report::{write_atomic, write_output};
+use dnsimpact_core::report::{write_atomic, write_output, write_report};
 use scenarios::{PaperScale, WorldConfig};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -427,18 +427,15 @@ fn slot_path(dir: &Path, prefix: &str, date: &str, run: u64) -> PathBuf {
     }
 }
 
-/// The `validate-metrics` subcommand: schema-validate a previously
-/// written report, dispatching on its `schema` field — run reports
-/// (`dnsimpact-metrics/v2`) also get the counter-invariant checks, sweep
-/// reports (`dnsimpact-sweep/v1`) the cell-grid checks, suite reports
-/// (`dnsimpact-suite/v1`) the process-accounting and merged-histogram
-/// checks, daemon reports (`dnsimpactd-report/v1`) the shed-accounting
-/// check, and legacy pre-trace run reports (`dnsimpact-metrics/v1`) the
-/// v1 rules so committed history stays checkable. A document whose
-/// schema is missing or matches none of those is rejected (exit 2) with
-/// the unknown id and the known schema list — a typo'd or future schema
-/// must never silently fall through to the wrong validator. Returns the
-/// process exit code.
+/// The `validate-metrics` subcommand: validate a previously written
+/// report under the schema its `schema` field names — one row of
+/// [`obs::schema::REPORT_SCHEMAS`], which holds each schema's decoder
+/// (shape, cross-field rules and, for run reports, the counter
+/// invariants) and its one-line summary. A document whose schema is
+/// missing or matches no row is rejected (exit 2) with the unknown id
+/// and the known schema list — a typo'd or future schema must never
+/// silently fall through to the wrong validator. Returns the process
+/// exit code.
 fn validate_metrics(path: &Path) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -454,171 +451,31 @@ fn validate_metrics(path: &Path) -> i32 {
             return 2;
         }
     };
-    let report_violations = |kind: &str, errors: &[String]| {
-        for e in errors {
-            obs::progress("repro", &format!("{kind} violation: {e}"));
-        }
-        obs::progress("repro", &format!("{}: {} violation(s)", path.display(), errors.len()));
+    let Some(schema) = obs::schema::lookup(&doc) else {
+        // `validate` on an unknown id says which id and lists the known ones.
+        let unknown = obs::schema::validate(&doc).err().unwrap_or_default().join("; ");
+        obs::progress("repro", &format!("{}: unknown schema: {unknown}", path.display()));
+        return 2;
     };
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(obs::SWEEP_SCHEMA_ID) => match obs::sweep::validate(&doc) {
-            Ok(()) => {
-                let cells =
-                    doc.get("cells").and_then(|c| c.as_array().map(|a| a.len())).unwrap_or(0);
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report ({cells} cell(s), sorted, finite)",
-                        path.display(),
-                        obs::SWEEP_SCHEMA_ID,
-                    ),
-                );
-                0
-            }
-            Err(errors) => {
-                report_violations("sweep", &errors);
-                1
-            }
-        },
-        Some(obs::SUITE_SCHEMA_ID) => match obs::suite::validate(&doc) {
-            Ok(()) => {
-                let n = |key: &str| {
-                    doc.get(key).and_then(|c| c.as_array().map(|a| a.len())).unwrap_or(0)
-                };
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report ({} suite A cell(s), {} suite B scale(s), \
-                         {} verdict(s))",
-                        path.display(),
-                        obs::SUITE_SCHEMA_ID,
-                        n("suite_a"),
-                        n("suite_b"),
-                        n("verdicts"),
-                    ),
-                );
-                0
-            }
-            Err(errors) => {
-                report_violations("suite", &errors);
-                1
-            }
-        },
-        Some(obs::DAEMON_SCHEMA_ID) => match obs::daemon::validate(&doc) {
-            Ok(()) => {
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report (shed accounting balances, floats finite)",
-                        path.display(),
-                        obs::DAEMON_SCHEMA_ID,
-                    ),
-                );
-                0
-            }
-            Err(errors) => {
-                report_violations("daemon", &errors);
-                1
-            }
-        },
-        Some(obs::LIVE_SCHEMA_ID) => match obs::live::validate(&doc) {
-            Ok(()) => {
-                let n = |key: &str| {
-                    doc.get("deterministic")
-                        .and_then(|d| d.get(key))
-                        .and_then(|c| c.as_array().map(|a| a.len()))
-                        .unwrap_or(0)
-                };
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report ({} deterministic series, {} SLO \
-                         transition(s); delta conservation holds)",
-                        path.display(),
-                        obs::LIVE_SCHEMA_ID,
-                        n("series"),
-                        n("slo_transitions"),
-                    ),
-                );
-                0
-            }
-            Err(errors) => {
-                report_violations("live", &errors);
-                1
-            }
-        },
-        Some(obs::SCHEMA_ID) => {
-            let mut errors = Vec::new();
-            if let Err(e) = obs::report::validate(&doc) {
-                errors.extend(e);
-            }
-            if let Err(e) = obs::report::check_invariants(&doc) {
-                errors.extend(e);
-            }
-            if errors.is_empty() {
-                let count = |key: &str| {
-                    doc.get(key).and_then(|m| m.as_object().map(|o| o.len())).unwrap_or(0)
-                };
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report ({} counters, {} gauges, {} histograms); \
-                         invariants hold",
-                        path.display(),
-                        obs::SCHEMA_ID,
-                        count("counters"),
-                        count("gauges"),
-                        count("histograms"),
-                    ),
-                );
-                0
-            } else {
-                report_violations("metrics", &errors);
-                1
-            }
-        }
-        Some(obs::report::LEGACY_SCHEMA_ID) => {
-            // Committed baselines that predate the v2 bump: validate under
-            // the rules of their day (no meta.run / p95 / trace), with the
-            // same counter invariants — the trajectory command still reads
-            // them, so the hygiene gate must too.
-            let mut errors = Vec::new();
-            if let Err(e) = obs::report::validate_legacy_v1(&doc) {
-                errors.extend(e);
-            }
-            if let Err(e) = obs::report::check_invariants(&doc) {
-                errors.extend(e);
-            }
-            if errors.is_empty() {
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid legacy {} report; invariants hold",
-                        path.display(),
-                        obs::report::LEGACY_SCHEMA_ID,
-                    ),
-                );
-                0
-            } else {
-                report_violations("legacy metrics", &errors);
-                1
-            }
-        }
-        other => {
+    match (schema.validate)(&doc) {
+        Ok(()) => {
             obs::progress(
                 "repro",
                 &format!(
-                    "{}: unknown schema {}; known schemas: {}, {}, {}, {}, {}",
+                    "{} is a valid {} report ({})",
                     path.display(),
-                    other.map_or("<missing>".to_string(), |s| format!("{s:?}")),
-                    obs::SCHEMA_ID,
-                    obs::SWEEP_SCHEMA_ID,
-                    obs::SUITE_SCHEMA_ID,
-                    obs::DAEMON_SCHEMA_ID,
-                    obs::LIVE_SCHEMA_ID,
+                    schema.id,
+                    (schema.summary)(&doc)
                 ),
             );
-            2
+            0
+        }
+        Err(errors) => {
+            for e in &errors {
+                obs::progress("repro", &format!("{} violation: {e}", schema.id));
+            }
+            obs::progress("repro", &format!("{}: {} violation(s)", path.display(), errors.len()));
+            1
         }
     }
 }
@@ -803,40 +660,49 @@ fn daemon_bench(args: &[String]) -> i32 {
             zipf_s: qcfg.zipf_s,
             staleness_bound_s,
         },
-        batches: source.batches.len() as u64,
-        records: source.total_records,
-        episodes: source.episodes_emitted,
-        ingest_wall_ms,
-        fingerprint,
-        queries_sent: stats.sent,
-        ok: stats.ok,
-        not_found: stats.not_found,
-        shed: stats.shed,
-        errors: stats.errors,
-        qps: stats.qps(),
-        p50_us: rtt.p50 as f64,
-        p95_us: rtt.p95 as f64,
-        p99_us: rtt.p99 as f64,
-        staleness_s: snap.staleness_s(),
+        ingest: obs::DaemonIngest {
+            batches: source.batches.len() as u64,
+            records: source.total_records,
+            episodes: source.episodes_emitted,
+            wall_ms: ingest_wall_ms,
+            fingerprint,
+        },
+        serving: obs::DaemonServing {
+            queries_sent: stats.sent,
+            ok: stats.ok,
+            not_found: stats.not_found,
+            shed: stats.shed,
+            errors: stats.errors,
+            qps: stats.qps(),
+            p50_us: rtt.p50 as f64,
+            p95_us: rtt.p95 as f64,
+            p99_us: rtt.p99 as f64,
+            staleness_s: snap.staleness_s(),
+        },
     };
-    let doc = report.to_json();
-    if let Err(errors) = obs::daemon::validate(&doc) {
-        for e in &errors {
-            obs::progress("repro", &format!("daemon violation: {e}"));
-        }
-        obs::progress("repro", "refusing to write invalid daemon report");
+    let (_, path) = next_slot(&out, "DAEMON", &obs::report::today_utc());
+    if !emit_report("daemon", &report.to_json(), &path) {
         return 1;
     }
-    std::fs::create_dir_all(&out)
-        .unwrap_or_else(|e| die(&format!("cannot create out dir {}: {e}", out.display())));
-    let (_, path) = next_slot(&out, "DAEMON", &obs::report::today_utc());
-    let mut text = doc.pretty();
-    text.push('\n');
-    write_atomic(&path, &text)
-        .unwrap_or_else(|e| die(&format!("cannot write daemon report {}: {e}", path.display())));
     eprint!("{}", report.summary_table());
-    obs::progress("repro", &format!("daemon report written to {}", path.display()));
     0
+}
+
+/// Every report `repro` writes goes through here: `write_report`
+/// validates the document under its own schema and refuses an invalid
+/// one, so a broken report never reaches disk silently. False (after
+/// saying why on stderr) when nothing was written.
+fn emit_report(kind: &str, doc: &obs::Json, path: &Path) -> bool {
+    match write_report(path, doc) {
+        Ok(()) => {
+            obs::progress("repro", &format!("{kind} report written to {}", path.display()));
+            true
+        }
+        Err(e) => {
+            obs::progress("repro", &format!("cannot write {kind} report {}: {e}", path.display()));
+            false
+        }
+    }
 }
 
 fn index_line(a: &Artifact) -> String {
@@ -900,42 +766,6 @@ fn build_report(
         metrics: obs::registry().snapshot(),
         trace: obs::trace::summary(),
     }
-}
-
-/// Validate-then-write the run report: the emitting side runs the same
-/// schema and invariant checks the CI gate does, so a broken report never
-/// reaches disk silently.
-fn emit_report(report: &obs::RunReport, path: &Path) {
-    let doc = report.to_json();
-    let mut errors = Vec::new();
-    if let Err(e) = obs::report::validate(&doc) {
-        errors.extend(e);
-    }
-    if let Err(e) = obs::report::check_invariants(&doc) {
-        errors.extend(e);
-    }
-    if !errors.is_empty() {
-        for e in &errors {
-            obs::progress("repro", &format!("metrics violation: {e}"));
-        }
-        obs::progress(
-            "repro",
-            &format!("refusing to write invalid metrics report to {}", path.display()),
-        );
-        std::process::exit(1);
-    }
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                die(&format!("cannot create metrics dir {}: {e}", parent.display()))
-            });
-        }
-    }
-    let mut text = doc.pretty();
-    text.push('\n');
-    write_atomic(path, &text)
-        .unwrap_or_else(|e| die(&format!("cannot write metrics report {}: {e}", path.display())));
-    obs::progress("repro", &format!("metrics report written to {}", path.display()));
 }
 
 fn main() {
@@ -1114,7 +944,9 @@ fn main() {
     if opts.metrics_json.is_some() || opts.metrics_summary || opts.compare.is_some() {
         let report = build_report(&opts, &known, jobs, &timings, total.elapsed());
         if let Some(path) = &opts.metrics_json {
-            emit_report(&report, path);
+            if !emit_report("metrics", &report.to_json(), path) {
+                std::process::exit(1);
+            }
         }
         if opts.metrics_summary {
             eprint!("{}", report.summary_table());
@@ -1162,6 +994,17 @@ fn heavy_level() -> u64 {
 struct SeriesReport {
     name: String,
     doc: obs::Json,
+}
+
+impl SeriesReport {
+    /// The typed report, or a trajectory row saying why this file is
+    /// skipped — one invalid historical report must not hide the rest.
+    fn decoded<T>(&self, report: Result<T, Vec<String>>) -> Option<T> {
+        if let Err(errors) = &report {
+            println!("  {:<28} ({}; skipped)", self.name, errors.join("; "));
+        }
+        report.ok()
+    }
 }
 
 /// Parse `PREFIX_<date>[_run<N>].json` back into its `(date, run)` slot
@@ -1245,32 +1088,23 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
         );
         let mut prev: Option<(f64, f64)> = None;
         for r in &benches {
-            let meta = |k: &str| {
-                r.doc
-                    .get("meta")
-                    .and_then(|m| m.get(k))
-                    .and_then(|v| v.as_u64())
-                    .map_or_else(|| "-".to_string(), |v| v.to_string())
-            };
-            let wall = r.doc.get("total_wall_ms").and_then(|v| v.as_f64());
-            let rss = r.doc.get("peak_rss_kb").and_then(|v| v.as_f64());
-            let (Some(wall), Some(rss)) = (wall, rss) else {
-                println!("  {:<28} (missing total_wall_ms/peak_rss_kb; skipped)", r.name);
-                continue;
-            };
+            // Either run-report revision: v2, or the legacy v1 baseline.
+            let point = obs::RunReport::from_json(&r.doc)
+                .map(|b| (b.meta.scale, b.meta.jobs, b.total_wall_ms, b.peak_rss_kb))
+                .or_else(|v2_errors| {
+                    obs::report::LegacyRunReport::from_json(&r.doc)
+                        .map(|b| (b.meta.scale, b.meta.jobs, b.total_wall_ms, b.peak_rss_kb))
+                        .map_err(|_| v2_errors)
+                });
+            let Some((scale, jobs, wall, rss)) = r.decoded(point) else { continue };
+            let (wall, rss) = (wall as f64, rss as f64);
             let (dwall, drss) = match prev {
                 Some((pw, pr)) => (pct_change(wall, pw), pct_change(rss, pr)),
                 None => ("-".to_string(), "-".to_string()),
             };
             println!(
                 "  {:<28} {:>7} {:>5} {:>10.1} {:>8} {:>12.0} {:>8}",
-                r.name,
-                meta("scale"),
-                meta("jobs"),
-                wall,
-                dwall,
-                rss,
-                drss,
+                r.name, scale, jobs, wall, dwall, rss, drss,
             );
             prev = Some((wall, rss));
         }
@@ -1292,28 +1126,22 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
         // (scale, jobs) cell of the previous report that had one.
         let mut prev: std::collections::HashMap<(u64, u64), f64> = std::collections::HashMap::new();
         for r in &sweeps {
-            let Some(cells) = r.doc.get("cells").and_then(|c| c.as_array()) else {
-                println!("  {:<28} (no cells array; skipped)", r.name);
-                continue;
-            };
-            for cell in cells {
-                let scale = cell.get("scale").and_then(|v| v.as_u64());
-                let jobs = cell.get("jobs").and_then(|v| v.as_u64());
-                let wall = cell.get("wall_ms").and_then(|v| v.as_f64());
-                let rss = cell.get("peak_rss_kb").and_then(|v| v.as_f64());
-                let rps = cell.get("records_per_sec").and_then(|v| v.as_f64());
-                let (Some(scale), Some(jobs), Some(wall), Some(rss), Some(rps)) =
-                    (scale, jobs, wall, rss, rps)
-                else {
-                    continue;
-                };
+            let Some(report) = r.decoded(obs::SweepReport::from_json(&r.doc)) else { continue };
+            for c in &report.cells {
+                let key = (c.scale, c.jobs);
                 let dthru =
-                    prev.get(&(scale, jobs)).map_or("-".to_string(), |p| pct_change(rps, *p));
+                    prev.get(&key).map_or("-".to_string(), |p| pct_change(c.records_per_sec, *p));
                 println!(
                     "  {:<28} {:>9} {:>5} {:>10.1} {:>12.0} {:>13.0} {:>8}",
-                    r.name, scale, jobs, wall, rss, rps, dthru
+                    r.name,
+                    c.scale,
+                    c.jobs,
+                    c.wall_ms as f64,
+                    c.peak_rss_kb as f64,
+                    c.records_per_sec,
+                    dthru
                 );
-                prev.insert((scale, jobs), rps);
+                prev.insert(key, c.records_per_sec);
             }
         }
     }
@@ -1334,25 +1162,21 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
         // cell of the previous suite report that had one.
         let mut prev: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
         for r in &suites {
-            let Some(cells) = r.doc.get("suite_a").and_then(|c| c.as_array()) else {
-                println!("  {:<28} (no suite_a array; skipped)", r.name);
-                continue;
-            };
-            for cell in cells {
-                let label = cell.get("cell").and_then(|v| v.as_str());
-                let wall = cell.get("wall_ms").and_then(|v| v.as_f64());
-                let rss = cell.get("peak_rss_kb").and_then(|v| v.as_f64());
-                let rps = cell.get("records_per_sec").and_then(|v| v.as_f64());
-                let (Some(label), Some(wall), Some(rss), Some(rps)) = (label, wall, rss, rps)
-                else {
-                    continue;
-                };
-                let dthru = prev.get(label).map_or("-".to_string(), |p| pct_change(rps, *p));
+            let Some(report) = r.decoded(obs::SuiteReport::from_json(&r.doc)) else { continue };
+            for c in report.suite_a {
+                let dthru = prev
+                    .get(&c.cell)
+                    .map_or("-".to_string(), |p| pct_change(c.records_per_sec, *p));
                 println!(
                     "  {:<28} {:<24} {:>10.1} {:>12.0} {:>13.0} {:>8}",
-                    r.name, label, wall, rss, rps, dthru
+                    r.name,
+                    c.cell,
+                    c.wall_ms as f64,
+                    c.peak_rss_kb as f64,
+                    c.records_per_sec,
+                    dthru
                 );
-                prev.insert(label.to_string(), rps);
+                prev.insert(c.cell, c.records_per_sec);
             }
         }
     }
@@ -1418,22 +1242,11 @@ fn run_scale_sweep_cmd(opts: &Options) -> i32 {
             return 1;
         }
     }
-    let doc = report.to_json();
-    if let Err(errors) = obs::sweep::validate(&doc) {
-        for e in &errors {
-            obs::progress("repro", &format!("sweep violation: {e}"));
-        }
-        obs::progress("repro", "refusing to write invalid sweep report");
+    let (_, path) = next_slot(&opts.out, "SWEEP", &obs::report::today_utc());
+    if !emit_report("sweep", &report.to_json(), &path) {
         return 1;
     }
-    std::fs::create_dir_all(&opts.out).unwrap_or_else(|e| {
-        die(&format!("cannot create sweep out dir {}: {e}", opts.out.display()))
-    });
-    let (_, path) = next_slot(&opts.out, "SWEEP", &obs::report::today_utc());
-    write_atomic(&path, &doc.pretty())
-        .unwrap_or_else(|e| die(&format!("cannot write sweep report {}: {e}", path.display())));
     eprint!("{}", report.summary_table());
-    obs::progress("repro", &format!("sweep report written to {}", path.display()));
     0
 }
 
@@ -1467,22 +1280,11 @@ fn run_suite_cmd(opts: &Options) -> i32 {
             return 1;
         }
     };
-    let doc = report.to_json();
-    if let Err(errors) = obs::suite::validate(&doc) {
-        for e in &errors {
-            obs::progress("repro", &format!("suite violation: {e}"));
-        }
-        obs::progress("repro", "refusing to write invalid suite report");
+    let (_, path) = next_slot(&opts.out, "SUITE", &obs::report::today_utc());
+    if !emit_report("suite", &report.to_json(), &path) {
         return 1;
     }
-    std::fs::create_dir_all(&opts.out).unwrap_or_else(|e| {
-        die(&format!("cannot create suite out dir {}: {e}", opts.out.display()))
-    });
-    let (_, path) = next_slot(&opts.out, "SUITE", &obs::report::today_utc());
-    write_atomic(&path, &doc.pretty())
-        .unwrap_or_else(|e| die(&format!("cannot write suite report {}: {e}", path.display())));
     eprint!("{}", report.summary_table());
-    obs::progress("repro", &format!("suite report written to {}", path.display()));
     if report.all_pass() {
         0
     } else {

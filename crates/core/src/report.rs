@@ -80,6 +80,28 @@ pub fn write_atomic(path: &Path, content: &str) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
+/// The one way a schema'd report (`results/*.json`) reaches disk: `doc` is
+/// validated under the schema it names ([`obs::schema::validate`]) and
+/// then written atomically as its `pretty()` text, which ends in exactly
+/// one newline; missing parent directories are created. An invalid
+/// document is refused with every violation in the error, one per line.
+pub fn write_report(path: &Path, doc: &obs::Json) -> io::Result<()> {
+    if let Err(violations) = obs::schema::validate(doc) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "refusing to write an invalid report — {} violation(s):\n  {}",
+                violations.len(),
+                violations.join("\n  ")
+            ),
+        ));
+    }
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        fs::create_dir_all(parent)?;
+    }
+    write_atomic(path, &doc.pretty())
+}
+
 /// Format a count with thousands separators (for paper-style tables).
 pub fn fmt_count(n: u64) -> String {
     let s = n.to_string();

@@ -208,15 +208,7 @@ fn serve(args: &[String]) -> Result<(), String> {
             staleness_s: ingestor.state.staleness_s(),
             full_fp: format!("{:#018x}", ingestor.state.full_fingerprint()),
         };
-        let doc = telemetry.live_report(&meta, &fin);
-        if let Err(errors) = obs::live::validate(&doc) {
-            return Err(format!(
-                "live report failed its own schema ({} errors): {}",
-                errors.len(),
-                errors.join("; ")
-            ));
-        }
-        dnsimpact_core::report::write_atomic(path, &format!("{}\n", doc.pretty()))
+        dnsimpact_core::report::write_report(path, &telemetry.live_report(&meta, &fin))
             .map_err(|e| format!("write live report {}: {e}", path.display()))?;
         obs::progress("daemon", &format!("live report written to {}", path.display()));
     }

@@ -26,6 +26,7 @@
 //! branches on what it samples.
 
 use crate::index::IndexState;
+use obs::schema::Field as _;
 use obs::slo::{SloKind, SloSet, SloSpec, SloStatus};
 use obs::timeseries::TsStore;
 use obs::{Json, LiveFinal, LiveMeta};
@@ -245,52 +246,14 @@ impl Telemetry {
     /// `"annotation"`.
     pub fn sloz(&self) -> Json {
         let inner = self.inner.lock().unwrap();
-        let mut specs = Vec::new();
-        for s in inner.slos.specs().filter(|s| s.deterministic) {
-            let mut o = Json::obj();
-            o.set("name", Json::Str(s.name.clone()));
-            o.set("series", Json::Str(s.series.clone()));
-            o.set("max", Json::U64(s.max));
-            o.set("window", Json::U64(s.window as u64));
-            specs.push(o);
-        }
-        let transitions: Vec<Json> = inner
-            .slos
-            .deterministic_transitions()
-            .iter()
-            .map(|t| {
-                let mut o = Json::obj();
-                o.set("tick", Json::U64(t.tick));
-                o.set("slo", Json::Str(t.slo.clone()));
-                o.set("status", Json::Str(t.status.as_str().into()));
-                o
-            })
-            .collect();
+        let transitions: Vec<_> =
+            inner.slos.deterministic_transitions().into_iter().cloned().collect();
         let mut det = Json::obj();
-        det.set("specs", Json::Array(specs));
-        det.set("transitions", Json::Array(transitions));
+        det.set("specs", inner.slos.deterministic_specs().write());
+        det.set("transitions", transitions.write());
 
-        let statuses: Vec<Json> = inner
-            .slos
-            .statuses()
-            .iter()
-            .map(|v| {
-                let mut o = Json::obj();
-                o.set("name", Json::Str(v.name.clone()));
-                o.set("series", Json::Str(v.series.clone()));
-                o.set("status", Json::Str(v.status.as_str().into()));
-                o.set("burn_permille", Json::U64(v.burn_permille));
-                o.set("max", Json::U64(v.max));
-                match v.last_value {
-                    Some(x) => o.set("last_value", Json::U64(x)),
-                    None => o.set("last_value", Json::Null),
-                };
-                o.set("deterministic", Json::Bool(v.deterministic));
-                o
-            })
-            .collect();
         let mut ann = Json::obj();
-        ann.set("statuses", Json::Array(statuses));
+        ann.set("statuses", inner.slos.statuses().write());
         ann.set("diagnosis", Json::Str(inner.slos.diagnose().into()));
 
         let mut body = Json::obj();

@@ -26,137 +26,95 @@
 //! every offered query accounted for exactly once — plus finite floats,
 //! a `0x`-prefixed fingerprint, and a well-formed date.
 
-use crate::json::Json;
+use crate::schema::{self, record, Reader, Report};
 
 /// Schema identifier carried in every daemon report.
 pub const DAEMON_SCHEMA_ID: &str = "dnsimpactd-report/v1";
 
-/// Run identity: the knobs that shaped the feed and the query load.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DaemonMeta {
-    pub seed: u64,
-    /// Target attack count the pinned catalog was divided to.
-    pub scale: u64,
-    /// Months of the paper interval ingested (0 = all 17).
-    pub months: u64,
-    pub jobs: u64,
-    /// UTC date of the run, `YYYY-MM-DD`.
-    pub date: String,
-    /// Concurrent query clients.
-    pub clients: u64,
-    /// Zipf exponent of the domain popularity draw.
-    pub zipf_s: f64,
-    pub staleness_bound_s: u64,
+record! {
+    /// Run identity: the knobs that shaped the feed and the query load.
+    pub struct DaemonMeta {
+        pub seed: u64,
+        /// Target attack count the pinned catalog was divided to.
+        pub scale: u64,
+        /// Months of the paper interval ingested (0 = all 17).
+        pub months: u64,
+        pub jobs: u64,
+        /// UTC date of the run, `YYYY-MM-DD`.
+        pub date: String [is schema::date],
+        /// Concurrent query clients.
+        pub clients: u64,
+        /// Zipf exponent of the domain popularity draw.
+        pub zipf_s: f64,
+        pub staleness_bound_s: u64,
+    }
+
+    /// The ingest side of the run.
+    #[derive(Eq)]
+    pub struct DaemonIngest {
+        pub batches: u64,
+        pub records: u64,
+        pub episodes: u64,
+        pub wall_ms: u64,
+        /// Full index fingerprint after ingest, `0x`-prefixed hex — the
+        /// value the replay-determinism gate diffs.
+        pub fingerprint: String [is schema::fingerprint],
+    }
+
+    /// The serving side of the run: offered load, outcomes, tail latency.
+    pub struct DaemonServing {
+        pub queries_sent: u64,
+        pub ok: u64,
+        pub not_found: u64,
+        pub shed: u64,
+        pub errors: u64,
+        pub qps: f64,
+        pub p50_us: f64,
+        pub p95_us: f64,
+        pub p99_us: f64,
+        /// Served staleness at measurement time (post-ingest: 0 unless
+        /// the feed ended inside a gap).
+        pub staleness_s: u64,
+    }
+    rules = DaemonServing::rules;
+
+    /// A complete daemon report, convertible to and from schema-`v1` JSON.
+    pub struct DaemonReport: Report {
+        pub meta: DaemonMeta,
+        pub ingest: DaemonIngest,
+        pub serving: DaemonServing,
+    }
+    pub fn validate;
 }
 
-/// A complete daemon report, convertible to and from schema-`v1` JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DaemonReport {
-    pub meta: DaemonMeta,
-    // Ingest side.
-    pub batches: u64,
-    pub records: u64,
-    pub episodes: u64,
-    pub ingest_wall_ms: u64,
-    /// Full index fingerprint after ingest, `0x`-prefixed hex — the value
-    /// the replay-determinism gate diffs.
-    pub fingerprint: String,
-    // Serving side.
-    pub queries_sent: u64,
-    pub ok: u64,
-    pub not_found: u64,
-    pub shed: u64,
-    pub errors: u64,
-    pub qps: f64,
-    pub p50_us: f64,
-    pub p95_us: f64,
-    pub p99_us: f64,
-    /// Served staleness at measurement time (post-ingest: 0 unless the
-    /// feed ended inside a gap).
-    pub staleness_s: u64,
+impl DaemonServing {
+    /// The shed-accounting identity the overload contract promises.
+    fn rules(&self, r: &mut Reader) {
+        let outcomes = schema::checked_sum([&self.ok, &self.not_found, &self.shed, &self.errors]);
+        let (sent, shown) = (self.queries_sent, schema::show_sum(outcomes));
+        r.ensure(
+            outcomes == Some(sent),
+            format_args!(
+                ".queries_sent ({sent}) != ok + not_found + shed + errors ({shown}) — \
+                 every offered query must be accounted for exactly once"
+            ),
+        );
+    }
+}
+
+impl Report for DaemonReport {
+    const SCHEMA_ID: &'static str = DAEMON_SCHEMA_ID;
+
+    fn headline(&self) -> String {
+        "shed accounting balances, floats finite".to_string()
+    }
 }
 
 impl DaemonReport {
-    pub fn to_json(&self) -> Json {
-        let mut meta = Json::obj();
-        meta.set("seed", Json::U64(self.meta.seed));
-        meta.set("scale", Json::U64(self.meta.scale));
-        meta.set("months", Json::U64(self.meta.months));
-        meta.set("jobs", Json::U64(self.meta.jobs));
-        meta.set("date", Json::Str(self.meta.date.clone()));
-        meta.set("clients", Json::U64(self.meta.clients));
-        meta.set("zipf_s", Json::F64(self.meta.zipf_s));
-        meta.set("staleness_bound_s", Json::U64(self.meta.staleness_bound_s));
-
-        let mut ingest = Json::obj();
-        ingest.set("batches", Json::U64(self.batches));
-        ingest.set("records", Json::U64(self.records));
-        ingest.set("episodes", Json::U64(self.episodes));
-        ingest.set("wall_ms", Json::U64(self.ingest_wall_ms));
-        ingest.set("fingerprint", Json::Str(self.fingerprint.clone()));
-
-        let mut serving = Json::obj();
-        serving.set("queries_sent", Json::U64(self.queries_sent));
-        serving.set("ok", Json::U64(self.ok));
-        serving.set("not_found", Json::U64(self.not_found));
-        serving.set("shed", Json::U64(self.shed));
-        serving.set("errors", Json::U64(self.errors));
-        serving.set("qps", Json::F64(self.qps));
-        serving.set("p50_us", Json::F64(self.p50_us));
-        serving.set("p95_us", Json::F64(self.p95_us));
-        serving.set("p99_us", Json::F64(self.p99_us));
-        serving.set("staleness_s", Json::U64(self.staleness_s));
-
-        let mut doc = Json::obj();
-        doc.set("schema", Json::Str(DAEMON_SCHEMA_ID.into()));
-        doc.set("meta", meta);
-        doc.set("ingest", ingest);
-        doc.set("serving", serving);
-        doc
-    }
-
-    /// Rebuild a report from schema-`v1` JSON. Runs full validation first,
-    /// so `from_json(doc)?` doubles as a validity check.
-    pub fn from_json(doc: &Json) -> Result<DaemonReport, Vec<String>> {
-        validate(doc)?;
-        let get = |outer: &str, key: &str| doc.get(outer).and_then(|o| o.get(key)).cloned();
-        let u = |outer: &str, key: &str| get(outer, key).and_then(|v| v.as_u64()).unwrap_or(0);
-        let f = |outer: &str, key: &str| get(outer, key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        let s = |outer: &str, key: &str| {
-            get(outer, key).and_then(|v| v.as_str().map(str::to_string)).unwrap_or_default()
-        };
-        Ok(DaemonReport {
-            meta: DaemonMeta {
-                seed: u("meta", "seed"),
-                scale: u("meta", "scale"),
-                months: u("meta", "months"),
-                jobs: u("meta", "jobs"),
-                date: s("meta", "date"),
-                clients: u("meta", "clients"),
-                zipf_s: f("meta", "zipf_s"),
-                staleness_bound_s: u("meta", "staleness_bound_s"),
-            },
-            batches: u("ingest", "batches"),
-            records: u("ingest", "records"),
-            episodes: u("ingest", "episodes"),
-            ingest_wall_ms: u("ingest", "wall_ms"),
-            fingerprint: s("ingest", "fingerprint"),
-            queries_sent: u("serving", "queries_sent"),
-            ok: u("serving", "ok"),
-            not_found: u("serving", "not_found"),
-            shed: u("serving", "shed"),
-            errors: u("serving", "errors"),
-            qps: f("serving", "qps"),
-            p50_us: f("serving", "p50_us"),
-            p95_us: f("serving", "p95_us"),
-            p99_us: f("serving", "p99_us"),
-            staleness_s: u("serving", "staleness_s"),
-        })
-    }
-
     /// Human-readable summary for stderr.
     pub fn summary_table(&self) -> String {
         use std::fmt::Write as _;
+        let (ingest, serving) = (&self.ingest, &self.serving);
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -172,125 +130,31 @@ impl DaemonReport {
         let _ = writeln!(
             out,
             "ingest : {} batches / {} records / {} episodes in {} ms  fp {}",
-            self.batches, self.records, self.episodes, self.ingest_wall_ms, self.fingerprint
+            ingest.batches, ingest.records, ingest.episodes, ingest.wall_ms, ingest.fingerprint
         );
         let _ = writeln!(
             out,
             "serving: {} sent = {} ok + {} not_found + {} shed + {} errors  ({:.1} qps)",
-            self.queries_sent, self.ok, self.not_found, self.shed, self.errors, self.qps
+            serving.queries_sent,
+            serving.ok,
+            serving.not_found,
+            serving.shed,
+            serving.errors,
+            serving.qps
         );
         let _ = writeln!(
             out,
             "latency: p50 {:.0} us  p95 {:.0} us  p99 {:.0} us  staleness {} s",
-            self.p50_us, self.p95_us, self.p99_us, self.staleness_s
+            serving.p50_us, serving.p95_us, serving.p99_us, serving.staleness_s
         );
         out
-    }
-}
-
-fn require<'a>(obj: &'a Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = obj.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
-    }
-    v
-}
-
-fn require_u64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) {
-    if let Some(v) = require(obj, key, path, errors) {
-        if v.as_u64().is_none() {
-            errors.push(format!("{path}.{key} must be an unsigned integer"));
-        }
-    }
-}
-
-fn require_finite_f64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) {
-    if let Some(v) = require(obj, key, path, errors) {
-        match v.as_f64() {
-            Some(f) if f.is_finite() => {}
-            _ => errors.push(format!("{path}.{key} must be a finite number")),
-        }
-    }
-}
-
-/// Validate a document against schema `dnsimpactd-report/v1`. Returns the
-/// full list of violations rather than stopping at the first. Beyond
-/// field shape this enforces the shed-accounting identity
-/// (`queries_sent == ok + not_found + shed + errors`) and a `0x`-prefixed
-/// fingerprint.
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == DAEMON_SCHEMA_ID => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {DAEMON_SCHEMA_ID:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
-    if let Some(meta) = require(doc, "meta", "$", &mut errors) {
-        for key in ["seed", "scale", "months", "jobs", "clients", "staleness_bound_s"] {
-            require_u64(meta, key, "$.meta", &mut errors);
-        }
-        require_finite_f64(meta, "zipf_s", "$.meta", &mut errors);
-        match require(meta, "date", "$.meta", &mut errors) {
-            Some(Json::Str(d)) => {
-                let ok = d.len() == 10
-                    && d.bytes().enumerate().all(|(i, b)| {
-                        if i == 4 || i == 7 {
-                            b == b'-'
-                        } else {
-                            b.is_ascii_digit()
-                        }
-                    });
-                if !ok {
-                    errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-                }
-            }
-            Some(_) => errors.push("$.meta.date must be a string".into()),
-            None => {}
-        }
-    }
-    if let Some(ingest) = require(doc, "ingest", "$", &mut errors) {
-        for key in ["batches", "records", "episodes", "wall_ms"] {
-            require_u64(ingest, key, "$.ingest", &mut errors);
-        }
-        match require(ingest, "fingerprint", "$.ingest", &mut errors) {
-            Some(Json::Str(fp)) if fp.starts_with("0x") && fp.len() > 2 => {}
-            Some(Json::Str(fp)) => {
-                errors.push(format!("$.ingest.fingerprint {fp:?} must be 0x-prefixed hex"))
-            }
-            Some(_) => errors.push("$.ingest.fingerprint must be a string".into()),
-            None => {}
-        }
-    }
-    if let Some(serving) = require(doc, "serving", "$", &mut errors) {
-        for key in ["queries_sent", "ok", "not_found", "shed", "errors", "staleness_s"] {
-            require_u64(serving, key, "$.serving", &mut errors);
-        }
-        for key in ["qps", "p50_us", "p95_us", "p99_us"] {
-            require_finite_f64(serving, key, "$.serving", &mut errors);
-        }
-        let u = |key: &str| serving.get(key).and_then(|v| v.as_u64());
-        if let (Some(sent), Some(ok), Some(nf), Some(shed), Some(errs)) =
-            (u("queries_sent"), u("ok"), u("not_found"), u("shed"), u("errors"))
-        {
-            if ok + nf + shed + errs != sent {
-                errors.push(format!(
-                    "$.serving.queries_sent ({sent}) != ok + not_found + shed + errors ({}) — \
-                     every offered query must be accounted for exactly once",
-                    ok + nf + shed + errs
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn sample_report() -> DaemonReport {
         DaemonReport {
@@ -304,22 +168,31 @@ mod tests {
                 zipf_s: 1.1,
                 staleness_bound_s: 1_800,
             },
-            batches: 210,
-            records: 5_120,
-            episodes: 430,
-            ingest_wall_ms: 1_830,
-            fingerprint: "0x9f2a6c41d0e8b753".into(),
-            queries_sent: 2_000,
-            ok: 1_890,
-            not_found: 0,
-            shed: 90,
-            errors: 20,
-            qps: 5_120.4,
-            p50_us: 180.0,
-            p95_us: 420.0,
-            p99_us: 900.0,
-            staleness_s: 0,
+            ingest: DaemonIngest {
+                batches: 210,
+                records: 5_120,
+                episodes: 430,
+                wall_ms: 1_830,
+                fingerprint: "0x9f2a6c41d0e8b753".into(),
+            },
+            serving: DaemonServing {
+                queries_sent: 2_000,
+                ok: 1_890,
+                not_found: 0,
+                shed: 90,
+                errors: 20,
+                qps: 5_120.4,
+                p50_us: 180.0,
+                p95_us: 420.0,
+                p99_us: 900.0,
+                staleness_s: 0,
+            },
         }
+    }
+
+    #[test]
+    fn sample_report_bytes_are_pinned() {
+        assert_eq!(sample_report().to_json().pretty(), include_str!("golden/daemon.json"));
     }
 
     #[test]
@@ -349,7 +222,7 @@ mod tests {
     #[test]
     fn validate_enforces_shed_accounting_identity() {
         let mut report = sample_report();
-        report.shed += 1;
+        report.serving.shed += 1;
         let errors = validate(&report.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("accounted for exactly once")), "{errors:?}");
     }
@@ -357,8 +230,8 @@ mod tests {
     #[test]
     fn validate_rejects_bad_fingerprint_and_nan() {
         let mut report = sample_report();
-        report.fingerprint = "9f2a".into();
-        report.qps = f64::NAN;
+        report.ingest.fingerprint = "9f2a".into();
+        report.serving.qps = f64::NAN;
         let text = report.to_json().pretty();
         let doc = Json::parse(&text).unwrap();
         let errors = validate(&doc).unwrap_err();

@@ -18,6 +18,7 @@
 
 use crate::json::Json;
 use crate::metrics::HistogramSnapshot;
+use crate::schema::{self, Field, Reader};
 
 /// Number of log2 buckets — one per possible `u64` bit length, matching
 /// [`crate::metrics::Histogram`].
@@ -74,9 +75,12 @@ impl Hist {
         if buckets.len() > BUCKETS {
             return Err(format!("{} buckets; the log2 grid has at most {BUCKETS}", buckets.len()));
         }
-        let total: u64 = buckets.iter().sum();
-        if total != count {
-            return Err(format!("bucket counts sum to {total}, count says {count}"));
+        match schema::checked_sum(&buckets) {
+            Some(total) if total == count => {}
+            Some(total) => {
+                return Err(format!("bucket counts sum to {total}, count says {count}"));
+            }
+            None => return Err(format!("bucket counts overflow u64, count says {count}")),
         }
         if count > 0 && min > max {
             return Err(format!("min {min} > max {max}"));
@@ -178,86 +182,56 @@ impl Hist {
         o.set("p50", Json::U64(self.percentile(0.50)));
         o.set("p95", Json::U64(self.percentile(0.95)));
         o.set("p99", Json::U64(self.percentile(0.99)));
-        o.set("buckets", Json::Array(self.buckets.iter().map(|&b| Json::U64(b)).collect()));
+        o.set("buckets", self.buckets.write());
         o
     }
 
-    /// Parse a histogram object back, re-checking the shape invariants
-    /// *and* that the carried p50/p95/p99 match what the buckets imply —
-    /// a report cannot claim percentiles its distribution does not have.
+    /// Parse a histogram object rooted at `path` back, re-checking the
+    /// shape invariants *and* that the carried p50/p95/p99 match what the
+    /// buckets imply — a report cannot claim percentiles its distribution
+    /// does not have.
     pub fn from_json(doc: &Json, path: &str) -> Result<Hist, Vec<String>> {
-        let mut errors = Vec::new();
-        let u = |key: &str, errors: &mut Vec<String>| -> Option<u64> {
-            match doc.get(key) {
-                Some(v) => match v.as_u64() {
-                    Some(n) => Some(n),
-                    None => {
-                        errors.push(format!("{path}.{key} must be an unsigned integer"));
-                        None
-                    }
-                },
-                None => {
-                    errors.push(format!("missing field {path}.{key}"));
-                    None
-                }
-            }
-        };
-        let count = u("count", &mut errors);
-        let sum = u("sum", &mut errors);
-        let min = u("min", &mut errors);
-        let max = u("max", &mut errors);
-        let buckets: Option<Vec<u64>> = match doc.get("buckets") {
-            Some(Json::Array(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                let mut ok = true;
-                for (i, b) in items.iter().enumerate() {
-                    match b.as_u64() {
-                        Some(n) => out.push(n),
-                        None => {
-                            errors.push(format!("{path}.buckets[{i}] must be an unsigned integer"));
-                            ok = false;
-                        }
-                    }
-                }
-                ok.then_some(out)
-            }
-            Some(_) => {
-                errors.push(format!("{path}.buckets must be an array"));
-                None
-            }
-            None => {
-                errors.push(format!("missing field {path}.buckets"));
-                None
-            }
-        };
-        let (Some(count), Some(sum), Some(min), Some(max), Some(buckets)) =
-            (count, sum, min, max, buckets)
-        else {
-            return Err(errors);
-        };
-        let h = Hist::from_parts(count, sum, min, max, buckets)
-            .map_err(|e| vec![format!("{path}: {e}")])?;
-        for (key, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-            if let Some(claimed) = u(key, &mut errors) {
-                let actual = h.percentile(q);
-                if claimed != actual {
-                    errors.push(format!(
-                        "{path}.{key} claims {claimed} but the buckets imply {actual}"
-                    ));
-                }
-            }
-        }
-        if errors.is_empty() {
-            Ok(h)
-        } else {
-            Err(errors)
-        }
+        schema::decode_at(doc, path)
     }
 
     fn trim(&mut self) {
         while self.buckets.last() == Some(&0) {
             self.buckets.pop();
         }
+    }
+}
+
+impl Field for Hist {
+    fn read(doc: &Json, r: &mut Reader) -> Option<Hist> {
+        let count = r.field::<u64>(doc, "count");
+        let sum = r.field::<u64>(doc, "sum");
+        let min = r.field::<u64>(doc, "min");
+        let max = r.field::<u64>(doc, "max");
+        let buckets = r.field::<Vec<u64>>(doc, "buckets");
+        let h = match Hist::from_parts(count?, sum?, min?, max?, buckets?) {
+            Ok(h) => h,
+            Err(e) => {
+                r.fail(format_args!(": {e}"));
+                return None;
+            }
+        };
+        let mut honest = true;
+        for (key, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+            let actual = h.percentile(q);
+            match r.field::<u64>(doc, key) {
+                Some(claimed) if claimed == actual => {}
+                Some(claimed) => {
+                    honest = false;
+                    r.fail(format_args!(".{key} claims {claimed} but the buckets imply {actual}"));
+                }
+                None => honest = false,
+            }
+        }
+        honest.then_some(h)
+    }
+
+    fn write(&self) -> Json {
+        self.to_json()
     }
 }
 

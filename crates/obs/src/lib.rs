@@ -43,22 +43,30 @@
 //!   lock-sharded ring of typed, episode-attributed pipeline events, with
 //!   Chrome-trace export, causality checking, and the `repro explain`
 //!   timeline renderer;
-//! - [`report`]: the stable-schema machine-readable run report
-//!   (`dnsimpact-metrics/v2`), its JSON round-trip, schema validation,
-//!   counter-invariant checks, and the bench-regression comparator;
+//! - [`schema`]: one description per report schema — the [`schema::Reader`]
+//!   (the crate's only error-accumulating, path-tracking document
+//!   reader), the [`schema::Field`] codecs, the `record!` declaration
+//!   every report struct below is written with (struct, JSON writer,
+//!   parser and shape validator from one token list; decode *is*
+//!   validate; per-record cross-field `rules`), and the
+//!   [`schema::REPORT_SCHEMAS`] table of [`schema::Report`] roots that
+//!   `validate-metrics` and the report writer dispatch on (DESIGN §17);
+//! - [`report`]: the machine-readable run report (`dnsimpact-metrics/v2`,
+//!   and the frozen `v1` as `LegacyRunReport`), the counter-invariant
+//!   checks, and the bench-regression comparator;
 //! - [`hist`]: plain-value log2 histograms ([`hist::Hist`]) rebuildable
 //!   from a report's `buckets` array and mergeable bucket-wise across
 //!   processes — the exact-merge backbone of `repro bench --suite`;
 //! - [`sweep`]: the scale-sweep report (`dnsimpact-sweep/v1`) emitted by
 //!   `repro bench --scale-sweep` — per-(scale, jobs) throughput, wall, and
-//!   peak-RSS cells, with strict sortedness/finiteness validation;
+//!   peak-RSS cells, strictly sorted, floats finite;
 //! - [`suite`]: the process-suite report (`dnsimpact-suite/v1`) emitted by
 //!   `repro bench --suite` — Suite A deterministic cells, Suite B merged
 //!   per-process percentiles, and the per-cell verdict table;
 //! - [`daemon`]: the daemon serving-benchmark report
 //!   (`dnsimpactd-report/v1`) emitted by `repro daemon-bench` — ingest
 //!   fingerprint plus query QPS/tail-latency, with the shed-accounting
-//!   identity enforced at validation;
+//!   identity among its rules;
 //! - [`timeseries`]: the live plane's bounded tick ring ([`TsStore`]) —
 //!   per-tick counter deltas and gauge levels on a feed-sequence tick
 //!   clock, with eviction accounting that makes "no sample lost or
@@ -69,7 +77,8 @@
 //!   strict parser) over a metrics snapshot — the `/metricsz` body;
 //! - [`live`]: the live-telemetry report (`dnsimpactd-live/v1`) — tick
 //!   series, SLO verdicts, and final state split into `deterministic` /
-//!   `annotation` halves, validated down to the delta-conservation law;
+//!   `annotation` halves, built from the tick store and read back down
+//!   to the delta-conservation law;
 //! - [`json`]: the dependency-free JSON value/writer/parser the report
 //!   rides on;
 //! - [`progress`]: stderr-only progress/timing lines, so nothing
@@ -85,6 +94,7 @@ pub mod metrics;
 pub mod progress;
 pub mod report;
 pub mod rss;
+pub mod schema;
 pub mod slo;
 pub mod span;
 pub mod suite;
@@ -92,7 +102,7 @@ pub mod sweep;
 pub mod timeseries;
 pub mod trace;
 
-pub use daemon::{DaemonMeta, DaemonReport, DAEMON_SCHEMA_ID};
+pub use daemon::{DaemonIngest, DaemonMeta, DaemonReport, DaemonServing, DAEMON_SCHEMA_ID};
 pub use hist::Hist;
 pub use json::Json;
 pub use live::{LiveFinal, LiveMeta, LIVE_SCHEMA_ID};

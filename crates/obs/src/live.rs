@@ -28,66 +28,196 @@
 use crate::hist::Hist;
 use crate::json::Json;
 use crate::metrics::Snapshot;
-use crate::slo::{SloSet, SloStatusView};
+use crate::schema::{self, record, Reader, Report};
+use crate::slo::{SloSet, SloSpecRow, SloStatusView, Transition};
 use crate::timeseries::TsStore;
+use std::collections::BTreeMap;
 
 /// Schema identifier carried in every live report.
 pub const LIVE_SCHEMA_ID: &str = "dnsimpactd-live/v1";
 
-/// Run identity for the live report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveMeta {
-    pub seed: u64,
-    pub scale: u64,
-    pub months: u64,
-    pub jobs: u64,
-    /// UTC date of the run, `YYYY-MM-DD`.
-    pub date: String,
-    pub chaos_seed: Option<u64>,
-    pub tick_cap: u64,
-}
-
-/// Final deterministic state scalars.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveFinal {
-    pub applied_seq: u64,
-    pub total_batches: u64,
-    pub records_applied: u64,
-    pub episodes: u64,
-    pub joined_rows: u64,
-    pub staleness_s: u64,
-    /// `0x`-prefixed full index fingerprint.
-    pub full_fp: String,
-}
-
-fn series_json(store: &TsStore, name: &str, with_wall: bool) -> Option<Json> {
-    let w = store.series(name, usize::MAX)?;
-    let mut o = Json::obj();
-    o.set("name", Json::Str(w.name.clone()));
-    o.set("kind", Json::Str(w.kind.as_str().into()));
-    o.set("ticks", Json::Array(w.ticks.iter().map(|&t| Json::U64(t)).collect()));
-    o.set("values", Json::Array(w.values.iter().map(|&v| Json::U64(v)).collect()));
-    o.set("evicted_sum", Json::U64(w.evicted_sum));
-    o.set("cumulative", Json::U64(w.cumulative));
-    if with_wall {
-        o.set("wall_ms", Json::Array(w.wall_ms.iter().map(|&m| Json::U64(m)).collect()));
+record! {
+    /// Run identity for the live report.
+    pub struct LiveMeta {
+        pub seed: u64,
+        pub scale: u64,
+        pub months: u64,
+        pub jobs: u64,
+        /// UTC date of the run, `YYYY-MM-DD`.
+        pub date: String [is schema::date],
+        pub chaos_seed: Option<u64>,
+        pub tick_cap: u64,
     }
-    Some(o)
+
+    /// `$.meta`: the run identity plus how much of the tick clock the
+    /// ring still holds.
+    pub struct LiveWindowMeta {
+        pub run: LiveMeta [flatten],
+        pub ticks_total: u64,
+        pub ticks_retained: u64,
+    }
+    rules = LiveWindowMeta::rules;
+
+    /// Final deterministic state scalars.
+    pub struct LiveFinal {
+        pub applied_seq: u64,
+        pub total_batches: u64,
+        pub records_applied: u64,
+        pub episodes: u64,
+        pub joined_rows: u64,
+        pub staleness_s: u64,
+        /// `0x`-prefixed full index fingerprint.
+        pub full_fp: String [is schema::fingerprint],
+    }
+
+    /// The retained tick window of one series.
+    pub struct LiveSeries {
+        pub name: String,
+        /// `"delta"` or `"level"`.
+        pub kind: String,
+        pub ticks: Vec<u64>,
+        pub values: Vec<u64>,
+        /// Delta series: sum of increments before this window. Level: 0.
+        pub evicted_sum: u64,
+        /// Delta series: the cumulative value at the last tick.
+        pub cumulative: u64,
+    }
+    rules = LiveSeries::rules;
+
+    /// The half two runs over the same feed prefix must agree on
+    /// byte-for-byte.
+    pub struct LiveDeterministic {
+        pub r#final: LiveFinal,
+        pub series: Vec<LiveSeries> [is unique_names],
+        pub slo_specs: Vec<SloSpecRow> [is unique_names],
+        pub slo_transitions: Vec<Transition>,
+    }
+    rules = LiveDeterministic::rules;
+
+    /// The wall clock per retained tick.
+    pub struct LiveWall {
+        pub ticks: Vec<u64>,
+        pub ms: Vec<u64>,
+    }
+    rules = LiveWall::rules;
+
+    /// The half that is present for humans and never diffed.
+    pub struct LiveAnnotation {
+        pub wall: LiveWall,
+        pub series: Vec<LiveSeries> [is unique_names],
+        pub slo_statuses: Vec<SloStatusView>,
+        pub diagnosis: String,
+        pub sched_counters: BTreeMap<String, u64>,
+        pub route_latency_us: BTreeMap<String, Hist>,
+    }
+
+    /// A complete live report, convertible to and from schema-`v1` JSON.
+    pub struct LiveReport: Report {
+        pub meta: LiveWindowMeta,
+        pub deterministic: LiveDeterministic,
+        pub annotation: LiveAnnotation,
+    }
+    pub fn validate;
 }
 
-fn status_json(v: &SloStatusView) -> Json {
-    let mut o = Json::obj();
-    o.set("name", Json::Str(v.name.clone()));
-    o.set("series", Json::Str(v.series.clone()));
-    o.set("status", Json::Str(v.status.as_str().into()));
-    o.set("burn_permille", Json::U64(v.burn_permille));
-    o.set("max", Json::U64(v.max));
-    match v.last_value {
-        Some(x) => o.set("last_value", Json::U64(x)),
-        None => o.set("last_value", Json::Null),
-    };
-    o.set("deterministic", Json::Bool(v.deterministic));
-    o
+impl LiveWindowMeta {
+    fn rules(&self, r: &mut Reader) {
+        if self.ticks_retained > self.ticks_total {
+            r.fail(format_args!(
+                ".ticks_retained {} > ticks_total {}",
+                self.ticks_retained, self.ticks_total
+            ));
+        }
+    }
+}
+
+impl LiveSeries {
+    fn rules(&self, r: &mut Reader) {
+        r.ensure(!self.name.is_empty(), ".name must be a non-empty string");
+        r.ensure(
+            matches!(self.kind.as_str(), "delta" | "level"),
+            format_args!(".kind {:?} must be \"delta\" or \"level\"", self.kind),
+        );
+        let (ticks, values) = (self.ticks.len(), self.values.len());
+        r.ensure(ticks == values, format_args!(": {ticks} ticks but {values} values"));
+        let increasing = self.ticks.windows(2).all(|w| w[0] < w[1]);
+        r.ensure(increasing, ".ticks must be strictly increasing");
+        let window_sum = schema::checked_sum(&self.values);
+        let conserved = window_sum.and_then(|w| w.checked_add(self.evicted_sum));
+        let (evicted, cumulative, window) =
+            (self.evicted_sum, self.cumulative, schema::show_sum(window_sum));
+        r.ensure(
+            self.kind != "delta" || conserved == Some(cumulative),
+            format_args!(
+                " ({:?}): evicted_sum {evicted} + window sum {window} != cumulative \
+                 {cumulative} — a sample was dropped or double-counted",
+                self.name
+            ),
+        );
+    }
+}
+
+/// Field check: the `name`s of a list's rows (series, SLO specs) must be
+/// unique.
+fn unique_names(list: &Json, r: &mut Reader) {
+    let rows = list.as_array().unwrap_or_default();
+    let names: Vec<Option<&str>> = rows.iter().map(|row| row.get("name")?.as_str()).collect();
+    for (i, name) in names.iter().enumerate() {
+        if let Some(name) = name.filter(|_| names[..i].contains(name)) {
+            r.fail(format_args!("[{i}]: duplicate name {name:?}"));
+        }
+    }
+}
+
+impl LiveDeterministic {
+    fn rules(&self, r: &mut Reader) {
+        let mut last_tick = 0u64;
+        for (i, t) in self.slo_transitions.iter().enumerate() {
+            if t.tick < last_tick {
+                r.fail(format_args!(".slo_transitions[{i}].tick {} goes backwards", t.tick));
+            }
+            last_tick = t.tick;
+            if !self.slo_specs.iter().any(|s| s.name == t.slo) {
+                r.fail(format_args!(".slo_transitions[{i}].slo {:?} not in slo_specs", t.slo));
+            }
+        }
+    }
+}
+
+impl LiveWall {
+    fn rules(&self, r: &mut Reader) {
+        let (ticks, ms) = (self.ticks.len(), self.ms.len());
+        r.ensure(ticks == ms, format_args!(": {ticks} ticks but {ms} ms entries"));
+    }
+}
+
+impl Report for LiveReport {
+    const SCHEMA_ID: &'static str = LIVE_SCHEMA_ID;
+
+    fn headline(&self) -> String {
+        let (series, moves) =
+            (self.deterministic.series.len(), self.deterministic.slo_transitions.len());
+        format!(
+            "{series} deterministic series, {moves} SLO transition(s); delta conservation holds"
+        )
+    }
+}
+
+/// The retained windows of the stored series `keep` selects.
+fn series_where(store: &TsStore, keep: impl Fn(&str) -> bool) -> Vec<LiveSeries> {
+    store
+        .names()
+        .filter(|(name, _)| keep(name))
+        .filter_map(|(name, _)| store.series(name, usize::MAX))
+        .map(|w| LiveSeries {
+            name: w.name,
+            kind: w.kind.as_str().into(),
+            ticks: w.ticks,
+            values: w.values,
+            evicted_sum: w.evicted_sum,
+            cumulative: w.cumulative,
+        })
+        .collect()
 }
 
 /// Assemble a live report. `is_det` decides which stored series are
@@ -102,342 +232,47 @@ pub fn build(
     is_det: &dyn Fn(&str) -> bool,
     snap: &Snapshot,
 ) -> Json {
-    let mut m = Json::obj();
-    m.set("seed", Json::U64(meta.seed));
-    m.set("scale", Json::U64(meta.scale));
-    m.set("months", Json::U64(meta.months));
-    m.set("jobs", Json::U64(meta.jobs));
-    m.set("date", Json::Str(meta.date.clone()));
-    match meta.chaos_seed {
-        Some(s) => m.set("chaos_seed", Json::U64(s)),
-        None => m.set("chaos_seed", Json::Null),
+    let deterministic = LiveDeterministic {
+        r#final: fin.clone(),
+        series: series_where(store, is_det),
+        slo_specs: slos.deterministic_specs(),
+        slo_transitions: slos.deterministic_transitions().into_iter().cloned().collect(),
     };
-    m.set("tick_cap", Json::U64(meta.tick_cap));
-    m.set("ticks_total", Json::U64(store.ticks_total()));
-    m.set("ticks_retained", Json::U64(store.len() as u64));
-
-    let mut f = Json::obj();
-    f.set("applied_seq", Json::U64(fin.applied_seq));
-    f.set("total_batches", Json::U64(fin.total_batches));
-    f.set("records_applied", Json::U64(fin.records_applied));
-    f.set("episodes", Json::U64(fin.episodes));
-    f.set("joined_rows", Json::U64(fin.joined_rows));
-    f.set("staleness_s", Json::U64(fin.staleness_s));
-    f.set("full_fp", Json::Str(fin.full_fp.clone()));
-
-    let names: Vec<String> = store.names().map(|(n, _)| n.to_string()).collect();
-    let det_series: Vec<Json> =
-        names.iter().filter(|n| is_det(n)).filter_map(|n| series_json(store, n, false)).collect();
-    let ann_series: Vec<Json> =
-        names.iter().filter(|n| !is_det(n)).filter_map(|n| series_json(store, n, false)).collect();
-
-    let mut det_specs = Vec::new();
-    for s in slos.specs().filter(|s| s.deterministic) {
-        let mut o = Json::obj();
-        o.set("name", Json::Str(s.name.clone()));
-        o.set("series", Json::Str(s.series.clone()));
-        o.set("max", Json::U64(s.max));
-        o.set("window", Json::U64(s.window as u64));
-        det_specs.push(o);
-    }
-    let det_transitions: Vec<Json> = slos
-        .deterministic_transitions()
-        .iter()
-        .map(|t| {
-            let mut o = Json::obj();
-            o.set("tick", Json::U64(t.tick));
-            o.set("slo", Json::Str(t.slo.clone()));
-            o.set("status", Json::Str(t.status.as_str().into()));
-            o
-        })
-        .collect();
-
-    let mut det = Json::obj();
-    det.set("final", f);
-    det.set("series", Json::Array(det_series));
-    det.set("slo_specs", Json::Array(det_specs));
-    det.set("slo_transitions", Json::Array(det_transitions));
-
     // Annotation: the wall clock per retained tick, the nondeterministic
     // series, serving-side SLO state, and the sched extras.
-    let mut wall = Json::obj();
-    wall.set("ticks", Json::Array(store.ticks().map(|t| Json::U64(t.tick)).collect()));
-    wall.set("ms", Json::Array(store.ticks().map(|t| Json::U64(t.wall_ms)).collect()));
-
-    let statuses: Vec<Json> = slos.statuses().iter().map(status_json).collect();
-
-    let mut sched_counters = Json::obj();
-    for (name, &v) in &snap.counters {
-        if name.starts_with("sched.") {
-            sched_counters.set(name, Json::U64(v));
-        }
-    }
-    let mut route_latency = Json::obj();
-    for (name, hs) in &snap.histograms {
-        if let Some(route) = name.strip_prefix("sched.daemon.http.latency_us.") {
-            if let Ok(h) = Hist::from_snapshot(hs) {
-                route_latency.set(route, h.to_json());
-            }
-        }
-    }
-
-    let mut ann = Json::obj();
-    ann.set("wall", wall);
-    ann.set("series", Json::Array(ann_series));
-    ann.set("slo_statuses", Json::Array(statuses));
-    ann.set("diagnosis", Json::Str(slos.diagnose().into()));
-    ann.set("sched_counters", sched_counters);
-    ann.set("route_latency_us", route_latency);
-
-    let mut doc = Json::obj();
-    doc.set("schema", Json::Str(LIVE_SCHEMA_ID.into()));
-    doc.set("meta", m);
-    doc.set("deterministic", det);
-    doc.set("annotation", ann);
-    doc
-}
-
-fn require<'a>(obj: &'a Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = obj.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
-    }
-    v
-}
-
-fn require_u64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<u64> {
-    match require(obj, key, path, errors) {
-        Some(v) => match v.as_u64() {
-            Some(n) => Some(n),
-            None => {
-                errors.push(format!("{path}.{key} must be an unsigned integer"));
-                None
-            }
+    let annotation = LiveAnnotation {
+        wall: LiveWall {
+            ticks: store.ticks().map(|t| t.tick).collect(),
+            ms: store.ticks().map(|t| t.wall_ms).collect(),
         },
-        None => None,
-    }
-}
-
-fn u64_array(v: &Json, path: &str, errors: &mut Vec<String>) -> Option<Vec<u64>> {
-    match v.as_array() {
-        Some(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                match item.as_u64() {
-                    Some(n) => out.push(n),
-                    None => {
-                        errors.push(format!("{path}[{i}] must be an unsigned integer"));
-                        return None;
-                    }
-                }
-            }
-            Some(out)
-        }
-        None => {
-            errors.push(format!("{path} must be an array"));
-            None
-        }
-    }
-}
-
-fn validate_series(list: &Json, path: &str, errors: &mut Vec<String>) {
-    let Some(items) = list.as_array() else {
-        errors.push(format!("{path} must be an array"));
-        return;
+        series: series_where(store, |n| !is_det(n)),
+        slo_statuses: slos.statuses(),
+        diagnosis: slos.diagnose().into(),
+        sched_counters: snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("sched."))
+            .map(|(name, &v)| (name.clone(), v))
+            .collect(),
+        route_latency_us: snap
+            .histograms
+            .iter()
+            .filter_map(|(name, hs)| {
+                let route = name.strip_prefix("sched.daemon.http.latency_us.")?;
+                Some((route.to_string(), Hist::from_snapshot(hs).ok()?))
+            })
+            .collect(),
     };
-    let mut seen = Vec::new();
-    for (i, s) in items.iter().enumerate() {
-        let p = format!("{path}[{i}]");
-        let name = match s.get("name").and_then(|n| n.as_str()) {
-            Some(n) if !n.is_empty() => n.to_string(),
-            _ => {
-                errors.push(format!("{p}.name must be a non-empty string"));
-                continue;
-            }
-        };
-        if seen.contains(&name) {
-            errors.push(format!("{p}: duplicate series name {name:?}"));
-        }
-        seen.push(name.clone());
-        let kind = s.get("kind").and_then(|k| k.as_str()).unwrap_or("");
-        if !matches!(kind, "delta" | "level") {
-            errors.push(format!("{p}.kind {kind:?} must be \"delta\" or \"level\""));
-        }
-        let ticks = s.get("ticks").and_then(|t| u64_array(t, &format!("{p}.ticks"), errors));
-        let values = s.get("values").and_then(|t| u64_array(t, &format!("{p}.values"), errors));
-        if s.get("ticks").is_none() {
-            errors.push(format!("missing field {p}.ticks"));
-        }
-        if s.get("values").is_none() {
-            errors.push(format!("missing field {p}.values"));
-        }
-        let evicted = require_u64(s, "evicted_sum", &p, errors);
-        let cumulative = require_u64(s, "cumulative", &p, errors);
-        if let (Some(ticks), Some(values)) = (ticks.as_ref(), values.as_ref()) {
-            if ticks.len() != values.len() {
-                errors.push(format!("{p}: {} ticks but {} values", ticks.len(), values.len()));
-            }
-            if ticks.windows(2).any(|w| w[0] >= w[1]) {
-                errors.push(format!("{p}.ticks must be strictly increasing"));
-            }
-            if kind == "delta" {
-                if let (Some(e), Some(c)) = (evicted, cumulative) {
-                    let window_sum: u64 = values.iter().sum();
-                    if e + window_sum != c {
-                        errors.push(format!(
-                            "{p} ({name:?}): evicted_sum {e} + window sum {window_sum} != \
-                             cumulative {c} — a sample was dropped or double-counted"
-                        ));
-                    }
-                }
-            }
-        }
+    LiveReport {
+        meta: LiveWindowMeta {
+            run: meta.clone(),
+            ticks_total: store.ticks_total(),
+            ticks_retained: store.len() as u64,
+        },
+        deterministic,
+        annotation,
     }
-}
-
-/// Validate a document against schema `dnsimpactd-live/v1`. Collects all
-/// violations (see module docs for what is enforced).
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == LIVE_SCHEMA_ID => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {LIVE_SCHEMA_ID:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
-    if let Some(meta) = require(doc, "meta", "$", &mut errors) {
-        for key in ["seed", "scale", "months", "jobs", "tick_cap"] {
-            require_u64(meta, key, "$.meta", &mut errors);
-        }
-        let total = require_u64(meta, "ticks_total", "$.meta", &mut errors);
-        let retained = require_u64(meta, "ticks_retained", "$.meta", &mut errors);
-        if let (Some(t), Some(r)) = (total, retained) {
-            if r > t {
-                errors.push(format!("$.meta.ticks_retained {r} > ticks_total {t}"));
-            }
-        }
-        match meta.get("chaos_seed") {
-            Some(Json::U64(_)) | Some(Json::Null) => {}
-            Some(_) => errors.push("$.meta.chaos_seed must be an unsigned integer or null".into()),
-            None => errors.push("missing field $.meta.chaos_seed".into()),
-        }
-        match require(meta, "date", "$.meta", &mut errors) {
-            Some(Json::Str(d)) => {
-                let ok = d.len() == 10
-                    && d.bytes().enumerate().all(|(i, b)| {
-                        if i == 4 || i == 7 {
-                            b == b'-'
-                        } else {
-                            b.is_ascii_digit()
-                        }
-                    });
-                if !ok {
-                    errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-                }
-            }
-            Some(_) => errors.push("$.meta.date must be a string".into()),
-            None => {}
-        }
-    }
-    if let Some(det) = require(doc, "deterministic", "$", &mut errors) {
-        if let Some(fin) = require(det, "final", "$.deterministic", &mut errors) {
-            for key in [
-                "applied_seq",
-                "total_batches",
-                "records_applied",
-                "episodes",
-                "joined_rows",
-                "staleness_s",
-            ] {
-                require_u64(fin, key, "$.deterministic.final", &mut errors);
-            }
-            match require(fin, "full_fp", "$.deterministic.final", &mut errors) {
-                Some(Json::Str(fp)) if fp.starts_with("0x") && fp.len() > 2 => {}
-                Some(Json::Str(fp)) => errors
-                    .push(format!("$.deterministic.final.full_fp {fp:?} must be 0x-prefixed hex")),
-                Some(_) => errors.push("$.deterministic.final.full_fp must be a string".into()),
-                None => {}
-            }
-        }
-        if let Some(series) = require(det, "series", "$.deterministic", &mut errors) {
-            validate_series(series, "$.deterministic.series", &mut errors);
-        }
-        let mut spec_names = Vec::new();
-        if let Some(specs) = require(det, "slo_specs", "$.deterministic", &mut errors) {
-            match specs.as_array() {
-                Some(items) => {
-                    for (i, s) in items.iter().enumerate() {
-                        let p = format!("$.deterministic.slo_specs[{i}]");
-                        match s.get("name").and_then(|n| n.as_str()) {
-                            Some(n) if !n.is_empty() => {
-                                if spec_names.contains(&n.to_string()) {
-                                    errors.push(format!("{p}: duplicate SLO name {n:?}"));
-                                }
-                                spec_names.push(n.to_string());
-                            }
-                            _ => errors.push(format!("{p}.name must be a non-empty string")),
-                        }
-                        require_u64(s, "max", &p, &mut errors);
-                        if require_u64(s, "window", &p, &mut errors) == Some(0) {
-                            errors.push(format!("{p}.window must be at least 1"));
-                        }
-                    }
-                }
-                None => errors.push("$.deterministic.slo_specs must be an array".into()),
-            }
-        }
-        if let Some(trans) = require(det, "slo_transitions", "$.deterministic", &mut errors) {
-            match trans.as_array() {
-                Some(items) => {
-                    let mut last_tick = 0u64;
-                    for (i, t) in items.iter().enumerate() {
-                        let p = format!("$.deterministic.slo_transitions[{i}]");
-                        if let Some(tick) = require_u64(t, "tick", &p, &mut errors) {
-                            if tick < last_tick {
-                                errors.push(format!("{p}.tick {tick} goes backwards"));
-                            }
-                            last_tick = tick;
-                        }
-                        match t.get("slo").and_then(|s| s.as_str()) {
-                            Some(n) if spec_names.iter().any(|s| s == n) => {}
-                            Some(n) => errors.push(format!("{p}.slo {n:?} not in slo_specs")),
-                            None => errors.push(format!("missing field {p}.slo")),
-                        }
-                        match t.get("status").and_then(|s| s.as_str()) {
-                            Some("ok") | Some("warn") | Some("breach") => {}
-                            Some(s) => {
-                                errors.push(format!("{p}.status {s:?} is not ok|warn|breach"))
-                            }
-                            None => errors.push(format!("missing field {p}.status")),
-                        }
-                    }
-                }
-                None => errors.push("$.deterministic.slo_transitions must be an array".into()),
-            }
-        }
-    }
-    if let Some(ann) = require(doc, "annotation", "$", &mut errors) {
-        if let Some(series) = ann.get("series") {
-            validate_series(series, "$.annotation.series", &mut errors);
-        }
-        match ann.get("diagnosis").and_then(|d| d.as_str()) {
-            Some(_) => {}
-            None => errors.push("missing string field $.annotation.diagnosis".into()),
-        }
-        if let Some(wall) = ann.get("wall") {
-            let t = wall.get("ticks").and_then(|v| v.as_array()).map(|a| a.len());
-            let m = wall.get("ms").and_then(|v| v.as_array()).map(|a| a.len());
-            if let (Some(t), Some(m)) = (t, m) {
-                if t != m {
-                    errors.push(format!("$.annotation.wall: {t} ticks but {m} ms entries"));
-                }
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    .to_json()
 }
 
 #[cfg(test)]
@@ -505,6 +340,11 @@ mod tests {
             histograms: BTreeMap::new(),
         };
         build(&meta, &fin, &store, &slos, &|n| n.starts_with("live."), &snap)
+    }
+
+    #[test]
+    fn sample_report_bytes_are_pinned() {
+        assert_eq!(sample_report().pretty(), include_str!("golden/live.json"));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! namespaces (see crate docs) — the remainder must be bit-identical
 //! across `--jobs` and, for pipeline counters, across chaos seeds.
 
+use crate::schema::{checked_sum, record, show_sum, Reader};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -163,21 +164,51 @@ impl Histogram {
     }
 }
 
-/// Point-in-time view of one histogram, as it appears in the run report.
-/// `buckets` carries the raw log2 bucket counts (trailing zeros trimmed)
-/// so per-process distributions can be merged exactly by the suite
-/// orchestrator (see `crate::hist`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p95: u64,
-    pub p99: u64,
-    pub buckets: Vec<u64>,
+record! {
+    /// Point-in-time view of one histogram, as it appears in the run report.
+    /// `buckets` carries the raw log2 bucket counts (trailing zeros trimmed)
+    /// so per-process distributions can be merged exactly by the suite
+    /// orchestrator (see `crate::hist`). Reports written before `buckets`
+    /// existed carry none: they read as a non-empty histogram with empty
+    /// `buckets`, and are written back without the key.
+    #[derive(Eq)]
+    pub struct HistogramSnapshot {
+        pub count: u64,
+        pub sum: u64,
+        pub min: u64,
+        pub max: u64,
+        pub p50: u64,
+        pub p90: u64,
+        pub p95: u64,
+        pub p99: u64,
+        pub buckets: Vec<u64> [optional if has_buckets],
+    }
+    rules = HistogramSnapshot::rules;
+
+    /// Point-in-time, name-sorted view of the whole registry.
+    #[derive(Eq)]
+    pub struct Snapshot {
+        pub counters: BTreeMap<String, u64>,
+        pub gauges: BTreeMap<String, u64>,
+        pub histograms: BTreeMap<String, HistogramSnapshot>,
+    }
+}
+
+impl HistogramSnapshot {
+    /// False only for a pre-buckets report's histogram: samples, but no
+    /// bucket counts (a live histogram with samples has a non-zero bucket).
+    pub fn has_buckets(&self) -> bool {
+        self.count == 0 || !self.buckets.is_empty()
+    }
+
+    /// When carried, the bucket counts must add up to `count` — the suite
+    /// merge relies on the accounting.
+    fn rules(&self, r: &mut Reader) {
+        let total = checked_sum(&self.buckets);
+        if self.has_buckets() && total != Some(self.count) {
+            r.fail(format_args!(".buckets sum to {} but count is {}", show_sum(total), self.count));
+        }
+    }
 }
 
 /// Process-global metric registry. Instruments are interned by name and
@@ -283,14 +314,6 @@ pub const NONDETERMINISTIC_PREFIXES: [&str; 2] = ["time.", "sched."];
 
 fn is_deterministic_name(name: &str) -> bool {
     !NONDETERMINISTIC_PREFIXES.iter().any(|p| name.starts_with(p))
-}
-
-/// Point-in-time, name-sorted view of the whole registry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Snapshot {
-    pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, u64>,
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl Snapshot {

@@ -36,243 +36,105 @@
 //! as the CI metrics gate, [`compare_reports`], and the determinism tests
 //! do.
 //!
-//! v1 → v2: added `meta.run`, histogram `p95`, and the `trace` block.
-//! Histogram `buckets` (raw log2 bucket counts, trailing zeros trimmed)
-//! were added within v2 as an *optional* field — older committed reports
-//! without it stay valid; the suite orchestrator requires it to merge
-//! per-process distributions exactly ([`crate::hist`]).
+//! v1 → v2: added `meta.run`, histogram `p95`, and the `trace` block;
+//! v1 is frozen as [`LegacyRunReport`]. Histogram `buckets` (raw log2
+//! bucket counts, trailing zeros trimmed) were added within v2 as an
+//! *optional-absent* field — older committed reports without it stay
+//! valid and re-serialize without it; the suite orchestrator requires it
+//! to merge per-process distributions exactly ([`crate::hist`]).
 
 use crate::json::Json;
-use crate::metrics::{HistogramSnapshot, Snapshot};
-use crate::trace::{EventKind, TraceSummary};
+use crate::metrics::Snapshot;
+use crate::schema::{self, record, Report};
+use crate::trace::TraceSummary;
+use std::collections::BTreeMap;
 
 /// Schema identifier carried in every report.
 pub const SCHEMA_ID: &str = "dnsimpact-metrics/v2";
 
 /// The pre-trace schema id. Reports committed under `results/` before the
-/// v2 bump still validate — under the rules of their day ([`validate_legacy_v1`]).
+/// v2 bump still read and validate — as [`LegacyRunReport`], under the
+/// rules of their day.
 pub const LEGACY_SCHEMA_ID: &str = "dnsimpact-metrics/v1";
 
-/// Run identity: the inputs that determine the deterministic metrics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunMeta {
-    pub seed: u64,
-    pub scale: u64,
-    pub jobs: u64,
-    /// Same-day run counter (bench artifacts: `BENCH_<date>_run<N>.json`
-    /// from the second run of a date on; plain runs report 1).
-    pub run: u64,
-    pub chaos_seed: Option<u64>,
-    pub bench: bool,
-    /// UTC date of the run, `YYYY-MM-DD`.
-    pub date: String,
-    pub experiments: Vec<String>,
-}
+record! {
+    /// Run identity: the inputs that determine the deterministic metrics.
+    #[derive(Eq)]
+    pub struct RunMeta {
+        pub seed: u64,
+        pub scale: u64,
+        pub jobs: u64,
+        /// Same-day run counter (bench artifacts: `BENCH_<date>_run<N>.json`
+        /// from the second run of a date on; plain runs report 1).
+        pub run: u64,
+        pub chaos_seed: Option<u64>,
+        pub bench: bool,
+        /// UTC date of the run, `YYYY-MM-DD`.
+        pub date: String [is schema::date],
+        pub experiments: Vec<String>,
+    }
 
-/// One named stage and its wall time, in execution order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageWall {
-    pub name: String,
-    pub wall_ms: u64,
-}
+    /// One named stage and its wall time, in execution order.
+    #[derive(Eq)]
+    pub struct StageWall {
+        pub name: String,
+        pub wall_ms: u64,
+    }
 
-/// A complete run report, convertible to and from schema-`v2` JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    pub meta: RunMeta,
-    pub total_wall_ms: u64,
-    pub peak_rss_kb: u64,
-    pub stages: Vec<StageWall>,
-    pub metrics: Snapshot,
-    /// Summary of the causal event trace ([`crate::trace::summary`]).
-    pub trace: TraceSummary,
+    /// A complete run report, convertible to and from schema-`v2` JSON.
+    pub struct RunReport: Report {
+        pub meta: RunMeta,
+        pub total_wall_ms: u64,
+        pub peak_rss_kb: u64,
+        pub stages: Vec<StageWall>,
+        /// Written in place as `counters` / `gauges` / `histograms`.
+        pub metrics: Snapshot [flatten],
+        /// Summary of the causal event trace ([`crate::trace::summary`]).
+        pub trace: TraceSummary,
+    }
+    pub fn validate;
+
+    /// [`RunMeta`] as v1 wrote it: no same-day `run` counter.
+    #[derive(Eq)]
+    pub struct LegacyRunMeta {
+        pub seed: u64,
+        pub scale: u64,
+        pub jobs: u64,
+        pub chaos_seed: Option<u64>,
+        pub bench: bool,
+        pub date: String [is schema::date],
+        pub experiments: Vec<String>,
+    }
+
+    /// [`crate::metrics::HistogramSnapshot`] as v1 wrote it: no `p95`, no `buckets`.
+    #[derive(Eq)]
+    pub struct LegacyHistogram {
+        pub count: u64,
+        pub sum: u64,
+        pub min: u64,
+        pub max: u64,
+        pub p50: u64,
+        pub p90: u64,
+        pub p99: u64,
+    }
+
+    /// A `dnsimpact-metrics/v1` run report — [`RunReport`] before
+    /// `meta.run`, histogram `p95` and the `trace` block. A frozen schema
+    /// with its own declaration: nothing writes it any more, and the one
+    /// committed v1 baseline re-serializes byte-for-byte.
+    #[derive(Eq)]
+    pub struct LegacyRunReport: Report {
+        pub meta: LegacyRunMeta,
+        pub total_wall_ms: u64,
+        pub peak_rss_kb: u64,
+        pub stages: Vec<StageWall>,
+        pub counters: BTreeMap<String, u64>,
+        pub gauges: BTreeMap<String, u64>,
+        pub histograms: BTreeMap<String, LegacyHistogram>,
+    }
 }
 
 impl RunReport {
-    pub fn to_json(&self) -> Json {
-        let mut meta = Json::obj();
-        meta.set("seed", Json::U64(self.meta.seed));
-        meta.set("scale", Json::U64(self.meta.scale));
-        meta.set("jobs", Json::U64(self.meta.jobs));
-        meta.set("run", Json::U64(self.meta.run));
-        meta.set("chaos_seed", self.meta.chaos_seed.map_or(Json::Null, Json::U64));
-        meta.set("bench", Json::Bool(self.meta.bench));
-        meta.set("date", Json::Str(self.meta.date.clone()));
-        meta.set(
-            "experiments",
-            Json::Array(self.meta.experiments.iter().map(|e| Json::Str(e.clone())).collect()),
-        );
-
-        let stages = Json::Array(
-            self.stages
-                .iter()
-                .map(|s| {
-                    let mut o = Json::obj();
-                    o.set("name", Json::Str(s.name.clone()));
-                    o.set("wall_ms", Json::U64(s.wall_ms));
-                    o
-                })
-                .collect(),
-        );
-
-        let mut counters = Json::obj();
-        for (k, v) in &self.metrics.counters {
-            counters.set(k, Json::U64(*v));
-        }
-        let mut gauges = Json::obj();
-        for (k, v) in &self.metrics.gauges {
-            gauges.set(k, Json::U64(*v));
-        }
-        let mut histograms = Json::obj();
-        for (k, h) in &self.metrics.histograms {
-            let mut o = Json::obj();
-            o.set("count", Json::U64(h.count));
-            o.set("sum", Json::U64(h.sum));
-            o.set("min", Json::U64(h.min));
-            o.set("max", Json::U64(h.max));
-            o.set("p50", Json::U64(h.p50));
-            o.set("p90", Json::U64(h.p90));
-            o.set("p95", Json::U64(h.p95));
-            o.set("p99", Json::U64(h.p99));
-            o.set("buckets", Json::Array(h.buckets.iter().map(|&b| Json::U64(b)).collect()));
-            histograms.set(k, o);
-        }
-
-        let mut trace = Json::obj();
-        trace.set("events", Json::U64(self.trace.events));
-        trace.set("dropped", Json::U64(self.trace.dropped));
-        let mut by_kind = Json::obj();
-        for (k, n) in &self.trace.by_kind {
-            by_kind.set(k, Json::U64(*n));
-        }
-        trace.set("by_kind", by_kind);
-
-        let mut doc = Json::obj();
-        doc.set("schema", Json::Str(SCHEMA_ID.into()));
-        doc.set("meta", meta);
-        doc.set("total_wall_ms", Json::U64(self.total_wall_ms));
-        doc.set("peak_rss_kb", Json::U64(self.peak_rss_kb));
-        doc.set("stages", stages);
-        doc.set("counters", counters);
-        doc.set("gauges", gauges);
-        doc.set("histograms", histograms);
-        doc.set("trace", trace);
-        doc
-    }
-
-    /// Rebuild a report from schema-`v2` JSON. Runs full schema validation
-    /// first, so `from_json(text)?` doubles as a validity check. On a
-    /// document [`validate`] passes every accessor below succeeds; any gap
-    /// between the two (a validator blind spot, a hand-edited file) comes
-    /// back as a named-field error, never a panic.
-    pub fn from_json(doc: &Json) -> Result<RunReport, Vec<String>> {
-        validate(doc)?;
-        let meta = want(doc, "$", "meta")?;
-        let run_meta = RunMeta {
-            seed: want_u64(meta, "$.meta", "seed")?,
-            scale: want_u64(meta, "$.meta", "scale")?,
-            jobs: want_u64(meta, "$.meta", "jobs")?,
-            run: want_u64(meta, "$.meta", "run")?,
-            chaos_seed: want(meta, "$.meta", "chaos_seed")?.as_u64(),
-            bench: matches!(want(meta, "$.meta", "bench")?, Json::Bool(true)),
-            date: want_str(meta, "$.meta", "date")?,
-            experiments: want_array(meta, "$.meta", "experiments")?
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    e.as_str().map(str::to_string).ok_or_else(|| {
-                        vec![format!("malformed report: $.meta.experiments[{i}] is not a string")]
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let stages = want_array(doc, "$", "stages")?
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let path = format!("$.stages[{i}]");
-                Ok(StageWall {
-                    name: want_str(s, &path, "name")?,
-                    wall_ms: want_u64(s, &path, "wall_ms")?,
-                })
-            })
-            .collect::<Result<_, Vec<String>>>()?;
-        let u64_map =
-            |key: &'static str| -> Result<std::collections::BTreeMap<String, u64>, Vec<String>> {
-                want_object(doc, "$", key)?
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
-                            vec![format!(
-                                "malformed report: $.{key}.{k} is not an unsigned integer"
-                            )]
-                        })
-                    })
-                    .collect()
-            };
-        let metrics = Snapshot {
-            counters: u64_map("counters")?,
-            gauges: u64_map("gauges")?,
-            histograms: want_object(doc, "$", "histograms")?
-                .iter()
-                .map(|(k, h)| {
-                    let path = format!("$.histograms.{k}");
-                    Ok((
-                        k.clone(),
-                        HistogramSnapshot {
-                            count: want_u64(h, &path, "count")?,
-                            sum: want_u64(h, &path, "sum")?,
-                            min: want_u64(h, &path, "min")?,
-                            max: want_u64(h, &path, "max")?,
-                            p50: want_u64(h, &path, "p50")?,
-                            p90: want_u64(h, &path, "p90")?,
-                            p95: want_u64(h, &path, "p95")?,
-                            p99: want_u64(h, &path, "p99")?,
-                            // Optional: pre-buckets reports carry none.
-                            buckets: match h.get("buckets") {
-                                None => Vec::new(),
-                                Some(b) => b
-                                    .as_array()
-                                    .and_then(|items| {
-                                        items.iter().map(Json::as_u64).collect::<Option<_>>()
-                                    })
-                                    .ok_or_else(|| {
-                                        vec![format!(
-                                            "malformed report: {path}.buckets is not an \
-                                             unsigned-integer array"
-                                        )]
-                                    })?,
-                            },
-                        },
-                    ))
-                })
-                .collect::<Result<_, Vec<String>>>()?,
-        };
-        let t = want(doc, "$", "trace")?;
-        let trace = TraceSummary {
-            events: want_u64(t, "$.trace", "events")?,
-            dropped: want_u64(t, "$.trace", "dropped")?,
-            by_kind: want_object(t, "$.trace", "by_kind")?
-                .iter()
-                .map(|(k, v)| {
-                    v.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
-                        vec![format!(
-                            "malformed report: $.trace.by_kind.{k} is not an unsigned integer"
-                        )]
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        Ok(RunReport {
-            meta: run_meta,
-            total_wall_ms: want_u64(doc, "$", "total_wall_ms")?,
-            peak_rss_kb: want_u64(doc, "$", "peak_rss_kb")?,
-            stages,
-            metrics,
-            trace,
-        })
-    }
-
     /// Human-readable summary for `--metrics-summary` (stderr). Shows the
     /// run identity, per-stage wall times, the deterministic counters and
     /// gauges, latency histograms collapsed to count/p50/p95/p99, and the
@@ -334,233 +196,35 @@ impl RunReport {
     }
 }
 
-fn require<'a>(obj: &'a Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = obj.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
+fn metric_counts(counters: usize, gauges: usize, histograms: usize) -> String {
+    format!("{counters} counters, {gauges} gauges, {histograms} histograms; invariants hold")
+}
+
+impl Report for RunReport {
+    const SCHEMA_ID: &'static str = SCHEMA_ID;
+
+    fn headline(&self) -> String {
+        let m = &self.metrics;
+        metric_counts(m.counters.len(), m.gauges.len(), m.histograms.len())
     }
-    v
-}
 
-// `from_json` accessors: like `require*` but fallible-by-return, for the
-// reconstruction path — a missing or mistyped field yields a named error
-// the caller can surface, never a panic.
-fn want<'a>(obj: &'a Json, path: &str, key: &str) -> Result<&'a Json, Vec<String>> {
-    obj.get(key).ok_or_else(|| vec![format!("malformed report: missing {path}.{key}")])
-}
-
-fn want_u64(obj: &Json, path: &str, key: &str) -> Result<u64, Vec<String>> {
-    want(obj, path, key)?
-        .as_u64()
-        .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not an unsigned integer")])
-}
-
-fn want_str(obj: &Json, path: &str, key: &str) -> Result<String, Vec<String>> {
-    want(obj, path, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not a string")])
-}
-
-fn want_array<'a>(obj: &'a Json, path: &str, key: &str) -> Result<&'a [Json], Vec<String>> {
-    want(obj, path, key)?
-        .as_array()
-        .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not an array")])
-}
-
-fn want_object<'a>(
-    obj: &'a Json,
-    path: &str,
-    key: &str,
-) -> Result<&'a [(String, Json)], Vec<String>> {
-    want(obj, path, key)?
-        .as_object()
-        .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not an object")])
-}
-
-fn require_u64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) {
-    if let Some(v) = require(obj, key, path, errors) {
-        if v.as_u64().is_none() {
-            errors.push(format!("{path}.{key} must be an unsigned integer"));
-        }
+    fn invariants(doc: &Json) -> Vec<String> {
+        check_invariants(doc).err().unwrap_or_default()
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum MapKind {
-    /// Flat name → u64 (counters and gauges).
-    Counters,
-    /// Histogram summary objects, v2 shape (with `p95`).
-    Histograms,
-    /// Histogram summary objects as v1 wrote them: no `p95`.
-    HistogramsV1,
-}
+/// Held to the same counter invariants as v2, so committed history stays
+/// checkable.
+impl Report for LegacyRunReport {
+    const SCHEMA_ID: &'static str = LEGACY_SCHEMA_ID;
 
-fn check_metric_map(doc: &Json, key: &str, errors: &mut Vec<String>, kind: MapKind) {
-    let Some(map) = require(doc, key, "$", errors) else {
-        return;
-    };
-    let Some(pairs) = map.as_object() else {
-        errors.push(format!("$.{key} must be an object"));
-        return;
-    };
-    for (name, v) in pairs {
-        if kind != MapKind::Counters {
-            if v.as_object().is_none() {
-                errors.push(format!("$.{key}.{name} must be an object"));
-                continue;
-            }
-            let fields: &[&str] = if kind == MapKind::HistogramsV1 {
-                &["count", "sum", "min", "max", "p50", "p90", "p99"]
-            } else {
-                &["count", "sum", "min", "max", "p50", "p90", "p95", "p99"]
-            };
-            for field in fields {
-                require_u64(v, field, &format!("$.{key}.{name}"), errors);
-            }
-            // `buckets` is optional (pre-buckets reports), but when present
-            // it must be a u64 array whose counts sum to `count` — the
-            // suite merge relies on the accounting.
-            match v.get("buckets") {
-                None => {}
-                Some(Json::Array(items)) => {
-                    let mut total = 0u64;
-                    let mut well_typed = true;
-                    for (i, b) in items.iter().enumerate() {
-                        match b.as_u64() {
-                            Some(n) => total += n,
-                            None => {
-                                errors.push(format!(
-                                    "$.{key}.{name}.buckets[{i}] must be an unsigned integer"
-                                ));
-                                well_typed = false;
-                            }
-                        }
-                    }
-                    let count = v.get("count").and_then(Json::as_u64);
-                    if well_typed && count.is_some_and(|c| c != total) {
-                        errors.push(format!(
-                            "$.{key}.{name}.buckets sum to {total} but count is {}",
-                            count.unwrap_or(0)
-                        ));
-                    }
-                }
-                Some(_) => errors.push(format!("$.{key}.{name}.buckets must be an array")),
-            }
-        } else if v.as_u64().is_none() {
-            errors.push(format!("$.{key}.{name} must be an unsigned integer"));
-        }
+    fn headline(&self) -> String {
+        let counts = metric_counts(self.counters.len(), self.gauges.len(), self.histograms.len());
+        format!("legacy; {counts}")
     }
-}
 
-/// Validate a document against schema `dnsimpact-metrics/v2`. Returns the
-/// full list of violations rather than stopping at the first.
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    validate_as(doc, false)
-}
-
-/// Validate a document against the legacy `dnsimpact-metrics/v1` schema:
-/// v2 without `meta.run`, histogram `p95`, or the `trace` block. Only for
-/// reports that predate the bump — new reports must validate as v2.
-pub fn validate_legacy_v1(doc: &Json) -> Result<(), Vec<String>> {
-    validate_as(doc, true)
-}
-
-fn validate_as(doc: &Json, legacy: bool) -> Result<(), Vec<String>> {
-    let want_schema = if legacy { LEGACY_SCHEMA_ID } else { SCHEMA_ID };
-    let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == want_schema => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {want_schema:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
-    if let Some(meta) = require(doc, "meta", "$", &mut errors) {
-        let meta_keys: &[&str] =
-            if legacy { &["seed", "scale", "jobs"] } else { &["seed", "scale", "jobs", "run"] };
-        for key in meta_keys {
-            require_u64(meta, key, "$.meta", &mut errors);
-        }
-        match require(meta, "chaos_seed", "$.meta", &mut errors) {
-            Some(Json::Null) | Some(Json::U64(_)) | None => {}
-            Some(_) => errors.push("$.meta.chaos_seed must be null or an unsigned integer".into()),
-        }
-        match require(meta, "bench", "$.meta", &mut errors) {
-            Some(Json::Bool(_)) | None => {}
-            Some(_) => errors.push("$.meta.bench must be a boolean".into()),
-        }
-        match require(meta, "date", "$.meta", &mut errors) {
-            Some(Json::Str(d)) => {
-                let ok = d.len() == 10
-                    && d.bytes().enumerate().all(|(i, b)| {
-                        if i == 4 || i == 7 {
-                            b == b'-'
-                        } else {
-                            b.is_ascii_digit()
-                        }
-                    });
-                if !ok {
-                    errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-                }
-            }
-            Some(_) => errors.push("$.meta.date must be a string".into()),
-            None => {}
-        }
-        match require(meta, "experiments", "$.meta", &mut errors) {
-            Some(Json::Array(items)) if items.iter().any(|e| e.as_str().is_none()) => {
-                errors.push("$.meta.experiments entries must be strings".into());
-            }
-            Some(Json::Array(_)) | None => {}
-            Some(_) => errors.push("$.meta.experiments must be an array".into()),
-        }
-    }
-    require_u64(doc, "total_wall_ms", "$", &mut errors);
-    require_u64(doc, "peak_rss_kb", "$", &mut errors);
-    match require(doc, "stages", "$", &mut errors) {
-        Some(Json::Array(items)) => {
-            for (i, s) in items.iter().enumerate() {
-                let path = format!("$.stages[{i}]");
-                match require(s, "name", &path, &mut errors) {
-                    Some(Json::Str(_)) | None => {}
-                    Some(_) => errors.push(format!("{path}.name must be a string")),
-                }
-                require_u64(s, "wall_ms", &path, &mut errors);
-            }
-        }
-        Some(_) => errors.push("$.stages must be an array".into()),
-        None => {}
-    }
-    check_metric_map(doc, "counters", &mut errors, MapKind::Counters);
-    check_metric_map(doc, "gauges", &mut errors, MapKind::Counters);
-    check_metric_map(
-        doc,
-        "histograms",
-        &mut errors,
-        if legacy { MapKind::HistogramsV1 } else { MapKind::Histograms },
-    );
-    if legacy {
-        // v1 predates the trace block entirely.
-    } else if let Some(trace) = require(doc, "trace", "$", &mut errors) {
-        require_u64(trace, "events", "$.trace", &mut errors);
-        require_u64(trace, "dropped", "$.trace", &mut errors);
-        match require(trace, "by_kind", "$.trace", &mut errors) {
-            Some(Json::Object(pairs)) => {
-                for (kind, n) in pairs {
-                    if EventKind::parse(kind).is_none() {
-                        errors.push(format!("$.trace.by_kind key {kind:?} is not an event kind"));
-                    }
-                    if n.as_u64().is_none() {
-                        errors.push(format!("$.trace.by_kind.{kind} must be an unsigned integer"));
-                    }
-                }
-            }
-            Some(_) => errors.push("$.trace.by_kind must be an object".into()),
-            None => {}
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
+    fn invariants(doc: &Json) -> Vec<String> {
+        check_invariants(doc).err().unwrap_or_default()
     }
 }
 
@@ -830,6 +494,11 @@ mod tests {
         assert_eq!(back, report);
         // Re-serialization is byte-identical.
         assert_eq!(back.to_json().pretty(), text);
+    }
+
+    #[test]
+    fn sample_report_bytes_are_pinned() {
+        assert_eq!(sample_report().to_json().pretty(), include_str!("golden/report.json"));
     }
 
     #[test]

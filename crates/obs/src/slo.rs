@@ -30,6 +30,8 @@
 //! drowning) and **ingest starvation** (staleness/lag SLOs burn — the
 //! served answers are honest but old, whatever the query plane does).
 
+use crate::json::Json;
+use crate::schema::{record, Field, Reader};
 use std::collections::VecDeque;
 
 /// Which failure shape a breached objective indicates.
@@ -74,25 +76,58 @@ impl SloStatus {
     }
 }
 
-/// A recorded status change.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Transition {
-    pub tick: u64,
-    pub slo: String,
-    pub status: SloStatus,
+/// Written as `"ok"` / `"warn"` / `"breach"`.
+impl Field for SloStatus {
+    fn read(v: &Json, r: &mut Reader) -> Option<SloStatus> {
+        let name = String::read(v, r)?;
+        let status = [SloStatus::Ok, SloStatus::Warn, SloStatus::Breach]
+            .into_iter()
+            .find(|s| s.as_str() == name);
+        r.ensure(status.is_some(), format_args!(" {name:?} is not ok|warn|breach"))?;
+        status
+    }
+
+    fn write(&self) -> Json {
+        Json::Str(self.as_str().into())
+    }
 }
 
-/// Live view of one objective.
-#[derive(Clone, Debug)]
-pub struct SloStatusView {
-    pub name: String,
-    pub series: String,
-    pub kind: SloKind,
-    pub deterministic: bool,
-    pub status: SloStatus,
-    pub burn_permille: u64,
-    pub last_value: Option<u64>,
-    pub max: u64,
+// Rows of `/sloz` and of the live report (`crate::live`), as written.
+record! {
+    /// A recorded status change.
+    #[derive(Eq)]
+    pub struct Transition {
+        pub tick: u64,
+        pub slo: String,
+        pub status: SloStatus,
+    }
+
+    /// A deterministic objective, as declared — [`SloSpec`] as written.
+    pub struct SloSpecRow {
+        pub name: String,
+        pub series: String,
+        pub max: u64,
+        pub window: u64,
+    }
+    rules = SloSpecRow::rules;
+
+    /// Live view of one objective.
+    pub struct SloStatusView {
+        pub name: String,
+        pub series: String,
+        pub status: SloStatus,
+        pub burn_permille: u64,
+        pub max: u64,
+        pub last_value: Option<u64>,
+        pub deterministic: bool,
+    }
+}
+
+impl SloSpecRow {
+    fn rules(&self, r: &mut Reader) {
+        r.ensure(!self.name.is_empty(), ".name must be a non-empty string");
+        r.ensure(self.window > 0, ".window must be at least 1");
+    }
 }
 
 struct SloState {
@@ -174,6 +209,18 @@ impl SloSet {
         &self.transitions
     }
 
+    /// The deterministic objectives, as `/sloz` and the live report list
+    /// them.
+    pub fn deterministic_specs(&self) -> Vec<SloSpecRow> {
+        let row = |s: &SloSpec| SloSpecRow {
+            name: s.name.clone(),
+            series: s.series.clone(),
+            max: s.max,
+            window: s.window as u64,
+        };
+        self.specs().filter(|s| s.deterministic).map(row).collect()
+    }
+
     /// Transitions of deterministic objectives only — the byte-comparable
     /// verdict sequence.
     pub fn deterministic_transitions(&self) -> Vec<&Transition> {
@@ -192,12 +239,11 @@ impl SloSet {
             .map(|s| SloStatusView {
                 name: s.spec.name.clone(),
                 series: s.spec.series.clone(),
-                kind: s.spec.kind,
-                deterministic: s.spec.deterministic,
                 status: s.status,
                 burn_permille: s.burn_permille(),
-                last_value: s.last_value,
                 max: s.spec.max,
+                last_value: s.last_value,
+                deterministic: s.spec.deterministic,
             })
             .collect()
     }

@@ -44,53 +44,109 @@
 //! points at a cell, not a blanket diff.
 
 use crate::hist::Hist;
-use crate::json::Json;
+use crate::schema::{self, record, Reader, Report};
 use std::collections::BTreeMap;
 
 /// Schema identifier carried in every suite report.
 pub const SUITE_SCHEMA_ID: &str = "dnsimpact-suite/v1";
 
-/// Suite-run identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuiteMeta {
-    pub seed: u64,
-    /// UTC date of the run, `YYYY-MM-DD`.
-    pub date: String,
-    /// Which suites ran: `"A"`, `"B"`, or `"all"`.
-    pub suites: String,
-    /// Total OS processes spawned (must equal `suite_a` cells plus the sum
-    /// of `suite_b` per-scale process counts).
-    pub processes: u64,
+record! {
+    /// Suite-run identity.
+    #[derive(Eq)]
+    pub struct SuiteMeta {
+        pub seed: u64,
+        /// UTC date of the run, `YYYY-MM-DD`.
+        pub date: String [is schema::date],
+        /// Which suites ran: `"A"`, `"B"`, or `"all"`.
+        pub suites: String,
+        /// Total OS processes spawned (must equal `suite_a` cells plus the sum
+        /// of `suite_b` per-scale process counts).
+        pub processes: u64,
+    }
+    rules = SuiteMeta::rules;
+
+    /// One Suite A cell: a single deterministic process measurement.
+    pub struct SuiteACell {
+        /// Unique label, e.g. `A/repro/scale750/jobs1` or `A/daemon/clean`.
+        pub cell: String,
+        /// Which binary ran: `"repro"` or `"daemon"`.
+        pub kind: String,
+        pub scale: u64,
+        pub jobs: u64,
+        pub wall_ms: u64,
+        pub peak_rss_kb: u64,
+        pub records: u64,
+        pub records_per_sec: f64,
+        /// Deterministic-state fingerprint (`{:#018x}`) compared exactly
+        /// across processes.
+        pub fingerprint: String,
+    }
+    rules = SuiteACell::rules;
+
+    /// Percentile block over one sample per process (Suite B). `p50`/`p95`/
+    /// `p99` are log2-bucket upper bounds; `min`/`max` are exact.
+    #[derive(Eq)]
+    pub struct Percentiles {
+        pub count: u64,
+        pub min: u64,
+        pub p50: u64,
+        pub p95: u64,
+        pub p99: u64,
+        pub max: u64,
+    }
+    rules = Percentiles::rules;
+
+    /// One Suite B row: several chaos-seeded processes at one scale.
+    pub struct SuiteBScale {
+        pub scale: u64,
+        pub processes: u64,
+        pub wall_ms: Percentiles,
+        pub peak_rss_kb: Percentiles,
+        pub records_per_sec: Percentiles,
+        /// Per-process report histograms merged bucket-wise, by name.
+        pub merged: BTreeMap<String, Hist>,
+    }
+    rules = SuiteBScale::rules;
+
+    /// One enforced check and its outcome.
+    #[derive(Eq)]
+    pub struct Verdict {
+        pub cell: String,
+        pub pass: bool,
+        pub detail: String,
+    }
+
+    /// A complete suite report, convertible to and from schema-`v1` JSON.
+    pub struct SuiteReport: Report {
+        pub meta: SuiteMeta,
+        pub suite_a: Vec<SuiteACell>,
+        pub suite_b: Vec<SuiteBScale>,
+        pub verdicts: Vec<Verdict>,
+    }
+    rules = SuiteReport::rules;
+    pub fn validate;
 }
 
-/// One Suite A cell: a single deterministic process measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuiteACell {
-    /// Unique label, e.g. `A/repro/scale750/jobs1` or `A/daemon/clean`.
-    pub cell: String,
-    /// Which binary ran: `"repro"` or `"daemon"`.
-    pub kind: String,
-    pub scale: u64,
-    pub jobs: u64,
-    pub wall_ms: u64,
-    pub peak_rss_kb: u64,
-    pub records: u64,
-    pub records_per_sec: f64,
-    /// Deterministic-state fingerprint (`{:#018x}`) compared exactly
-    /// across processes.
-    pub fingerprint: String,
+impl SuiteMeta {
+    fn rules(&self, r: &mut Reader) {
+        r.ensure(
+            matches!(self.suites.as_str(), "A" | "B" | "all"),
+            format_args!(".suites {:?} must be \"A\", \"B\", or \"all\"", self.suites),
+        );
+        r.ensure(self.processes > 0, ".processes must be at least 1");
+    }
 }
 
-/// Percentile block over one sample per process (Suite B). `p50`/`p95`/
-/// `p99` are log2-bucket upper bounds; `min`/`max` are exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Percentiles {
-    pub count: u64,
-    pub min: u64,
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
-    pub max: u64,
+impl SuiteACell {
+    fn rules(&self, r: &mut Reader) {
+        r.ensure(
+            matches!(self.kind.as_str(), "repro" | "daemon"),
+            format_args!(".kind {:?} must be \"repro\" or \"daemon\"", self.kind),
+        );
+        r.ensure(self.jobs > 0, ".jobs must be at least 1");
+        let rate = self.records_per_sec;
+        r.ensure(rate >= 0.0, format_args!(".records_per_sec {rate} must be finite and >= 0"));
+    }
 }
 
 impl Percentiles {
@@ -106,189 +162,95 @@ impl Percentiles {
         }
     }
 
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("count", Json::U64(self.count));
-        o.set("min", Json::U64(self.min));
-        o.set("p50", Json::U64(self.p50));
-        o.set("p95", Json::U64(self.p95));
-        o.set("p99", Json::U64(self.p99));
-        o.set("max", Json::U64(self.max));
-        o
+    fn rules(&self, r: &mut Reader) {
+        let Percentiles { min, p50, p95, p99, max, .. } = *self;
+        r.ensure(min <= max, format_args!(": min {min} > max {max}"));
+        // p50/p95/p99 are bucket upper bounds — ordered among themselves and
+        // never below min, but p99 may legitimately exceed the exact max.
+        r.ensure(
+            min <= p50 && p50 <= p95 && p95 <= p99,
+            format_args!(": percentiles out of order ({min}/{p50}/{p95}/{p99})"),
+        );
     }
 }
 
-/// One Suite B row: several chaos-seeded processes at one scale.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuiteBScale {
-    pub scale: u64,
-    pub processes: u64,
-    pub wall_ms: Percentiles,
-    pub peak_rss_kb: Percentiles,
-    pub records_per_sec: Percentiles,
-    /// Per-process report histograms merged bucket-wise, by name.
-    pub merged: BTreeMap<String, Hist>,
+impl SuiteBScale {
+    fn rules(&self, r: &mut Reader) {
+        r.ensure(self.processes > 0, ".processes must be at least 1");
+        for (key, block) in [
+            ("wall_ms", &self.wall_ms),
+            ("peak_rss_kb", &self.peak_rss_kb),
+            ("records_per_sec", &self.records_per_sec),
+        ] {
+            let (count, processes) = (block.count, self.processes);
+            r.ensure(
+                count == processes,
+                format_args!(
+                    ".{key}.count is {count}, expected one sample per process ({processes})"
+                ),
+            );
+        }
+    }
 }
 
-/// One enforced check and its outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Verdict {
-    pub cell: String,
-    pub pass: bool,
-    pub detail: String,
-}
+impl Report for SuiteReport {
+    const SCHEMA_ID: &'static str = SUITE_SCHEMA_ID;
 
-/// A complete suite report, convertible to and from schema-`v1` JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuiteReport {
-    pub meta: SuiteMeta,
-    pub suite_a: Vec<SuiteACell>,
-    pub suite_b: Vec<SuiteBScale>,
-    pub verdicts: Vec<Verdict>,
+    fn headline(&self) -> String {
+        let (a, b, v) = (self.suite_a.len(), self.suite_b.len(), self.verdicts.len());
+        format!("{a} suite A cell(s), {b} suite B scale(s), {v} verdict(s)")
+    }
 }
 
 impl SuiteReport {
-    pub fn to_json(&self) -> Json {
-        let mut meta = Json::obj();
-        meta.set("seed", Json::U64(self.meta.seed));
-        meta.set("date", Json::Str(self.meta.date.clone()));
-        meta.set("suites", Json::Str(self.meta.suites.clone()));
-        meta.set("processes", Json::U64(self.meta.processes));
-
-        let suite_a = Json::Array(
-            self.suite_a
-                .iter()
-                .map(|c| {
-                    let mut o = Json::obj();
-                    o.set("cell", Json::Str(c.cell.clone()));
-                    o.set("kind", Json::Str(c.kind.clone()));
-                    o.set("scale", Json::U64(c.scale));
-                    o.set("jobs", Json::U64(c.jobs));
-                    o.set("wall_ms", Json::U64(c.wall_ms));
-                    o.set("peak_rss_kb", Json::U64(c.peak_rss_kb));
-                    o.set("records", Json::U64(c.records));
-                    o.set("records_per_sec", Json::F64(c.records_per_sec));
-                    o.set("fingerprint", Json::Str(c.fingerprint.clone()));
-                    o
-                })
-                .collect(),
+    /// The cross-section accounting:
+    ///
+    /// - `meta.suites` matches the populated sections (`A` → no `suite_b`
+    ///   rows, `B` → no `suite_a` cells, `all` → both);
+    /// - `meta.processes` = suite A cells + Σ suite B per-scale processes;
+    /// - suite A cell labels unique; suite B rows strictly sorted by scale.
+    fn rules(&self, r: &mut Reader) {
+        for (i, c) in self.suite_a.iter().enumerate() {
+            let repeated = self.suite_a[..i].iter().any(|earlier| earlier.cell == c.cell);
+            r.ensure(
+                !repeated,
+                format_args!(".suite_a[{i}].cell {:?} duplicates an earlier cell", c.cell),
+            );
+        }
+        for (i, pair) in self.suite_b.windows(2).enumerate() {
+            let (prev, scale) = (pair[0].scale, pair[1].scale);
+            r.ensure(
+                prev < scale,
+                format_args!(
+                    ".suite_b[{}].scale {scale} must exceed the previous row's {prev} \
+                     (rows strictly sorted by scale)",
+                    i + 1
+                ),
+            );
+        }
+        let a_cells = self.suite_a.len() as u64;
+        let b_processes = schema::checked_sum(self.suite_b.iter().map(|s| &s.processes));
+        let kind = self.meta.suites.as_str();
+        if matches!(kind, "A" | "all") && a_cells == 0 {
+            r.fail(format_args!(".meta.suites is {kind:?} but $.suite_a is empty"));
+        }
+        if kind == "A" && b_processes != Some(0) {
+            r.fail(".meta.suites is \"A\" but $.suite_b has rows");
+        }
+        if matches!(kind, "B" | "all") && b_processes == Some(0) {
+            r.fail(format_args!(".meta.suites is {kind:?} but $.suite_b is empty"));
+        }
+        if kind == "B" && a_cells > 0 {
+            r.fail(".meta.suites is \"B\" but $.suite_a has cells");
+        }
+        let (claimed, shown) = (self.meta.processes, schema::show_sum(b_processes));
+        r.ensure(
+            b_processes.and_then(|b| b.checked_add(a_cells)) == Some(claimed),
+            format_args!(
+                ".meta.processes is {claimed} but suite_a has {a_cells} cell(s) and suite_b \
+                 accounts for {shown} process(es)"
+            ),
         );
-        let suite_b = Json::Array(
-            self.suite_b
-                .iter()
-                .map(|s| {
-                    let mut o = Json::obj();
-                    o.set("scale", Json::U64(s.scale));
-                    o.set("processes", Json::U64(s.processes));
-                    o.set("wall_ms", s.wall_ms.to_json());
-                    o.set("peak_rss_kb", s.peak_rss_kb.to_json());
-                    o.set("records_per_sec", s.records_per_sec.to_json());
-                    let mut merged = Json::obj();
-                    for (name, h) in &s.merged {
-                        merged.set(name, h.to_json());
-                    }
-                    o.set("merged", merged);
-                    o
-                })
-                .collect(),
-        );
-        let verdicts = Json::Array(
-            self.verdicts
-                .iter()
-                .map(|v| {
-                    let mut o = Json::obj();
-                    o.set("cell", Json::Str(v.cell.clone()));
-                    o.set("pass", Json::Bool(v.pass));
-                    o.set("detail", Json::Str(v.detail.clone()));
-                    o
-                })
-                .collect(),
-        );
-
-        let mut doc = Json::obj();
-        doc.set("schema", Json::Str(SUITE_SCHEMA_ID.into()));
-        doc.set("meta", meta);
-        doc.set("suite_a", suite_a);
-        doc.set("suite_b", suite_b);
-        doc.set("verdicts", verdicts);
-        doc
-    }
-
-    /// Rebuild a report from schema-`v1` JSON. Validates first, so the
-    /// accessors below cannot panic on a document that passed.
-    pub fn from_json(doc: &Json) -> Result<SuiteReport, Vec<String>> {
-        validate(doc)?;
-        let m = doc.get("meta").unwrap();
-        let meta = SuiteMeta {
-            seed: m.get("seed").unwrap().as_u64().unwrap(),
-            date: m.get("date").unwrap().as_str().unwrap().to_string(),
-            suites: m.get("suites").unwrap().as_str().unwrap().to_string(),
-            processes: m.get("processes").unwrap().as_u64().unwrap(),
-        };
-        let suite_a = doc
-            .get("suite_a")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|c| SuiteACell {
-                cell: c.get("cell").unwrap().as_str().unwrap().to_string(),
-                kind: c.get("kind").unwrap().as_str().unwrap().to_string(),
-                scale: c.get("scale").unwrap().as_u64().unwrap(),
-                jobs: c.get("jobs").unwrap().as_u64().unwrap(),
-                wall_ms: c.get("wall_ms").unwrap().as_u64().unwrap(),
-                peak_rss_kb: c.get("peak_rss_kb").unwrap().as_u64().unwrap(),
-                records: c.get("records").unwrap().as_u64().unwrap(),
-                records_per_sec: c.get("records_per_sec").unwrap().as_f64().unwrap(),
-                fingerprint: c.get("fingerprint").unwrap().as_str().unwrap().to_string(),
-            })
-            .collect();
-        let pct = |o: &Json| Percentiles {
-            count: o.get("count").unwrap().as_u64().unwrap(),
-            min: o.get("min").unwrap().as_u64().unwrap(),
-            p50: o.get("p50").unwrap().as_u64().unwrap(),
-            p95: o.get("p95").unwrap().as_u64().unwrap(),
-            p99: o.get("p99").unwrap().as_u64().unwrap(),
-            max: o.get("max").unwrap().as_u64().unwrap(),
-        };
-        let suite_b = doc
-            .get("suite_b")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| SuiteBScale {
-                scale: s.get("scale").unwrap().as_u64().unwrap(),
-                processes: s.get("processes").unwrap().as_u64().unwrap(),
-                wall_ms: pct(s.get("wall_ms").unwrap()),
-                peak_rss_kb: pct(s.get("peak_rss_kb").unwrap()),
-                records_per_sec: pct(s.get("records_per_sec").unwrap()),
-                merged: s
-                    .get("merged")
-                    .unwrap()
-                    .as_object()
-                    .unwrap()
-                    .iter()
-                    .map(|(name, h)| {
-                        // validate() already ran Hist::from_json on it.
-                        (name.clone(), Hist::from_json(h, name).unwrap())
-                    })
-                    .collect(),
-            })
-            .collect();
-        let verdicts = doc
-            .get("verdicts")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| Verdict {
-                cell: v.get("cell").unwrap().as_str().unwrap().to_string(),
-                pass: matches!(v.get("pass"), Some(Json::Bool(true))),
-                detail: v.get("detail").unwrap().as_str().unwrap().to_string(),
-            })
-            .collect();
-        Ok(SuiteReport { meta, suite_a, suite_b, verdicts })
     }
 
     /// True when every verdict passed.
@@ -356,249 +318,10 @@ impl SuiteReport {
     }
 }
 
-fn require<'a>(doc: &'a Json, path: &str, key: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = doc.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
-    }
-    v
-}
-
-fn require_u64(doc: &Json, path: &str, key: &str, errors: &mut Vec<String>) -> Option<u64> {
-    let v = require(doc, path, key, errors)?;
-    let n = v.as_u64();
-    if n.is_none() {
-        errors.push(format!("{path}.{key} must be an unsigned integer"));
-    }
-    n
-}
-
-fn require_str<'a>(
-    doc: &'a Json,
-    path: &str,
-    key: &str,
-    errors: &mut Vec<String>,
-) -> Option<&'a str> {
-    let v = require(doc, path, key, errors)?;
-    let s = v.as_str();
-    if s.is_none() {
-        errors.push(format!("{path}.{key} must be a string"));
-    }
-    s
-}
-
-fn check_percentiles(doc: &Json, path: &str, processes: Option<u64>, errors: &mut Vec<String>) {
-    let mut field = |key: &str| require_u64(doc, path, key, errors);
-    let (count, min, p50, p95, p99, max) =
-        (field("count"), field("min"), field("p50"), field("p95"), field("p99"), field("max"));
-    if let (Some(c), Some(p)) = (count, processes) {
-        if c != p {
-            errors.push(format!("{path}.count is {c}, expected one sample per process ({p})"));
-        }
-    }
-    if let (Some(min), Some(max)) = (min, max) {
-        if min > max {
-            errors.push(format!("{path}: min {min} > max {max}"));
-        }
-    }
-    // p50/p95/p99 are bucket upper bounds — ordered among themselves and
-    // never below min, but p99 may legitimately exceed the exact max.
-    if let (Some(min), Some(p50), Some(p95), Some(p99)) = (min, p50, p95, p99) {
-        if !(min <= p50 && p50 <= p95 && p95 <= p99) {
-            errors.push(format!("{path}: percentiles out of order ({min}/{p50}/{p95}/{p99})"));
-        }
-    }
-}
-
-fn check_date(d: &str) -> bool {
-    d.len() == 10
-        && d.bytes()
-            .enumerate()
-            .all(|(i, b)| if i == 4 || i == 7 { b == b'-' } else { b.is_ascii_digit() })
-}
-
-/// Validate a document against schema `dnsimpact-suite/v1`. Returns every
-/// violation, not just the first. Beyond field shapes this enforces the
-/// cross-field accounting:
-///
-/// - `meta.suites` ∈ {`A`, `B`, `all`}, and the populated sections match
-///   (`A` → no `suite_b` rows, `B` → no `suite_a` cells, `all` → both);
-/// - `meta.processes` = suite A cells + Σ suite B per-scale processes;
-/// - suite A cell labels unique, rates finite, `kind` ∈ {repro, daemon};
-/// - suite B rows strictly sorted by scale, percentile blocks counting one
-///   sample per process, merged histograms internally consistent
-///   ([`Hist::from_json`]: bucket accounting and honest percentiles).
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == SUITE_SCHEMA_ID => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {SUITE_SCHEMA_ID:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
-
-    let mut suites_kind: Option<String> = None;
-    let mut meta_processes: Option<u64> = None;
-    if let Some(meta) = require(doc, "$", "meta", &mut errors) {
-        require_u64(meta, "$.meta", "seed", &mut errors);
-        meta_processes = require_u64(meta, "$.meta", "processes", &mut errors);
-        if let Some(d) = require_str(meta, "$.meta", "date", &mut errors) {
-            if !check_date(d) {
-                errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-            }
-        }
-        if let Some(s) = require_str(meta, "$.meta", "suites", &mut errors) {
-            if matches!(s, "A" | "B" | "all") {
-                suites_kind = Some(s.to_string());
-            } else {
-                errors.push(format!("$.meta.suites {s:?} must be \"A\", \"B\", or \"all\""));
-            }
-        }
-        if meta_processes == Some(0) {
-            errors.push("$.meta.processes must be at least 1".into());
-        }
-    }
-
-    let mut a_cells = 0u64;
-    match require(doc, "$", "suite_a", &mut errors) {
-        Some(Json::Array(cells)) => {
-            a_cells = cells.len() as u64;
-            let mut labels = Vec::new();
-            for (i, c) in cells.iter().enumerate() {
-                let path = format!("$.suite_a[{i}]");
-                if let Some(label) = require_str(c, &path, "cell", &mut errors) {
-                    if labels.contains(&label) {
-                        errors.push(format!("{path}.cell {label:?} duplicates an earlier cell"));
-                    }
-                    labels.push(label);
-                }
-                if let Some(kind) = require_str(c, &path, "kind", &mut errors) {
-                    if !matches!(kind, "repro" | "daemon") {
-                        errors
-                            .push(format!("{path}.kind {kind:?} must be \"repro\" or \"daemon\""));
-                    }
-                }
-                for key in ["scale", "jobs", "wall_ms", "peak_rss_kb", "records"] {
-                    require_u64(c, &path, key, &mut errors);
-                }
-                if let Some(jobs) = c.get("jobs").and_then(Json::as_u64) {
-                    if jobs == 0 {
-                        errors.push(format!("{path}.jobs must be at least 1"));
-                    }
-                }
-                if let Some(v) = require(c, &path, "records_per_sec", &mut errors) {
-                    match v.as_f64() {
-                        Some(r) if r.is_finite() && r >= 0.0 => {}
-                        Some(r) => errors
-                            .push(format!("{path}.records_per_sec {r} must be finite and >= 0")),
-                        None => errors.push(format!("{path}.records_per_sec must be a number")),
-                    }
-                }
-                require_str(c, &path, "fingerprint", &mut errors);
-            }
-        }
-        Some(_) => errors.push("$.suite_a must be an array".into()),
-        None => {}
-    }
-
-    let mut b_processes = 0u64;
-    match require(doc, "$", "suite_b", &mut errors) {
-        Some(Json::Array(rows)) => {
-            let mut prev_scale: Option<u64> = None;
-            for (i, s) in rows.iter().enumerate() {
-                let path = format!("$.suite_b[{i}]");
-                let scale = require_u64(s, &path, "scale", &mut errors);
-                if let (Some(prev), Some(cur)) = (prev_scale, scale) {
-                    if cur <= prev {
-                        errors.push(format!(
-                            "{path}.scale {cur} must exceed the previous row's {prev} \
-                             (rows strictly sorted by scale)"
-                        ));
-                    }
-                }
-                prev_scale = scale.or(prev_scale);
-                let procs = require_u64(s, &path, "processes", &mut errors);
-                match procs {
-                    Some(0) => errors.push(format!("{path}.processes must be at least 1")),
-                    Some(p) => b_processes += p,
-                    None => {}
-                }
-                for key in ["wall_ms", "peak_rss_kb", "records_per_sec"] {
-                    match require(s, &path, key, &mut errors) {
-                        Some(block) if block.as_object().is_some() => {
-                            check_percentiles(block, &format!("{path}.{key}"), procs, &mut errors);
-                        }
-                        Some(_) => errors.push(format!("{path}.{key} must be an object")),
-                        None => {}
-                    }
-                }
-                match require(s, &path, "merged", &mut errors) {
-                    Some(Json::Object(pairs)) => {
-                        for (name, h) in pairs {
-                            if let Err(mut hist_errors) =
-                                Hist::from_json(h, &format!("{path}.merged.{name}"))
-                            {
-                                errors.append(&mut hist_errors);
-                            }
-                        }
-                    }
-                    Some(_) => errors.push(format!("{path}.merged must be an object")),
-                    None => {}
-                }
-            }
-        }
-        Some(_) => errors.push("$.suite_b must be an array".into()),
-        None => {}
-    }
-
-    if let Some(kind) = &suites_kind {
-        if (kind == "A" || kind == "all") && a_cells == 0 {
-            errors.push(format!("$.meta.suites is {kind:?} but $.suite_a is empty"));
-        }
-        if kind == "A" && b_processes > 0 {
-            errors.push("$.meta.suites is \"A\" but $.suite_b has rows".into());
-        }
-        if (kind == "B" || kind == "all") && b_processes == 0 {
-            errors.push(format!("$.meta.suites is {kind:?} but $.suite_b is empty"));
-        }
-        if kind == "B" && a_cells > 0 {
-            errors.push("$.meta.suites is \"B\" but $.suite_a has cells".into());
-        }
-    }
-    if let Some(total) = meta_processes {
-        if errors.is_empty() && total != a_cells + b_processes {
-            errors.push(format!(
-                "$.meta.processes is {total} but suite_a has {a_cells} cell(s) and suite_b \
-                 accounts for {b_processes} process(es)"
-            ));
-        }
-    }
-
-    match require(doc, "$", "verdicts", &mut errors) {
-        Some(Json::Array(items)) => {
-            for (i, v) in items.iter().enumerate() {
-                let path = format!("$.verdicts[{i}]");
-                require_str(v, &path, "cell", &mut errors);
-                require_str(v, &path, "detail", &mut errors);
-                match require(v, &path, "pass", &mut errors) {
-                    Some(Json::Bool(_)) | None => {}
-                    Some(_) => errors.push(format!("{path}.pass must be a boolean")),
-                }
-            }
-        }
-        Some(_) => errors.push("$.verdicts must be an array".into()),
-        None => {}
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn hist_of(values: &[u64]) -> Hist {
         let mut h = Hist::new();
@@ -669,6 +392,11 @@ mod tests {
         let back = SuiteReport::from_json(&parsed).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.to_json().pretty(), text);
+    }
+
+    #[test]
+    fn sample_report_bytes_are_pinned() {
+        assert_eq!(sample_report().to_json().pretty(), include_str!("golden/suite.json"));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 use crate::json::Json;
 use crate::metrics::{counter, Counter};
 use crate::report::{MAX_PROBES_PER_ROUND, MAX_TRIGGER_LATENCY_SECS};
+use crate::schema::{record, Reader};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -274,15 +275,26 @@ pub fn reset() {
     r.dropped.store(0, Ordering::Relaxed);
 }
 
-/// The run report's embedded trace summary.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Events retained in the ring.
-    pub events: u64,
-    /// Events evicted by ring overflow.
-    pub dropped: u64,
-    /// Retained events per kind, taxonomy order, zero counts omitted.
-    pub by_kind: Vec<(String, u64)>,
+record! {
+    /// The run report's embedded trace summary.
+    #[derive(Default, Eq)]
+    pub struct TraceSummary {
+        /// Events retained in the ring.
+        pub events: u64,
+        /// Events evicted by ring overflow.
+        pub dropped: u64,
+        /// Retained events per kind, taxonomy order, zero counts omitted.
+        pub by_kind: Vec<(String, u64)> [is kind_names],
+    }
+}
+
+/// Field check: every key of a per-kind map is drawn from the taxonomy.
+fn kind_names(v: &Json, r: &mut Reader) {
+    for (kind, _) in v.as_object().unwrap_or_default() {
+        if EventKind::parse(kind).is_none() {
+            r.fail(format_args!(" key {kind:?} is not an event kind"));
+        }
+    }
 }
 
 /// Summarize the current ring contents for the run report.

@@ -6,12 +6,8 @@
 //!
 //! - [`topic`]: multi-subscriber topics over crossbeam channels (the
 //!   Kafka role);
-//! - [`window`]: keyed tumbling-window aggregation with watermarks (the
-//!   Spark Structured Streaming role);
 //! - [`exec`]: threaded pipeline stages wiring topics together (the job
 //!   graph);
-//! - [`join`]: stream-table (KTable-style) lookup joins — the "victim
-//!   IP ∩ yesterday's nameserver list" step;
 //! - [`pool`]: work-stealing worker pools over `std::thread::scope` —
 //!   order-preserving batch fan-out ([`pool::parallel_map`]) and bounded
 //!   multi-worker stages ([`pool::spawn_pool`]);
@@ -32,21 +28,17 @@
 pub mod bounded;
 pub mod exec;
 pub mod fault;
-pub mod join;
 pub mod pool;
 pub mod supervise;
 pub mod swap;
 pub mod topic;
-pub mod window;
 
 pub use bounded::{BoundedQueue, PushError};
 pub use exec::{sink_to_vec, spawn_stage, StageHandle};
 pub use fault::{seq_stamp, spawn_chaos_stage, ChaosConfig, FaultAction, FaultPlan, Seq};
-pub use join::{spawn_lookup_join, spawn_table_maintainer, Table};
 pub use pool::{
     effective_jobs, parallel_map, parallel_map_supervised, shard_ranges, spawn_pool, PoolHandle,
 };
 pub use supervise::{reliable_stream, supervised_flat_map, SuperviseStats, SupervisorConfig};
 pub use swap::SwapCell;
 pub use topic::{Consumer, Topic};
-pub use window::TumblingWindows;

@@ -22,10 +22,7 @@
 //! - [`columns`]: the feed's episodes as a columnar (struct-of-arrays)
 //!   table with interned victims — the scale-sweep hot path's input form.
 //! - [`export`]: pcap export of sampled backscatter packets.
-//! - [`amppot`]: the complementary honeypot-amplifier sensor for
-//!   reflection attacks, and the two-sensor coverage analysis of §4.3.
 
-pub mod amppot;
 pub mod backscatter;
 pub mod block;
 pub mod columns;
@@ -35,7 +32,6 @@ pub mod feed;
 pub mod outage;
 pub mod rsdos;
 
-pub use amppot::{AmpPotEvent, AmpPotSensor, SensorCoverage};
 pub use backscatter::{BackscatterObs, BackscatterSampler};
 pub use block::{EpisodeBlock, EpisodeBlockBuilder, RecordBlock, RecordBlockBuilder};
 pub use columns::EpisodeColumns;

@@ -289,3 +289,169 @@ proptest! {
         prop_assert_eq!(parsed.pretty(), text);
     }
 }
+
+/// Re-serialize a report document through the typed decoder of the
+/// schema it names: `from_json(doc).to_json()`.
+fn reencode(doc: &Json) -> Result<Json, Vec<String>> {
+    use obs::live::LiveReport;
+    use obs::report::{LegacyRunReport, LEGACY_SCHEMA_ID};
+    match doc.get("schema").and_then(Json::as_str) {
+        Some(obs::SCHEMA_ID) => obs::RunReport::from_json(doc).map(|r| r.to_json()),
+        Some(LEGACY_SCHEMA_ID) => LegacyRunReport::from_json(doc).map(|r| r.to_json()),
+        Some(obs::SWEEP_SCHEMA_ID) => obs::SweepReport::from_json(doc).map(|r| r.to_json()),
+        Some(obs::SUITE_SCHEMA_ID) => SuiteReport::from_json(doc).map(|r| r.to_json()),
+        Some(obs::DAEMON_SCHEMA_ID) => obs::DaemonReport::from_json(doc).map(|r| r.to_json()),
+        Some(obs::LIVE_SCHEMA_ID) => LiveReport::from_json(doc).map(|r| r.to_json()),
+        other => panic!("no typed decoder listed for schema {other:?}"),
+    }
+}
+
+#[test]
+fn committed_reports_validate_and_reserialize_byte_for_byte() {
+    // The perf record is only a record while it still reads back: every
+    // report under results/ must validate under the schema it names and
+    // come out of from_json → to_json as the bytes it went in as (the
+    // files of the older series end in one more newline than `pretty()`
+    // writes). Every schema in the table must have a committed input.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut seen = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("results/ is readable") {
+        let path = entry.expect("results/ entry").path();
+        if path.extension().is_none_or(|e| e != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("report is readable");
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        if let Err(errors) = obs::schema::validate(&doc) {
+            panic!("{} does not validate: {errors:#?}", path.display());
+        }
+        let back = reencode(&doc).unwrap_or_else(|e| panic!("{}: {e:#?}", path.display()));
+        if let Err(errors) = obs::schema::validate(&back) {
+            panic!("{} re-serializes to an invalid document: {errors:#?}", path.display());
+        }
+        assert_eq!(
+            back.pretty().trim_end(),
+            text.trim_end(),
+            "{} changed across from_json -> to_json",
+            path.display()
+        );
+        seen.push(obs::schema::lookup(&doc).expect("validated above").id);
+    }
+    for schema in obs::schema::REPORT_SCHEMAS {
+        assert!(seen.contains(&schema.id), "no committed results/*.json of schema {}", schema.id);
+    }
+}
+
+/// One random structural defect somewhere below the document root: the
+/// kinds of damage a hand edit, a torn merge or a wrong tool leave in a
+/// file that is still valid JSON.
+fn mutate(doc: &mut Json, rng: &mut TestRng) {
+    fn nodes(v: &Json) -> usize {
+        1 + match v {
+            Json::Array(items) => items.iter().map(nodes).sum(),
+            Json::Object(pairs) => pairs.iter().map(|(_, v)| nodes(v)).sum(),
+            _ => 0,
+        }
+    }
+    // Pre-order walk to the `target`-th node.
+    fn descend<'a>(v: &'a mut Json, target: &mut usize) -> Option<&'a mut Json> {
+        if *target == 0 {
+            return Some(v);
+        }
+        *target -= 1;
+        match v {
+            Json::Array(items) => items.iter_mut().find_map(|c| descend(c, target)),
+            Json::Object(pairs) => pairs.iter_mut().find_map(|(_, c)| descend(c, target)),
+            _ => None,
+        }
+    }
+    let mut target = (rng.next_u64() as usize) % nodes(doc);
+    let is_root = target == 0;
+    let node = descend(doc, &mut target).expect("target is within the tree");
+    let pick = rng.next_u64();
+    let index = |len: usize| (pick >> 8) as usize % len;
+    match (pick % 6, &mut *node) {
+        // Delete a key.
+        (0, Json::Object(pairs)) if !pairs.is_empty() => {
+            pairs.remove(index(pairs.len()));
+        }
+        // Truncate or duplicate an array element.
+        (0, Json::Array(items)) if !items.is_empty() => {
+            items.pop();
+        }
+        (1, Json::Array(items)) if !items.is_empty() => {
+            let dup = items[index(items.len())].clone();
+            items.push(dup);
+        }
+        _ if is_root => {}
+        // Replace a number with null, or with one no sum survives.
+        (2, Json::U64(_) | Json::F64(_)) => *node = Json::Null,
+        (3, Json::U64(_)) => *node = Json::U64(u64::MAX),
+        // Nest one level deeper.
+        (4, _) => *node = Json::Array(vec![std::mem::replace(node, Json::Null)]),
+        // Swap the value for one of another JSON type.
+        _ => {
+            *node = match node {
+                Json::Str(_) => Json::U64(7),
+                Json::U64(_) | Json::F64(_) => Json::Str("seven".into()),
+                Json::Bool(_) | Json::Null => Json::obj(),
+                Json::Array(_) => Json::Bool(true),
+                Json::Object(_) => Json::Array(Vec::new()),
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn mutated_reports_are_decoded_or_rejected_by_path_never_panic(seed in any::<u64>()) {
+        // Each schema's own sample document (the golden its module pins)
+        // under one to three random defects: the decoder returns a report
+        // or a non-empty list of `$.`-pathed violations, and validate
+        // agrees with from_json — they are one walk.
+        type Check = fn(&Json) -> Result<(), Vec<String>>;
+        let schemas: [(&str, Check, Check); 5] = [
+            (
+                include_str!("../crates/obs/src/golden/report.json"),
+                obs::report::validate,
+                |d| obs::RunReport::from_json(d).map(drop),
+            ),
+            (
+                include_str!("../crates/obs/src/golden/sweep.json"),
+                obs::sweep::validate,
+                |d| obs::SweepReport::from_json(d).map(drop),
+            ),
+            (
+                include_str!("../crates/obs/src/golden/suite.json"),
+                obs::suite::validate,
+                |d| SuiteReport::from_json(d).map(drop),
+            ),
+            (
+                include_str!("../crates/obs/src/golden/daemon.json"),
+                obs::daemon::validate,
+                |d| obs::DaemonReport::from_json(d).map(drop),
+            ),
+            (
+                include_str!("../crates/obs/src/golden/live.json"),
+                obs::live::validate,
+                |d| obs::live::LiveReport::from_json(d).map(drop),
+            ),
+        ];
+        let mut rng = TestRng::new(seed);
+        for (sample, validate, decode) in schemas {
+            let mut doc = Json::parse(sample).expect("sample document parses");
+            prop_assert!(decode(&doc).is_ok(), "unmutated sample rejected");
+            for _ in 0..1 + rng.next_u64() % 3 {
+                mutate(&mut doc, &mut rng);
+            }
+            let decoded = decode(&doc);
+            prop_assert_eq!(validate(&doc).is_ok(), decoded.is_ok());
+            if let Err(errors) = decoded {
+                prop_assert!(!errors.is_empty(), "rejected without saying why");
+                for e in &errors {
+                    prop_assert!(e.contains("$."), "violation names no path: {e}");
+                }
+            }
+        }
+    }
+}
