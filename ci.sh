@@ -42,6 +42,12 @@
 #                results/*.json must schema-validate, every tracked file
 #                must be covered by results/INDEX.md, and every series
 #                INDEX.md documents must have a tracked report
+#   benchmark    bash benchmark/check.sh: the driver benchmark's own
+#                unit tests, then a 1.5k-attack smoke of all five workloads
+#                in both modes — output checks (fingerprints, the traced
+#                replica against longitudinal::run, layer sums) pass and
+#                BENCHMARK.json agrees with the printed metric names.
+#                Builds benchmark/'s own package; numbers are discarded
 #
 # Usage:
 #   ./ci.sh                 run every gate in order
@@ -61,7 +67,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-ALL_GATES="lint build tests determinism chaos metrics wirebench trace sweep suite daemon live results"
+ALL_GATES="lint build tests determinism chaos metrics wirebench trace sweep suite daemon live results benchmark"
 
 REPRO=target/release/repro
 DAEMON=target/release/dnsimpactd
@@ -82,6 +88,7 @@ daemon       dnsimpactd kill -9 crash recovery fingerprint-identical to clean re
 live         /metricsz parses mid-ingest, SLO verdicts surface, repro watch renders,
              deterministic /seriesz + /sloz byte-identical across chaos seed and jobs
 results      every tracked results/*.json validates; INDEX.md and results/ cover each other
+benchmark    benchmark/check.sh: its unit tests + every workload smoked in both modes
 EOF
 }
 
@@ -129,7 +136,7 @@ done
 # --- preflight: name everything missing up front, so a mid-pipeline ----
 # --- failure can't masquerade as a perf regression ---------------------
 MISSING=""
-for T in cargo date diff git grep mktemp seq basename sort ls cat sh; do
+for T in cargo date diff git grep mktemp seq basename sort ls cat sh bash; do
     command -v "$T" > /dev/null 2>&1 || MISSING="$MISSING $T"
 done
 [ -z "$MISSING" ] || {
@@ -609,6 +616,12 @@ gate_results() {
         }
     done
     echo "==> results gate passed (tracked reports valid, INDEX.md and results/ cover each other)"
+}
+
+gate_benchmark() {
+    echo "==> benchmark gate: bash benchmark/check.sh"
+    bash benchmark/check.sh
+    echo "==> benchmark gate passed (every workload's output checks hold in both modes)"
 }
 
 for G in $SELECTED; do

@@ -518,7 +518,7 @@ pub fn fig13(ex: &Experiments) -> Artifact {
 /// one-week-before baseline and compare with the day-before metric.
 pub fn ablate_baseline(ex: &Experiments) -> Artifact {
     use dnssim::LoadBook;
-    use openintel::measure::measure_domains;
+    use openintel::measure::measure_baseline;
     use openintel::MeasurementStore;
     use openintel::SweepSchedule;
 
@@ -539,11 +539,10 @@ pub fn ablate_baseline(ex: &Experiments) -> Artifact {
         // Materialize a sampled week-before baseline for this NSSet.
         let all = infra.domains_of_nsset(e.nsset);
         let step = (all.len() / 200).max(1);
-        for &d in all.iter().step_by(step).take(200) {
-            let w = schedule.window_on_day(d, day_w);
-            let recs = measure_domains(infra, &resolver, &[d], e.nsset, w, &loads, &ex.rngs);
-            store.ingest(&recs);
-        }
+        let sampled: Vec<_> = all.iter().step_by(step).take(200).copied().collect();
+        store.ingest(&measure_baseline(
+            infra, &schedule, &resolver, &sampled, e.nsset, day_w, &loads, &ex.rngs,
+        ));
         let Some(base) = store.day_stats(e.nsset, day_w) else { continue };
         if base.domains_measured == 0 || base.avg_rtt().is_nan() || base.avg_rtt() <= 0.0 {
             continue;

@@ -22,6 +22,7 @@ use crate::join::{DnsAttackEvent, NsDirectory};
 use census::OpenResolverList;
 use dnssim::{Infra, NsId, NsSetId};
 use simcore::time::Month;
+use std::collections::HashMap;
 use telescope::EpisodeColumns;
 
 /// The workspace's canonical interner (defined in `simcore` so that
@@ -244,6 +245,12 @@ fn build_chunk(
     let mut ns_collateral: Vec<NsId> = Vec::new();
     let mut nssets: Vec<NsSetId> = Vec::new();
     let mut union: Vec<u32> = Vec::new();
+    // `domains_affected` of each multi-NSSet list this call has met: a
+    // nameserver attacked many times brings the same list, and the same
+    // union of its sets' domains, every time. Empty (and unallocated) until
+    // such a list is met. On the standard hasher: a slice key writes its
+    // length as bytes, which `simcore::hash` refuses.
+    let mut unions: HashMap<Vec<NsSetId>, u64> = HashMap::new();
     for idx in range {
         let victim = episodes.victim(idx);
         if open_resolvers.contains(victim) {
@@ -277,15 +284,14 @@ fn build_chunk(
         let domains_affected = match nssets.as_slice() {
             [] => 0,
             [only] => infra.domains_of_nsset(*only).len() as u64,
-            sets => {
-                union.clear();
-                for &set in sets {
-                    union.extend(infra.domains_of_nsset(set).iter().map(|d| d.0));
+            sets => match unions.get(sets) {
+                Some(&n) => n,
+                None => {
+                    let n = union_len(infra, sets, &mut union);
+                    unions.insert(sets.to_vec(), n);
+                    n
                 }
-                union.sort_unstable();
-                union.dedup();
-                union.len() as u64
-            }
+            },
         };
         if let Some(scope) = trace_scope {
             obs::trace::emit(
@@ -316,6 +322,18 @@ fn build_chunk(
     obs::counter("join.episodes_in").add(episodes_in as u64);
     obs::counter("join.rows_joined").add(table.len() as u64);
     table
+}
+
+/// Distinct domains behind `sets`: collect, sort, dedup (`union` is the
+/// caller's scratch buffer).
+fn union_len(infra: &Infra, sets: &[NsSetId], union: &mut Vec<u32>) -> u64 {
+    union.clear();
+    for &set in sets {
+        union.extend(infra.domains_of_nsset(set).iter().map(|d| d.0));
+    }
+    union.sort_unstable();
+    union.dedup();
+    union.len() as u64
 }
 
 #[cfg(test)]
@@ -478,6 +496,67 @@ mod tests {
                 format!("{bulk:?}"),
                 "collateral={include_collateral}: streamed join equals bulk join"
             );
+        }
+    }
+
+    #[test]
+    fn remembered_domain_unions_equal_fresh_ones() {
+        // Three nameservers whose NSSet lists are [s1, s2], [s1, s2, s3]
+        // (the first list is its prefix) and [s2, s3].
+        let mut infra = Infra::new();
+        let ns: Vec<NsId> = ["195.135.195.195", "203.0.113.53", "198.51.100.7"]
+            .iter()
+            .enumerate()
+            .map(|(i, addr)| {
+                infra.add_nameserver(
+                    format!("ns{i}.host.net").parse().unwrap(),
+                    addr.parse().unwrap(),
+                    Asn(64500),
+                    Deployment::Unicast,
+                    10_000.0,
+                    100.0,
+                    15.0,
+                )
+            })
+            .collect();
+        let s1 = infra.intern_nsset(vec![ns[0], ns[1]]);
+        let s2 = infra.intern_nsset(vec![ns[1], ns[0], ns[2]]);
+        let s3 = infra.intern_nsset(vec![ns[1], ns[2]]);
+        for (set, count) in [(s1, 30), (s2, 7), (s3, 11)] {
+            for i in 0..count {
+                infra.add_domain(format!("d{i}.set{}.nl", set.0).parse().unwrap(), set);
+            }
+        }
+        assert_eq!(infra.nssets_of_ns(ns[0]), &[s1, s2]);
+        assert_eq!(infra.nssets_of_ns(ns[1]), &[s1, s2, s3]);
+        assert_eq!(infra.nssets_of_ns(ns[2]), &[s2, s3]);
+        // One nameserver repeated, two alternating, then the third list.
+        let (a, b, c) = ("195.135.195.195", "203.0.113.53", "198.51.100.7");
+        let victims = [a, a, a, b, a, b, a, b, b, c, a, c];
+        let eps: Vec<AttackEpisode> =
+            victims.iter().enumerate().map(|(i, v)| episode(v, 288 * (3 + i as u64))).collect();
+        let cols = EpisodeColumns::from_episodes(&eps);
+        for jobs in [1usize, 3] {
+            let table = JoinTable::build(
+                &infra,
+                &infra,
+                &cols,
+                &OpenResolverList::new(),
+                false,
+                1,
+                jobs,
+                None,
+            );
+            assert_eq!(table.len(), victims.len());
+            let mut scratch = Vec::new();
+            for r in 0..table.len() {
+                let fresh = union_len(&infra, table.nssets.row(r), &mut scratch);
+                assert_eq!(table.domains_affected[r], fresh, "row {r}, jobs={jobs}");
+            }
+            assert_eq!(&table.domains_affected[..4], &[37, 37, 37, 48]);
+            let reference =
+                join_episodes_sharded(&infra, &infra, &eps, &OpenResolverList::new(), false, 1, 1);
+            assert_eq!(format!("{:?}", table.to_events()), format!("{reference:?}"));
         }
     }
 

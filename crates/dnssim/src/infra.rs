@@ -6,10 +6,11 @@ use crate::ids::{DomainId, NsId, NsSet, NsSetId};
 use crate::load::{LoadModel, ServiceState};
 use dnswire::Name;
 use netbase::{Asn, Slash24};
-use simcore::hash::PackedMap;
-use simcore::time::Window;
+use simcore::hash::{PackedMap, PackedSet};
+use simcore::time::{Window, WINDOWS_PER_DAY};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// A registered domain: its name and the NSSet it delegates to.
 ///
@@ -57,7 +58,9 @@ pub struct Infra {
     sets_of_ns: Vec<Vec<NsSetId>>,
     domains: Vec<DomainRec>,
     domains_of_set: Vec<Vec<DomainId>>,
-    uplinks: HashMap<Slash24, Uplink>,
+    /// Keyed by prefixes the world builder minted, so it hashes through
+    /// `simcore::hash`: `service_state` probes it on every call.
+    uplinks: PackedMap<Slash24, Uplink>,
     pub load_model: LoadModel,
 }
 
@@ -265,6 +268,17 @@ impl Infra {
         )
     }
 
+    /// The one [`ServiceState`] `ns` has in every window of `day`, when its
+    /// /24 carries no load that day; `None` when it carries some. On a
+    /// quiet day both load lookups of [`Infra::service_state`] return 0.0
+    /// whatever the window, and nothing else in it reads the window, so the
+    /// state of the day's first window is, bit for bit, the state of each.
+    pub fn quiet_day_state(&self, ns: NsId, day: u64, loads: &LoadBook) -> Option<ServiceState> {
+        loads
+            .slash24_quiet_on_day(self.nameserver(ns).slash24(), day)
+            .then(|| self.service_state(ns, Window(day * WINDOWS_PER_DAY), loads))
+    }
+
     /// Service quality of the nameserver's IPv6 path during an IPv4
     /// attack (limitation 2 of §4.3). The RSDoS feed is IPv4-only, so the
     /// attack load book describes IPv4 traffic: a *shared* dual-stack
@@ -294,18 +308,29 @@ impl Infra {
 /// laptop memory. (The 17-month interval spans ≈150 K windows, far below
 /// the 2³² packing limit.)
 ///
-/// The keys are integers this program packed, so both maps hash through
+/// The keys are integers this program packed, so the maps hash through
 /// `simcore::hash` (one multiply) in place of SipHash.
 #[derive(Clone, Debug, Default)]
 pub struct LoadBook {
     by_addr: PackedMap<u64, f64>,
     by_slash24: PackedMap<u64, f64>,
+    /// The `(/24, day)` pair of every cell added, in `add` order, a pair
+    /// logged again only when the adds leave it and come back: cells
+    /// arrive in runs of one address over consecutive windows, so `add`
+    /// compares with the last entry and pushes about once per attack.
+    day_log: Vec<u64>,
+    /// `day_log` as a set, built the first time
+    /// [`LoadBook::slash24_quiet_on_day`] is asked and dropped when the log
+    /// next grows. A book that is only filled and probed window by window
+    /// (`feed::build`) never builds it.
+    loaded_days: OnceLock<PackedSet<u64>>,
 }
 
+/// `(id << 32) | slot`, the slot a window or a day number.
 #[inline]
-fn pack(id: u32, window: Window) -> u64 {
-    debug_assert!(window.0 < u32::MAX as u64, "window beyond packing range");
-    ((id as u64) << 32) | (window.0 & 0xFFFF_FFFF)
+fn pack(id: u32, slot: u64) -> u64 {
+    debug_assert!(slot < u32::MAX as u64, "window beyond packing range");
+    ((id as u64) << 32) | (slot & 0xFFFF_FFFF)
 }
 
 /// Attack load on one address in one window, in packets per second.
@@ -324,16 +349,34 @@ impl LoadBook {
     /// Add `pps` of attack traffic toward `addr` during `window`.
     pub fn add(&mut self, addr: Ipv4Addr, window: Window, pps: f64) {
         assert!(pps >= 0.0);
-        *self.by_addr.entry(pack(u32::from(addr), window)).or_insert(0.0) += pps;
-        *self.by_slash24.entry(pack(Slash24::of(addr).0, window)).or_insert(0.0) += pps;
+        let prefix = Slash24::of(addr).0;
+        *self.by_addr.entry(pack(u32::from(addr), window.0)).or_insert(0.0) += pps;
+        *self.by_slash24.entry(pack(prefix, window.0)).or_insert(0.0) += pps;
+        let day = pack(prefix, window.day());
+        if self.day_log.last() != Some(&day) {
+            self.day_log.push(day);
+            self.loaded_days.take();
+        }
     }
 
     pub fn attack_on_addr(&self, addr: Ipv4Addr, window: Window) -> f64 {
-        self.by_addr.get(&pack(u32::from(addr), window)).copied().unwrap_or(0.0)
+        self.by_addr.get(&pack(u32::from(addr), window.0)).copied().unwrap_or(0.0)
     }
 
     pub fn attack_on_slash24(&self, prefix: Slash24, window: Window) -> f64 {
-        self.by_slash24.get(&pack(prefix.0, window)).copied().unwrap_or(0.0)
+        self.by_slash24.get(&pack(prefix.0, window.0)).copied().unwrap_or(0.0)
+    }
+
+    /// Whether no window of `day` carries a cell for `prefix`: both
+    /// [`attack_on_slash24`] and, for every address inside the prefix,
+    /// [`attack_on_addr`] then answer 0.0 on each of the day's windows, so
+    /// a server there has one [`ServiceState`] for the whole day.
+    ///
+    /// [`attack_on_slash24`]: LoadBook::attack_on_slash24
+    /// [`attack_on_addr`]: LoadBook::attack_on_addr
+    pub fn slash24_quiet_on_day(&self, prefix: Slash24, day: u64) -> bool {
+        let loaded_days = self.loaded_days.get_or_init(|| self.day_log.iter().copied().collect());
+        !loaded_days.contains(&pack(prefix.0, day))
     }
 
     pub fn is_empty(&self) -> bool {
@@ -508,6 +551,22 @@ mod tests {
     }
 
     #[test]
+    fn quiet_day_state_is_every_window_state_of_a_quiet_day() {
+        let (infra, a, b, _) = build_world();
+        let mut book = LoadBook::new();
+        // Day 2 is loaded for `a` through a /24 neighbour, in one window;
+        // `b`, elsewhere, stays quiet, and so does `a` on day 3.
+        book.add(ip("195.135.195.7"), Window(2 * 288 + 40), 9_000.0);
+        assert_eq!(infra.quiet_day_state(a, 2, &book), None);
+        for (ns, day) in [(b, 2), (a, 3), (a, 1)] {
+            let state = infra.quiet_day_state(ns, day, &book).expect("no cell on that day");
+            for w in (day * 288..(day + 1) * 288).map(Window) {
+                assert_eq!(infra.service_state(ns, w, &book), state);
+            }
+        }
+    }
+
+    #[test]
     fn anycast_dilutes_attack() {
         let mut infra = Infra::new();
         let uni = infra.add_nameserver(
@@ -586,6 +645,42 @@ mod proptests {
             for ((p24, w), pps) in &manual24 {
                 let got = book.attack_on_slash24(*p24, Window(*w));
                 prop_assert!((got - pps).abs() < 1e-6);
+            }
+        }
+
+        /// The day answer equals a scan of the per-window cells, whatever
+        /// the order of the adds and wherever among them it was last asked
+        /// (an `add` drops the index an earlier answer built): four
+        /// addresses in two /24s, so one /24 is loaded on one day from two
+        /// addresses, and windows on and beside the day boundaries.
+        #[test]
+        fn loadbook_day_answer_equals_a_scan_of_its_cells(
+            adds in prop::collection::vec((0u8..2, 0u8..2, 0usize..8, 0.0f64..10_000.0), 0..40),
+            asked_after in 0usize..40,
+        ) {
+            const WINDOWS: [u64; 8] = [0, 287, 288, 289, 575, 576, 1_000, 1_151];
+            let mut book = LoadBook::new();
+            for (i, &(net, host, w, pps)) in adds.iter().enumerate() {
+                if i == asked_after {
+                    book.slash24_quiet_on_day(Slash24::of(Ipv4Addr::new(10, 0, 0, 0)), 0);
+                }
+                book.add(Ipv4Addr::new(10, 0, net, host), Window(WINDOWS[w]), pps);
+            }
+            for net in 0u8..3 {
+                let prefix = Slash24::of(Ipv4Addr::new(10, 0, net, 0));
+                for day in 0..5 {
+                    let scanned = book.by_slash24.keys().any(|&cell| {
+                        (cell >> 32) as u32 == prefix.0 && Window(cell & 0xFFFF_FFFF).day() == day
+                    });
+                    prop_assert_eq!(book.slash24_quiet_on_day(prefix, day), !scanned);
+                    if !scanned {
+                        // Quiet: every lookup `service_state` makes is 0.0.
+                        for w in (day * 288..(day + 1) * 288).map(Window) {
+                            prop_assert_eq!(book.attack_on_slash24(prefix, w), 0.0);
+                            prop_assert_eq!(book.attack_on_addr(Ipv4Addr::new(10, 0, net, 1), w), 0.0);
+                        }
+                    }
+                }
             }
         }
 

@@ -79,8 +79,8 @@ impl MeasurementStore {
     }
 
     pub fn ingest(&mut self, recs: &[MeasurementRec]) {
-        // A batch is one cell's records, or a baseline's day: one probe of
-        // each map per run of equal (nsset, window), not per record.
+        // One probe of each map per run of equal (nsset, window), which for
+        // a cell's batch is the batch, not per record.
         for run in recs.chunk_by(|a, b| (a.nsset, a.window) == (b.nsset, b.window)) {
             let (nsset, window) = (run[0].nsset, run[0].window);
             let cell = self.cells.entry((nsset, window)).or_default();
@@ -88,6 +88,34 @@ impl MeasurementStore {
             for r in run {
                 cell.push(r);
                 day.push(r);
+            }
+        }
+    }
+
+    /// [`ingest`] for a baseline: the sampled sweep of one NSSet on one day,
+    /// which Equation 1 reads back as that day's aggregate (`day_stats`),
+    /// not window by window. One probe of the day map per run of equal
+    /// `(nsset, day)`, which is the whole batch, and a window cell only
+    /// where `read` says some window-level reader will look: a probe that
+    /// lands in a window an attack's range covers counts there, as it does
+    /// through `ingest`; the others would fill cells nobody reads. Records
+    /// are pushed one by one in batch order, so every aggregate that exists
+    /// holds, bit for bit, what `ingest` gives it.
+    ///
+    /// [`ingest`]: MeasurementStore::ingest
+    pub fn ingest_baseline(
+        &mut self,
+        recs: &[MeasurementRec],
+        read: impl Fn(NsSetId, Window) -> bool,
+    ) {
+        for run in recs.chunk_by(|a, b| (a.nsset, a.window.day()) == (b.nsset, b.window.day())) {
+            let nsset = run[0].nsset;
+            let day = self.days.entry((nsset, run[0].window.day())).or_default();
+            for r in run {
+                day.push(r);
+                if read(nsset, r.window) {
+                    self.cells.entry((nsset, r.window)).or_default().push(r);
+                }
             }
         }
     }
@@ -268,6 +296,36 @@ mod tests {
         assert_eq!(r.domains_measured, 2);
         assert_eq!(r.errors(), 1);
         assert!((r.avg_rtt() - 15.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn baseline_fold_keeps_the_day_and_only_the_read_cells() {
+        // One NSSet's day 1, two probes sharing window 300, and a stray
+        // run on another day and set: the fold is per run of (nsset, day).
+        let batch = [
+            rec(1, 300, 20.0, QueryStatus::Ok),
+            rec(1, 290, 3_000.0, QueryStatus::Timeout),
+            rec(1, 300, 0.1 + 0.2, QueryStatus::Ok),
+            rec(1, 500, 7.0, QueryStatus::ServFail),
+            rec(2, 10, 9.0, QueryStatus::Ok),
+        ];
+        let mut folded = MeasurementStore::new();
+        folded.ingest_baseline(&batch, |set, w| set == NsSetId(1) && (295..=305).contains(&w.0));
+        let mut ingested = MeasurementStore::new();
+        ingested.ingest(&batch);
+        for (set, day) in [(1, 1), (2, 0), (1, 0)] {
+            assert_eq!(
+                format!("{:?}", folded.day_stats(NsSetId(set), day)),
+                format!("{:?}", ingested.day_stats(NsSetId(set), day)),
+            );
+        }
+        assert_eq!(
+            format!("{:?}", folded.window_stats(NsSetId(1), Window(300))),
+            format!("{:?}", ingested.window_stats(NsSetId(1), Window(300))),
+            "both probes, in batch order"
+        );
+        assert_eq!(folded.cell_count(), 1);
+        assert_eq!(ingested.cell_count(), 4);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! paths, file contents: those stay on the standard library's default
 //! hasher, which an input cannot steer into one bucket.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// One 64×64→128-bit multiply per integer written, high half folded into
@@ -39,6 +39,9 @@ impl Hasher for PackedKeyHasher {
 
 /// A `HashMap` over integer-id keys (see the module docs for the limits).
 pub type PackedMap<K, V> = HashMap<K, V, BuildHasherDefault<PackedKeyHasher>>;
+
+/// The set form of [`PackedMap`], under the same limits.
+pub type PackedSet<K> = HashSet<K, BuildHasherDefault<PackedKeyHasher>>;
 
 #[cfg(test)]
 mod tests {

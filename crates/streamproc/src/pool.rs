@@ -53,13 +53,15 @@ pub fn shard_ranges(len: usize, jobs: usize) -> Vec<std::ops::Range<usize>> {
 /// Apply `f` to every item on up to `jobs` worker threads and return the
 /// results in input order.
 ///
-/// Workers share a single queue (a locked enumerated iterator): a free
-/// worker pops the next `(index, item)`, computes `f(index, item)`, and
-/// tags the result with its index. After all workers finish the results
-/// are sorted by index, so the returned `Vec` is byte-for-byte the same
-/// whatever `jobs` is. `jobs <= 1` takes a plain sequential path with no
-/// threads at all. A panic in `f` propagates to the caller once every
-/// worker has stopped.
+/// The items are cut into **runs** of consecutive items, about sixteen per
+/// worker (one item each while there are fewer than `16 * jobs`), and the
+/// workers share one queue of runs: a free worker claims the next run,
+/// computes `f(index, item)` over it in order, and keeps the results to
+/// itself. After all workers finish, the runs are put back in input order,
+/// so the returned `Vec` is byte-for-byte the same whatever `jobs` is; `f`
+/// sees the same `index` for an item however the runs fall. `jobs <= 1`
+/// walks the same runs on the calling thread, with no threads at all. A
+/// panic in `f` propagates to the caller once every worker has stopped.
 ///
 /// ```
 /// use streamproc::pool::parallel_map;
@@ -73,66 +75,80 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let jobs = effective_jobs(jobs).min(items.len());
+    let n = items.len();
+    let jobs = effective_jobs(jobs).min(n);
     // Out-of-band accounting (see the `obs` crate): everything here lives
     // in the `time.`/`sched.` namespaces excluded from determinism
     // comparisons — callers batch work differently per worker count (e.g.
     // per-`jobs` sharding), so even the task count is jobs-dependent.
-    obs::counter("sched.pool.tasks").add(items.len() as u64);
+    // Every handle is resolved once per call, outside the workers: a
+    // lookup takes the registry's lock.
+    obs::counter("sched.pool.tasks").add(n as u64);
     obs::gauge("sched.pool.jobs_max").record_max(jobs as u64);
     let task_ms = obs::histogram("time.pool.task_ms");
+    let run_len = (n / (16 * jobs.max(1))).max(1);
+    // One run: `f` over consecutive items, results appended to `out`, the
+    // whole run one `task_ms` sample (an item of a measurement plan takes
+    // microseconds, which the histogram's unit cannot see).
+    let compute = |run: &mut dyn Iterator<Item = (usize, T)>, out: &mut Vec<R>| {
+        let start = Instant::now();
+        out.extend(run.map(|(i, t)| f(i, t)));
+        let elapsed = start.elapsed();
+        task_ms.record(elapsed.as_millis() as u64);
+        elapsed
+    };
+    let mut items = items.into_iter().enumerate();
     if jobs <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let start = Instant::now();
-                let r = f(i, t);
-                task_ms.record(start.elapsed().as_millis() as u64);
-                r
-            })
-            .collect();
-    }
-    let n = items.len();
-    let queue = Mutex::new(items.into_iter().enumerate());
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    thread::scope(|scope| {
-        for w in 0..jobs {
-            let (queue, results, f) = (&queue, &results, &f);
-            scope.spawn(move || {
-                let mut busy = Duration::ZERO;
-                loop {
-                    // Pop under the lock, compute outside it.
-                    let next = {
-                        let mut q = queue.lock();
-                        let depth = q.size_hint().0 as u64;
-                        let next = q.next();
-                        if next.is_some() {
-                            obs::histogram("sched.pool.queue_depth").record(depth);
-                            if w > 0 {
-                                // Any pop by a non-primary worker is work
-                                // that a single-threaded run would not
-                                // have given away: count it as a steal.
-                                obs::counter("sched.pool.steals").incr();
-                            }
-                        }
-                        next
-                    };
-                    let Some((idx, item)) = next else { break };
-                    let start = Instant::now();
-                    let r = f(idx, item);
-                    let elapsed = start.elapsed();
-                    busy += elapsed;
-                    task_ms.record(elapsed.as_millis() as u64);
-                    results.lock().push((idx, r));
-                }
-                obs::histogram("time.pool.worker_busy_ms").record(busy.as_millis() as u64);
-            });
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            compute(&mut items.by_ref().take(run_len), &mut out);
         }
+        return out;
+    }
+    let queue_depth = obs::histogram("sched.pool.queue_depth");
+    let steals = obs::counter("sched.pool.steals");
+    let worker_busy_ms = obs::histogram("time.pool.worker_busy_ms");
+    let runs: Vec<Vec<(usize, T)>> =
+        (0..n).step_by(run_len).map(|_| items.by_ref().take(run_len).collect()).collect();
+    let queue = Mutex::new(runs.into_iter());
+    let worker = |w: usize| {
+        let mut busy = Duration::ZERO;
+        let mut taken = 0;
+        // The runs this worker computed, each behind its first index.
+        let mut done: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            // Claim under the lock, compute outside it.
+            let Some(run) = queue.lock().next() else { break };
+            let first = run[0].0;
+            queue_depth.record((n - first) as u64);
+            taken += run.len() as u64;
+            let mut out = Vec::with_capacity(run.len());
+            busy += compute(&mut run.into_iter(), &mut out);
+            done.push((first, out));
+        }
+        if w > 0 {
+            // An item taken by a non-primary worker is work that a
+            // single-threaded run would not have given away: a steal.
+            steals.add(taken);
+        }
+        worker_busy_ms.record(busy.as_millis() as u64);
+        done
+    };
+    let joined: Vec<thread::Result<_>> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs).map(|w| scope.spawn(move || worker(w))).collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    let mut tagged = results.into_inner();
-    tagged.sort_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    // Every worker has stopped: hand a panic on, or put the runs in order.
+    let mut done = Vec::new();
+    for part in joined {
+        done.extend(part.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+    }
+    done.sort_unstable_by_key(|&(first, _)| first);
+    let mut out = Vec::with_capacity(n);
+    for (_, run) in done {
+        out.extend(run);
+    }
+    out
 }
 
 /// [`parallel_map`] under supervision: each task runs in a bounded-restart
@@ -358,26 +374,81 @@ mod tests {
     }
 
     #[test]
+    fn parallel_map_runs_each_item_once_in_order_around_every_run_boundary() {
+        for jobs in [1usize, 2, 3, 8] {
+            // One item a run up to 16 * jobs items, longer runs beyond.
+            for n in
+                [0, 1, jobs - 1, jobs, 16 * jobs - 1, 16 * jobs, 16 * jobs + 1, 32 * jobs, 10_007]
+            {
+                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let got = parallel_map(jobs, (0..n).collect(), |i, x: usize| {
+                    assert_eq!(i, x, "an item keeps its input index");
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    x * 3 + 1
+                });
+                assert_eq!(got, (0..n).map(|x| x * 3 + 1).collect::<Vec<_>>(), "jobs={jobs} n={n}");
+                assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1), "jobs={jobs} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn panic_inside_a_run_propagates_after_every_worker_stopped() {
+        struct Running<'a>(&'a AtomicUsize);
+        impl Drop for Running<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let (n, jobs) = (10_007usize, 3);
+        let run_len = n / (16 * jobs);
+        // Halfway into the sixth run.
+        let bad = 5 * run_len + run_len / 2;
+        let (running, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(jobs, (0..n).collect(), |_, x: usize| {
+                running.fetch_add(1, Ordering::SeqCst);
+                let _running = Running(&running);
+                if x == bad {
+                    panic!("boom at {x}");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                x
+            })
+        }));
+        let panic = r.expect_err("worker panic must reach the caller");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&format!("boom at {bad}")));
+        assert_eq!(running.load(Ordering::SeqCst), 0, "no worker is still inside `f`");
+        // The other workers drained the queue first: only the rest of the
+        // panicking worker's run was left undone.
+        assert_eq!(n - finished.load(Ordering::SeqCst), run_len - run_len / 2);
+    }
+
+    #[test]
     fn parallel_map_supervised_matches_plain_for_any_jobs() {
         use crate::fault::ChaosConfig;
         use simcore::rng::RngFactory;
         let plan = FaultPlan::new(&RngFactory::new(3), "pool-test", ChaosConfig::CALIBRATED);
         let cfg = SupervisorConfig { backoff_base_ms: 0, ..Default::default() };
-        let want: Vec<u64> = (0..200u64).map(|x| x * 7 + 1).collect();
-        let mut all_restarts = Vec::new();
-        for jobs in [1, 2, 8] {
-            let (got, stats) =
-                parallel_map_supervised(jobs, (0..200u64).collect(), Some(&plan), &cfg, |_, x| {
-                    x * 7 + 1
-                });
-            assert_eq!(got, want, "jobs={jobs}");
-            all_restarts.push(stats.restarts);
+        // 200 items are runs of one at jobs=8; 2 000 are runs of 15 to 125.
+        for n in [200u64, 2_000] {
+            let want = parallel_map(1, (0..n).collect(), |_, x| x * 7 + 1);
+            let mut all_restarts = Vec::new();
+            for jobs in [1, 2, 8] {
+                let (got, stats) =
+                    parallel_map_supervised(jobs, (0..n).collect(), Some(&plan), &cfg, |i, x| {
+                        assert_eq!(i as u64, *x, "the crash schedule is keyed by the item's index");
+                        x * 7 + 1
+                    });
+                assert_eq!(got, want, "jobs={jobs} n={n}");
+                all_restarts.push(stats.restarts);
+            }
+            assert!(all_restarts[0] > 0, "calibrated profile crashes some tasks");
+            assert!(
+                all_restarts.windows(2).all(|w| w[0] == w[1]),
+                "injected crash schedule is independent of jobs: {all_restarts:?}"
+            );
         }
-        assert!(all_restarts[0] > 0, "calibrated profile crashes some tasks");
-        assert!(
-            all_restarts.windows(2).all(|w| w[0] == w[1]),
-            "injected crash schedule is independent of jobs: {all_restarts:?}"
-        );
     }
 
     #[test]
