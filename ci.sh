@@ -9,8 +9,8 @@
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
 #   chaos        fault injection, kill -9 mid-run, resume, diff vs clean
 #   metrics      repro bench: schema-validated run report, counter
-#                invariants, regression diff against the committed BENCH
-#                baseline
+#                invariants, exact deterministic-counter diff against the
+#                committed BENCH baseline
 #   wirebench    criterion smoke over the zero-copy parse, arena feed-block
 #                and telescope/load-book benches: every expected benchmark
 #                must run to completion and report a number
@@ -21,12 +21,11 @@
 #                cross-jobs artifact fingerprints enforced in-run, the
 #                emitted dnsimpact-sweep/v1 report schema-validated
 #                (heavy 150k/1.5M cells stay local: DNSIMPACT_SCALE_HEAVY)
-#   suite        repro bench --suite all: the process-based Suite A/B
-#                orchestrator — release binaries spawned as OS processes,
-#                Suite A cross-process fingerprints exact, Suite B
-#                histograms merged across chaos seeds — every verdict
-#                must pass and the dnsimpact-suite/v1 report must
-#                schema-validate
+#   suite        repro bench --suite: the process-based Suite A
+#                orchestrator — six release binaries spawned as OS
+#                processes, cross-process fingerprints exact — every
+#                verdict must pass and the dnsimpact-suite/v2 report
+#                must schema-validate
 #   daemon       dnsimpactd on the pinned feed: query a known-impacted
 #                domain mid-ingest (only after /statz proves ingest
 #                progress), kill -9, restart from the checkpoint, diff the
@@ -36,7 +35,7 @@
 #                /statz, render `repro watch` frames against the live
 #                daemon, then replay the same feed prefix twice (different
 #                chaos seed and --jobs) and byte-diff the deterministic
-#                /seriesz + /sloz fields; the emitted dnsimpactd-live/v1
+#                /seriesz + /sloz fields; the emitted dnsimpactd-live/v2
 #                report must schema-validate
 #   results      hygiene, over `git ls-files results`: every tracked
 #                results/*.json must schema-validate, every tracked file
@@ -83,7 +82,7 @@ metrics      repro bench: report schema + counter invariants + BENCH baseline di
 wirebench    criterion smoke: every parse/feed-block/telescope bench runs and reports
 trace        trace export schema + causality; repro explain deterministic
 sweep        bench --scale-sweep smoke: cross-jobs fingerprints + sweep schema
-suite        bench --suite all: process-suite verdicts all PASS + suite schema
+suite        bench --suite: cross-process fingerprint verdicts all PASS + suite schema
 daemon       dnsimpactd kill -9 crash recovery fingerprint-identical to clean replay
 live         /metricsz parses mid-ingest, SLO verdicts surface, repro watch renders,
              deterministic /seriesz + /sloz byte-identical across chaos seed and jobs
@@ -280,8 +279,9 @@ gate_metrics() {
     # violation or counter-invariant break.
     BENCH_JSON="$SMOKE/bench/BENCH.json"
     # --compare with no path diffs against the newest committed BENCH
-    # report under results/: deterministic counters must match exactly,
-    # wall time and peak RSS must stay within the regression envelope.
+    # report under results/: deterministic counters, gauges and histogram
+    # fields must match exactly, and a baseline from another bench
+    # configuration fails rather than comparing nothing.
     "$REPRO" bench --compare --metrics-json "$BENCH_JSON" --out "$SMOKE/bench-out" \
         > "$SMOKE/bench.stdout" 2> /dev/null
     # Bench suppresses artifact text: non-empty stdout means metrics leaked.
@@ -291,7 +291,7 @@ gate_metrics() {
         exit 1
     fi
     "$REPRO" validate-metrics "$BENCH_JSON"
-    echo "==> metrics gate passed (report valid, invariants hold, no bench regression)"
+    echo "==> metrics gate passed (report valid, invariants hold, no deterministic drift)"
 }
 
 gate_wirebench() {
@@ -358,15 +358,14 @@ gate_sweep() {
 }
 
 gate_suite() {
-    echo "==> suite gate: repro bench --suite all (process-based A/B suites)"
+    echo "==> suite gate: repro bench --suite (process-based Suite A)"
     # The orchestrator spawns the release binaries as OS processes — the
     # pinned catalog across a scale x jobs grid plus clean/chaos daemon
-    # ingests (Suite A, exact cross-process fingerprint agreement), and
-    # chaos seeds x scales with per-process histograms merged bucket-wise
-    # (Suite B). Exit is non-zero on any failed verdict; the verdict
-    # table on stderr names the offending cell. validate-metrics then
-    # re-reads the emitted report through the suite-v1 schema.
-    "$REPRO" bench --suite all --out "$SMOKE/suite" > "$SMOKE/suite.stdout"
+    # ingests — and demands exact cross-process fingerprint agreement.
+    # Exit is non-zero on any failed verdict; the verdict table on stderr
+    # names the offending cell. validate-metrics then re-reads the
+    # emitted report through the suite-v2 schema.
+    "$REPRO" bench --suite --out "$SMOKE/suite" > "$SMOKE/suite.stdout"
     # Suite mode reports on stderr only: stdout stays empty like bench.
     if [ -s "$SMOKE/suite.stdout" ]; then
         echo "bench --suite wrote to stdout:" >&2
@@ -595,7 +594,6 @@ gate_results() {
             INDEX.md) continue ;;
             BENCH_*.json) PAT='BENCH_<date>' ;;
             SWEEP_*.json) PAT='SWEEP_<date>' ;;
-            DAEMON_*.json) PAT='DAEMON_<date>' ;;
             SUITE_*.json) PAT='SUITE_<date>' ;;
             LIVE_*.json) PAT='LIVE_<date>' ;;
             *) PAT="$B" ;;

@@ -9,6 +9,8 @@
 //!       [--trace-json PATH] [EXPERIMENT...]
 //! repro bench [--compare [BASELINE.json]] [same flags]
 //! repro bench --scale-sweep [--out DIR] [same flags]
+//! repro bench --suite [--out DIR] [--seed N]
+//! repro bench --trajectory [--out DIR]
 //! repro explain EPISODE-ID [same flags]
 //! repro watch HOST:PORT [--interval-ms N] [--frames N]
 //! repro validate-metrics FILE
@@ -61,10 +63,12 @@
 //!
 //! `repro bench --compare [BASELINE.json]` additionally diffs the fresh
 //! report against a baseline (default: the newest other
-//! `results/BENCH_*.json`): wall-clock or peak-RSS beyond the generous
-//! thresholds in `obs::report` fail, and any drift in the deterministic
-//! counters/gauges/histograms fails exactly. Exit 1 on failure — this is
-//! the CI bench-regression gate.
+//! `results/BENCH_*.json`): any drift in the deterministic
+//! counters/gauges/histograms fails exactly, and so does a baseline taken
+//! under another seed/scale/chaos/experiment configuration, or no
+//! baseline at all (nothing would be compared). Wall clock and RSS are
+//! not judged here; `benchmark/` is the perf contract. Exit 1 on failure
+//! — this is the CI metrics gate's drift check.
 //!
 //! `repro bench --scale-sweep` runs the pinned longitudinal pipeline over
 //! the scale grid — target attack counts {1.5k, 15k}, plus 150k with
@@ -86,11 +90,13 @@
 //! timeline is built from the trace's deterministic fields only, so it is
 //! byte-identical for any `--jobs` value.
 //!
-//! `repro daemon-bench` runs the whole `dnsimpactd` serving story in one
-//! process — pinned feed, supervised ingest, HTTP serving, Zipf query
-//! load — and writes a `dnsimpactd-report/v1` snapshot (ingest
-//! fingerprint, QPS, p50/p95/p99 tail latency, shed accounting) to
-//! `results/DAEMON_<date>[_runN].json`.
+//! `repro bench --suite` spawns the release binaries as OS processes —
+//! the pinned catalog across a scale × jobs grid plus a clean and a
+//! chaos-seeded `dnsimpactd --bench-oneshot` ingest — compares their
+//! deterministic fingerprints exactly, and writes a `dnsimpact-suite/v2`
+//! report to `SUITE_<date>[_runN].json` under `--out` (default
+//! `results/`). It takes no operand and no experiment ids. Exit 1 when a
+//! verdict fails.
 //!
 //! `repro watch HOST:PORT` renders a polling stderr dashboard against a
 //! live `dnsimpactd`: sparkline trajectories of the tick-clock series,
@@ -104,8 +110,8 @@
 //! invariant checks (fault accounting balances; reactive latency and
 //! probe budgets hold), a `dnsimpact-sweep/v1` sweep report gets the
 //! cell-grid checks (sorted, duplicate-free cells; finite floats), a
-//! `dnsimpactd-report/v1` daemon report gets the shed-accounting check,
-//! and a `dnsimpactd-live/v1` telemetry report gets the delta
+//! `dnsimpact-suite/v2` suite report gets the cell/process accounting,
+//! and a `dnsimpactd-live/v2` telemetry report gets the delta
 //! conservation check across its tick ring.
 //! An unknown or missing schema id is rejected outright, naming the id
 //! and the known schemas. Exit 1 on any violation — this is the CI
@@ -166,9 +172,9 @@ struct Options {
     /// report series as a wall/RSS/throughput time series instead of
     /// running.
     trajectory: bool,
-    /// `bench --suite A|B|all`: run the process-based Suite A/B
-    /// orchestrator and emit a `dnsimpact-suite/v1` report.
-    suite: Option<bench_support::SuiteSel>,
+    /// `bench --suite`: run the process-based Suite A orchestrator and
+    /// emit a `dnsimpact-suite/v2` report.
+    suite: bool,
     /// Same-day bench run counter (1 for the first run of a date).
     run: u64,
     /// `bench --compare`: `Some(None)` = auto-pick the newest baseline,
@@ -213,7 +219,7 @@ fn parse_args() -> Options {
         bench: false,
         scale_sweep: false,
         trajectory: false,
-        suite: None,
+        suite: false,
         run: 1,
         compare: None,
         explain: None,
@@ -268,17 +274,8 @@ fn parse_args() -> Options {
             "bench" => opts.bench = true,
             "--scale-sweep" => opts.scale_sweep = true,
             "--trajectory" => opts.trajectory = true,
-            "--suite" => {
-                let v = operand(&mut args, "--suite", "A|B|all");
-                opts.suite = Some(bench_support::SuiteSel::parse(&v).unwrap_or_else(|| {
-                    die(&format!("--suite: unknown suite {v:?}; want A, B, or all"))
-                }));
-            }
+            "--suite" => opts.suite = true,
             "explain" => opts.explain = Some(operand(&mut args, "explain", "EPISODE-ID")),
-            "daemon-bench" => {
-                let rest: Vec<String> = args.collect();
-                std::process::exit(daemon_bench(&rest));
-            }
             "watch" => {
                 let rest: Vec<String> = args.collect();
                 std::process::exit(watch(&rest));
@@ -308,20 +305,14 @@ fn parse_args() -> Options {
                 println!(
                     "                              (DNSIMPACT_SCALE_HEAVY=1|2 adds 150k/1.5M)"
                 );
-                println!("repro bench --suite A|B|all   spawn the release binaries as processes:");
+                println!("repro bench --suite           spawn the release binaries as processes:");
                 println!(
-                    "                              Suite A pins the catalog across scale x jobs"
+                    "                              the catalog across scale x jobs plus a clean"
                 );
-                println!(
-                    "                              (exact cross-process fingerprints), Suite B"
-                );
-                println!(
-                    "                              merges per-process histograms across chaos"
-                );
-                println!(
-                    "                              seeds; write SUITE_<date>[_runN].json under"
-                );
-                println!("                              --out (default results/)");
+                println!("                              and a chaos daemon ingest, cross-process");
+                println!("                              fingerprints exact; write");
+                println!("                              SUITE_<date>[_runN].json under --out");
+                println!("                              (default results/)");
                 println!("repro bench --trajectory      print the committed BENCH_/SWEEP_/SUITE_");
                 println!(
                     "                              report series under --out (default results/)"
@@ -332,9 +323,6 @@ fn parse_args() -> Options {
                 println!("                              series");
                 println!("repro explain EPISODE-ID      print an episode's causal timeline");
                 println!("                              (e.g. rsdos/3, milru/0, transip/1)");
-                println!("repro daemon-bench            ingest the pinned daemon feed, serve it,");
-                println!("                              fire a Zipf query load, write");
-                println!("                              DAEMON_<date>[_runN].json under --out");
                 println!("repro watch HOST:PORT         live stderr dashboard for a running");
                 println!("                              dnsimpactd: sparkline series, SLO");
                 println!("                              verdicts, staleness ([--interval-ms N]");
@@ -353,6 +341,13 @@ fn parse_args() -> Options {
             other => opts.experiments.push(other.to_string()),
         }
     }
+    if opts.suite && !opts.experiments.is_empty() {
+        // A stale `--suite B` must not run the one suite under another name.
+        die(&format!(
+            "--suite takes no operand and no experiment ids (got {:?})",
+            opts.experiments
+        ));
+    }
     if opts.bench {
         // Pin the bench configuration; explicit flags still win.
         if !scale_set {
@@ -361,18 +356,14 @@ fn parse_args() -> Options {
         if opts.chaos_seed.is_none() {
             opts.chaos_seed = Some(BENCH_CHAOS_SEED);
         }
-        if !out_set && !opts.scale_sweep && !opts.trajectory && opts.suite.is_none() {
+        if !out_set && !opts.scale_sweep && !opts.trajectory && !opts.suite {
             // Bench CSVs are throwaway — keep them out of the committed
             // `results/` series. (Sweep mode instead writes its report
             // under `--out`, default `results/`; trajectory mode reads
             // the committed series from there.)
             opts.out = PathBuf::from("target/bench-out");
         }
-        if opts.metrics_json.is_none()
-            && !opts.scale_sweep
-            && !opts.trajectory
-            && opts.suite.is_none()
-        {
+        if opts.metrics_json.is_none() && !opts.scale_sweep && !opts.trajectory && !opts.suite {
             // Same-day runs never clobber: the first run of a date owns
             // BENCH_<date>.json, later runs get a _runN suffix, and the
             // report's meta.run records which slot this was.
@@ -553,141 +544,6 @@ fn watch(args: &[String]) -> i32 {
     bench_support::watch::run(addr, &cfg)
 }
 
-/// `repro daemon-bench`: one in-process pass over the daemon's whole
-/// serving story — build the pinned feed, ingest it through the
-/// supervised transport, serve it over HTTP, fire the Zipf query load,
-/// and commit a validated `dnsimpactd-report/v1` snapshot to
-/// `results/DAEMON_<date>[_runN].json` (same-day runs get `_runN` slots,
-/// like `BENCH_`/`SWEEP_`). Returns the process exit code.
-fn daemon_bench(args: &[String]) -> i32 {
-    let mut seed = 42u64;
-    let mut scale = 1_500u64;
-    let mut months = 2usize;
-    let mut jobs = 0usize;
-    let mut chaos_seed: Option<u64> = None;
-    let mut out = PathBuf::from("results");
-    let mut qcfg = bench_support::QloadConfig::default();
-    let mut staleness_bound_s = 1_800u64;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--seed" => seed = num_operand(flag, &val(flag)),
-            "--scale-target" => scale = num_operand(flag, &val(flag)),
-            "--months" => months = num_operand(flag, &val(flag)),
-            "--jobs" => jobs = num_operand(flag, &val(flag)),
-            "--chaos-seed" => chaos_seed = Some(num_operand(flag, &val(flag))),
-            "--clients" => qcfg.clients = num_operand(flag, &val(flag)),
-            "--queries" => qcfg.queries_per_client = num_operand(flag, &val(flag)),
-            "--zipf-s" => qcfg.zipf_s = num_operand(flag, &val(flag)),
-            "--staleness-bound-s" => staleness_bound_s = num_operand(flag, &val(flag)),
-            "--out" => out = PathBuf::from(val(flag)),
-            other => die(&format!("daemon-bench: unknown flag {other:?}")),
-        }
-    }
-    qcfg.seed = seed;
-    let jobs = streamproc::effective_jobs(jobs);
-
-    let mut feed_cfg = dnsimpactd::FeedConfig::pinned(scale);
-    feed_cfg.seed = seed;
-    feed_cfg.months = months;
-    obs::progress(
-        "repro",
-        &format!("daemon-bench: building feed (seed {seed}, scale {scale}, months {months}, jobs {jobs})"),
-    );
-    let source = dnsimpactd::feed::build(&feed_cfg, jobs);
-    let dir = std::sync::Arc::new(dnsimpactd::DomainDir::build(&source.world.infra));
-    let cell = std::sync::Arc::new(streamproc::SwapCell::new(dnsimpactd::IndexSnapshot::default()));
-
-    let ingest_start = Instant::now();
-    let mut ingestor = dnsimpactd::Ingestor::new(
-        &source,
-        dnsimpactd::IngestConfig { chaos_seed, ..dnsimpactd::IngestConfig::default() },
-        std::sync::Arc::clone(&cell),
-    );
-    ingestor.run();
-    let ingest_wall_ms = ingest_start.elapsed().as_millis() as u64;
-    let fingerprint = format!("{:#018x}", ingestor.state.full_fingerprint());
-    obs::progress(
-        "repro",
-        &format!(
-            "daemon-bench: ingested {} batches / {} records in {ingest_wall_ms} ms, fp {fingerprint}",
-            source.batches.len(),
-            source.total_records
-        ),
-    );
-
-    let server_cfg =
-        dnsimpactd::ServerConfig { staleness_bound_s, ..dnsimpactd::ServerConfig::default() };
-    let server = match dnsimpactd::Server::start(
-        &server_cfg,
-        std::sync::Arc::clone(&cell),
-        dir.clone(),
-        None,
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            obs::progress("repro", &format!("daemon-bench: cannot bind server: {e}"));
-            return 1;
-        }
-    };
-    let names: Vec<String> = dir.names().map(str::to_string).collect();
-    obs::progress(
-        "repro",
-        &format!(
-            "daemon-bench: firing {} clients x {} queries (zipf s={}) at {}",
-            qcfg.clients,
-            qcfg.queries_per_client,
-            qcfg.zipf_s,
-            server.addr()
-        ),
-    );
-    let stats = bench_support::qload::run(server.addr(), &names, &qcfg);
-    let snap = cell.load();
-    server.shutdown();
-
-    let rtt = obs::histogram("sched.qload.rtt_us").snapshot();
-    let report = obs::DaemonReport {
-        meta: obs::DaemonMeta {
-            seed,
-            scale,
-            months: months as u64,
-            jobs: jobs as u64,
-            date: obs::report::today_utc(),
-            clients: qcfg.clients as u64,
-            zipf_s: qcfg.zipf_s,
-            staleness_bound_s,
-        },
-        ingest: obs::DaemonIngest {
-            batches: source.batches.len() as u64,
-            records: source.total_records,
-            episodes: source.episodes_emitted,
-            wall_ms: ingest_wall_ms,
-            fingerprint,
-        },
-        serving: obs::DaemonServing {
-            queries_sent: stats.sent,
-            ok: stats.ok,
-            not_found: stats.not_found,
-            shed: stats.shed,
-            errors: stats.errors,
-            qps: stats.qps(),
-            p50_us: rtt.p50 as f64,
-            p95_us: rtt.p95 as f64,
-            p99_us: rtt.p99 as f64,
-            staleness_s: snap.staleness_s(),
-        },
-    };
-    let (_, path) = next_slot(&out, "DAEMON", &obs::report::today_utc());
-    if !emit_report("daemon", &report.to_json(), &path) {
-        return 1;
-    }
-    eprint!("{}", report.summary_table());
-    0
-}
-
 /// Every report `repro` writes goes through here: `write_report`
 /// validates the document under its own schema and refuses an invalid
 /// one, so a broken report never reaches disk silently. False (after
@@ -776,7 +632,7 @@ fn main() {
     if opts.scale_sweep {
         std::process::exit(run_scale_sweep_cmd(&opts));
     }
-    if opts.suite.is_some() {
+    if opts.suite {
         std::process::exit(run_suite_cmd(&opts));
     }
     let known: Vec<String> = opts
@@ -1250,25 +1106,21 @@ fn run_scale_sweep_cmd(opts: &Options) -> i32 {
     0
 }
 
-/// `bench --suite`: run the process-based Suite A/B orchestrator
+/// `bench --suite`: run the process-based Suite A orchestrator
 /// (`bench_support::run_suite`), validate the resulting
-/// `dnsimpact-suite/v1` document, commit it to
+/// `dnsimpact-suite/v2` document, commit it to
 /// `SUITE_<date>[_runN].json` under `--out`, and print the per-cell
 /// summary + verdict table to stderr. Exit 0 only when every verdict
 /// passed; 1 on a failed verdict or an orchestration error. Returns the
 /// process exit code.
 fn run_suite_cmd(opts: &Options) -> i32 {
     if !opts.bench {
-        obs::progress("repro", "--suite is a bench mode: run `repro bench --suite A|B|all`");
+        obs::progress("repro", "--suite is a bench mode: run `repro bench --suite`");
         return 2;
     }
-    let sel = opts.suite.expect("dispatched on opts.suite.is_some()");
     let scratch = std::env::temp_dir().join(format!("repro-suite-{}", std::process::id()));
-    obs::progress(
-        "repro",
-        &format!("suite {} (seed {}, scratch {})", sel.label(), opts.seed, scratch.display()),
-    );
-    let cfg = bench_support::SuiteRunConfig { seed: opts.seed, sel, scratch: scratch.clone() };
+    obs::progress("repro", &format!("suite (seed {}, scratch {})", opts.seed, scratch.display()));
+    let cfg = bench_support::SuiteRunConfig { seed: opts.seed, scratch: scratch.clone() };
     let result = bench_support::run_suite(&cfg);
     // The scratch dir only holds child reports/CSVs already folded into
     // the suite report (or abandoned by a failure) — always clean it.
@@ -1294,7 +1146,8 @@ fn run_suite_cmd(opts: &Options) -> i32 {
 }
 
 /// `bench --compare`: diff the fresh report against a baseline (explicit,
-/// or the newest other `results/BENCH_*.json`). Failures exit 1.
+/// or the newest other `results/BENCH_*.json`). Failures exit 1 — and so
+/// does having nothing to compare against.
 fn compare_with_baseline(report: &obs::RunReport, explicit: Option<&Path>, current: Option<&Path>) {
     let baseline = match explicit {
         Some(p) => p.to_path_buf(),
@@ -1303,9 +1156,9 @@ fn compare_with_baseline(report: &obs::RunReport, explicit: Option<&Path>, curre
             None => {
                 obs::progress(
                     "repro",
-                    "no baseline BENCH_*.json found in results/; comparison skipped",
+                    "no baseline BENCH_*.json found in results/; nothing was compared",
                 );
-                return;
+                std::process::exit(1);
             }
         },
     };
@@ -1327,18 +1180,18 @@ fn compare_with_baseline(report: &obs::RunReport, explicit: Option<&Path>, curre
         obs::progress(
             "repro",
             &format!(
-                "no regressions vs baseline {} ({} warning(s))",
+                "no deterministic drift vs baseline {} ({} warning(s))",
                 baseline.display(),
                 warnings.len()
             ),
         );
     } else {
         for f in &failures {
-            obs::progress("repro", &format!("bench regression: {f}"));
+            obs::progress("repro", &format!("bench compare failure: {f}"));
         }
         obs::progress(
             "repro",
-            &format!("{} regression(s) vs baseline {}", failures.len(), baseline.display()),
+            &format!("{} failure(s) vs baseline {}", failures.len(), baseline.display()),
         );
         std::process::exit(1);
     }

@@ -18,13 +18,11 @@ use std::sync::Arc;
 use telescope::Darknet;
 
 pub mod checkpoint;
-pub mod qload;
 pub mod suite;
 pub mod sweep;
 pub mod watch;
 pub use checkpoint::CheckpointDir;
-pub use qload::{QloadConfig, QloadStats};
-pub use suite::{run_suite, SuiteRunConfig, SuiteSel};
+pub use suite::{run_suite, SuiteRunConfig};
 pub use sweep::{divisor_for_target, run_scale_sweep, SweepConfig, PAPER_TOTAL_ATTACKS};
 pub use watch::{sparkline, WatchConfig};
 

@@ -1,80 +1,32 @@
-//! The `repro bench --suite` runner: process-based Suite A/B measurement
-//! of the release-built binaries (DESIGN §14).
+//! The `repro bench --suite` runner: the release-built binaries run as
+//! OS processes and held to exact agreement (DESIGN §14).
 //!
 //! Unlike `bench --compare` (one pinned in-process run) this orchestrator
 //! spawns `repro` — and `dnsimpactd` for the serving cell — as OS
-//! processes, so what gets measured is what ships: binary startup, the
+//! processes, so what gets checked is what ships: binary startup, the
 //! metrics-report write path, checkpoint I/O, real process RSS.
 //!
-//! - **Suite A** (deterministic): the pinned bench catalog across a
-//!   {scale × jobs} grid, one process per cell, plus a clean and a
-//!   chaos-seeded `dnsimpactd --bench-oneshot` ingest. Every cell's
-//!   deterministic state is fingerprinted and cells that must agree
-//!   (same scale across jobs; daemon clean vs chaos-recovered) are
-//!   compared *exactly* — no envelopes.
-//! - **Suite B** (stochastic): chaos seeds × scales. Per scale the
-//!   per-process log2 histograms are merged bucket-wise
-//!   ([`obs::hist::merge`] — exact, as if one process had seen every
-//!   sample) and wall/RSS/records-per-sec are summarized as percentile
-//!   blocks over one sample per process. The pipeline counters
-//!   (`join.*`, `openintel.*`) must still agree across chaos seeds —
-//!   recovery is exact — while `chaos.*` fault tallies legitimately vary
-//!   with the seed and are left out of the agreement check.
+//! Suite A is the pinned bench catalog across a {scale × jobs} grid, one
+//! process per cell, plus a clean and a chaos-seeded
+//! `dnsimpactd --bench-oneshot` ingest. Every cell's deterministic state
+//! is fingerprinted and cells that must agree (same scale across jobs;
+//! daemon clean vs chaos-recovered) are compared *exactly* — no envelopes.
 //!
 //! Each child's report is read back through the schema types
 //! ([`obs::RunReport::from_json`], the daemon's one-line JSON), so a
 //! malformed child report fails the suite rather than skewing it. The
-//! result is a `dnsimpact-suite/v1` report ([`obs::SuiteReport`]) whose
+//! result is a `dnsimpact-suite/v2` report ([`obs::SuiteReport`]) whose
 //! verdict table names every enforced check.
 
-use obs::hist::{self, Hist};
-use obs::suite::{Percentiles, SuiteACell, SuiteBScale, Verdict};
-use std::collections::BTreeMap;
+use obs::suite::{SuiteACell, Verdict};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
-
-/// Which suites to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SuiteSel {
-    A,
-    B,
-    All,
-}
-
-impl SuiteSel {
-    pub fn parse(s: &str) -> Option<SuiteSel> {
-        match s {
-            "A" | "a" => Some(SuiteSel::A),
-            "B" | "b" => Some(SuiteSel::B),
-            "all" => Some(SuiteSel::All),
-            _ => None,
-        }
-    }
-
-    /// The `meta.suites` value this selection reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SuiteSel::A => "A",
-            SuiteSel::B => "B",
-            SuiteSel::All => "all",
-        }
-    }
-
-    fn runs_a(&self) -> bool {
-        matches!(self, SuiteSel::A | SuiteSel::All)
-    }
-
-    fn runs_b(&self) -> bool {
-        matches!(self, SuiteSel::B | SuiteSel::All)
-    }
-}
 
 /// One suite run: identity plus the scratch directory child processes
 /// write their reports and throwaway CSVs into.
 pub struct SuiteRunConfig {
     pub seed: u64,
-    pub sel: SuiteSel,
     pub scratch: PathBuf,
 }
 
@@ -83,13 +35,6 @@ pub struct SuiteRunConfig {
 const SUITE_A_SCALES: [u32; 2] = [750, 1_500];
 /// Suite A worker grid per scale — fingerprints must agree across it.
 const SUITE_A_JOBS: [u32; 2] = [1, 2];
-/// Suite B runs each scale under these chaos seeds (distinct from the
-/// pinned bench seed 9, so the suite exercises fresh fault schedules).
-const SUITE_B_CHAOS_SEEDS: [u64; 3] = [11, 12, 13];
-/// Suite B scale grid, ascending (the report requires sorted rows).
-const SUITE_B_SCALES: [u32; 2] = [750, 1_500];
-/// Suite B worker count: fixed at 2 so chaos recovery runs threaded.
-const SUITE_B_JOBS: u32 = 2;
 /// The daemon serving cell's pinned feed (mirrors the CI daemon gate).
 const DAEMON_FEED: [&str; 10] = [
     "--seed",
@@ -106,21 +51,6 @@ const DAEMON_FEED: [&str; 10] = [
 /// Chaos seed for the daemon's faulted Suite A cell.
 const DAEMON_CHAOS_SEED: u64 = 3;
 
-/// FNV-1a over everything `Debug`-printed into it (same construction as
-/// the sweep's artifact fingerprint): hashes a child's deterministic
-/// metric state without materializing the debug string.
-struct FnvWriter(u64);
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
 /// Fingerprint a child run's deterministic metric state: counters,
 /// gauges, and histogram shapes outside the `time.`/`sched.` namespaces.
 /// For a fixed seed/scale/experiment set this is a pure function of the
@@ -128,9 +58,9 @@ impl std::fmt::Write for FnvWriter {
 /// computed identical results.
 fn fingerprint_deterministic(report: &obs::RunReport) -> String {
     use std::fmt::Write as _;
-    let mut w = FnvWriter(0xcbf2_9ce4_8422_2325);
+    let mut w = simcore::hash::FnvWriter::new();
     let _ = write!(w, "{:?}", report.metrics.deterministic());
-    format!("{:#018x}", w.0)
+    format!("{:#018x}", w.finish())
 }
 
 /// Locate a sibling release binary of the running `repro` (the suite is
@@ -189,22 +119,20 @@ struct ReproCell {
     report: obs::RunReport,
 }
 
-/// Spawn `repro bench` at (scale, jobs[, chaos_seed]) and read its
-/// metrics report back. The report and CSVs go to `scratch` — explicit
-/// `--metrics-json`/`--out` keep the child away from the committed
-/// `results/` series.
+/// Spawn `repro bench` at (scale, jobs) and read its metrics report back.
+/// The report and CSVs go to `scratch` — explicit `--metrics-json`/`--out`
+/// keep the child away from the committed `results/` series.
 fn run_repro_cell(
     cell: &str,
     repro: &Path,
     cfg: &SuiteRunConfig,
     scale: u32,
     jobs: u32,
-    chaos_seed: Option<u64>,
 ) -> Result<ReproCell, String> {
     let slug = cell.replace('/', "_");
     let report_path = cfg.scratch.join(format!("{slug}.json"));
     let out_dir = cfg.scratch.join(format!("{slug}.out"));
-    let mut args: Vec<String> = vec![
+    let args: Vec<String> = vec![
         "bench".into(),
         "--seed".into(),
         cfg.seed.to_string(),
@@ -217,10 +145,6 @@ fn run_repro_cell(
         "--out".into(),
         out_dir.display().to_string(),
     ];
-    if let Some(cs) = chaos_seed {
-        args.push("--chaos-seed".into());
-        args.push(cs.to_string());
-    }
     let (wall_ms, _stdout) = run_child(cell, repro, &args)?;
     let text = std::fs::read_to_string(&report_path).map_err(|e| {
         format!("cell {cell}: child wrote no report at {}: {e}", report_path.display())
@@ -293,214 +217,98 @@ fn run_daemon_cell(
     })
 }
 
-/// Run the selected suites and assemble the `dnsimpact-suite/v1` report.
-/// I/O and child failures are errors (no report); semantic check results
-/// land in the report's verdict table, so a regression names its cell.
+/// The exact-agreement verdict over one group of cells: passes iff every
+/// `(label, fingerprint)` carries the first one's fingerprint.
+fn agreement(cell: String, what: &str, fps: &[(String, String)]) -> Verdict {
+    let (first_label, first_fp) = &fps[0];
+    let disagree: Vec<String> = fps
+        .iter()
+        .filter(|(_, fp)| fp != first_fp)
+        .map(|(label, fp)| format!("{label}={fp}"))
+        .collect();
+    let labels: Vec<&str> = fps.iter().map(|(label, _)| label.as_str()).collect();
+    Verdict {
+        cell,
+        pass: disagree.is_empty(),
+        detail: if disagree.is_empty() {
+            format!("{what} {first_fp} identical across {}", labels.join(", "))
+        } else {
+            format!("{what} diverges from {first_label}={first_fp}: {}", disagree.join(", "))
+        },
+    }
+}
+
+/// Run Suite A and assemble the `dnsimpact-suite/v2` report. I/O and child
+/// failures are errors (no report); semantic check results land in the
+/// report's verdict table, so a regression names its cell.
 pub fn run_suite(cfg: &SuiteRunConfig) -> Result<obs::SuiteReport, String> {
     let repro = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    // Preflight every binary the selection needs before spawning anything.
-    let daemon = if cfg.sel.runs_a() { Some(sibling_binary("dnsimpactd")?) } else { None };
+    // Preflight every binary the suite needs before spawning anything.
+    let daemon = sibling_binary("dnsimpactd")?;
     std::fs::create_dir_all(&cfg.scratch)
         .map_err(|e| format!("cannot create scratch dir {}: {e}", cfg.scratch.display()))?;
 
-    let mut processes = 0u64;
     let mut suite_a = Vec::new();
-    let mut suite_b = Vec::new();
     let mut verdicts = Vec::new();
 
-    if cfg.sel.runs_a() {
-        for &scale in &SUITE_A_SCALES {
-            let mut fps: Vec<(u32, String)> = Vec::new();
-            for &jobs in &SUITE_A_JOBS {
-                let cell = format!("A/repro/scale{scale}/jobs{jobs}");
-                obs::progress("suite", &format!("spawning {cell}"));
-                let run = run_repro_cell(&cell, &repro, cfg, scale, jobs, None)?;
-                processes += 1;
-                let records = records_of(&run.report);
-                let fp = fingerprint_deterministic(&run.report);
-                fps.push((jobs, fp.clone()));
-                suite_a.push(SuiteACell {
-                    cell,
-                    kind: "repro".into(),
-                    scale: u64::from(scale),
-                    jobs: u64::from(jobs),
-                    wall_ms: run.wall_ms,
-                    peak_rss_kb: run.report.peak_rss_kb,
-                    records,
-                    records_per_sec: records_per_sec(records, run.wall_ms),
-                    fingerprint: fp,
-                });
-            }
-            let (first_jobs, first_fp) = &fps[0];
-            let disagree: Vec<String> = fps
-                .iter()
-                .filter(|(_, fp)| fp != first_fp)
-                .map(|(jobs, fp)| format!("jobs={jobs}: {fp}"))
-                .collect();
-            verdicts.push(Verdict {
-                cell: format!("A/repro/scale{scale}"),
-                pass: disagree.is_empty(),
-                detail: if disagree.is_empty() {
-                    format!(
-                        "deterministic fingerprint {first_fp} identical across jobs {:?}",
-                        SUITE_A_JOBS
-                    )
-                } else {
-                    format!(
-                        "fingerprint disagreement vs jobs={first_jobs} ({first_fp}): {}",
-                        disagree.join(", ")
-                    )
-                },
-            });
-        }
-
-        let daemon = daemon.as_ref().unwrap();
-        let mut daemon_fps: Vec<(String, String)> = Vec::new();
-        for (label, chaos) in [
-            ("clean".to_string(), None),
-            (format!("chaos{DAEMON_CHAOS_SEED}"), Some(DAEMON_CHAOS_SEED)),
-        ] {
-            let cell = format!("A/daemon/{label}");
+    for &scale in &SUITE_A_SCALES {
+        let mut fps: Vec<(String, String)> = Vec::new();
+        for &jobs in &SUITE_A_JOBS {
+            let cell = format!("A/repro/scale{scale}/jobs{jobs}");
             obs::progress("suite", &format!("spawning {cell}"));
-            let run = run_daemon_cell(&cell, daemon, chaos)?;
-            processes += 1;
-            daemon_fps.push((label, run.full_fp.clone()));
+            let run = run_repro_cell(&cell, &repro, cfg, scale, jobs)?;
+            let records = records_of(&run.report);
+            let fp = fingerprint_deterministic(&run.report);
+            fps.push((format!("jobs{jobs}"), fp.clone()));
             suite_a.push(SuiteACell {
                 cell,
-                kind: "daemon".into(),
-                scale: 1_500,
-                jobs: 2, // the daemon's default ingest worker count
+                kind: "repro".into(),
+                scale: u64::from(scale),
+                jobs: u64::from(jobs),
                 wall_ms: run.wall_ms,
-                peak_rss_kb: run.peak_rss_kb,
-                records: run.records,
-                records_per_sec: records_per_sec(run.records, run.wall_ms),
-                fingerprint: run.full_fp,
+                peak_rss_kb: run.report.peak_rss_kb,
+                records,
+                records_per_sec: records_per_sec(records, run.wall_ms),
+                fingerprint: fp,
             });
         }
-        let pass = daemon_fps.iter().all(|(_, fp)| fp == &daemon_fps[0].1);
-        verdicts.push(Verdict {
-            cell: "A/daemon".into(),
-            pass,
-            detail: if pass {
-                format!(
-                    "index fingerprint {} identical for clean and chaos-recovered ingest",
-                    daemon_fps[0].1
-                )
-            } else {
-                format!(
-                    "index fingerprints diverge: {}",
-                    daemon_fps
-                        .iter()
-                        .map(|(l, fp)| format!("{l}={fp}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            },
+        verdicts.push(agreement(
+            format!("A/repro/scale{scale}"),
+            "deterministic fingerprint",
+            &fps,
+        ));
+    }
+
+    let mut daemon_fps: Vec<(String, String)> = Vec::new();
+    for (label, chaos) in [
+        ("clean".to_string(), None),
+        (format!("chaos{DAEMON_CHAOS_SEED}"), Some(DAEMON_CHAOS_SEED)),
+    ] {
+        let cell = format!("A/daemon/{label}");
+        obs::progress("suite", &format!("spawning {cell}"));
+        let run = run_daemon_cell(&cell, &daemon, chaos)?;
+        daemon_fps.push((label, run.full_fp.clone()));
+        suite_a.push(SuiteACell {
+            cell,
+            kind: "daemon".into(),
+            scale: 1_500,
+            jobs: 2, // the daemon's default ingest worker count
+            wall_ms: run.wall_ms,
+            peak_rss_kb: run.peak_rss_kb,
+            records: run.records,
+            records_per_sec: records_per_sec(run.records, run.wall_ms),
+            fingerprint: run.full_fp,
         });
     }
-
-    if cfg.sel.runs_b() {
-        for &scale in &SUITE_B_SCALES {
-            let mut runs: Vec<(u64, ReproCell)> = Vec::new();
-            for &chaos in &SUITE_B_CHAOS_SEEDS {
-                let cell = format!("B/scale{scale}/seed{chaos}");
-                obs::progress("suite", &format!("spawning {cell}"));
-                let run = run_repro_cell(&cell, &repro, cfg, scale, SUITE_B_JOBS, Some(chaos))?;
-                processes += 1;
-                runs.push((chaos, run));
-            }
-
-            // The pipeline counters are chaos-invariant (recovery is
-            // exact); `chaos.*` fault tallies vary by seed by design.
-            let pipeline_counters = |r: &obs::RunReport| -> BTreeMap<String, u64> {
-                r.metrics
-                    .counters
-                    .iter()
-                    .filter(|(k, _)| k.starts_with("join.") || k.starts_with("openintel."))
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect()
-            };
-            let reference = pipeline_counters(&runs[0].1.report);
-            let disagree: Vec<String> = runs
-                .iter()
-                .filter(|(_, r)| pipeline_counters(&r.report) != reference)
-                .map(|(seed, _)| format!("seed {seed}"))
-                .collect();
-            verdicts.push(Verdict {
-                cell: format!("B/scale{scale}/counters"),
-                pass: disagree.is_empty(),
-                detail: if disagree.is_empty() {
-                    format!(
-                        "{} pipeline counter(s) identical across chaos seeds {:?}",
-                        reference.len(),
-                        SUITE_B_CHAOS_SEEDS
-                    )
-                } else {
-                    format!(
-                        "pipeline counters diverge from seed {}: {}",
-                        runs[0].0,
-                        disagree.join(", ")
-                    )
-                },
-            });
-
-            // Merge every named per-process histogram bucket-wise, and the
-            // per-process wall/RSS/throughput samples into percentile
-            // blocks.
-            let mut parts: BTreeMap<String, Vec<Hist>> = BTreeMap::new();
-            for (_, run) in &runs {
-                for (name, snap) in &run.report.metrics.histograms {
-                    let h = Hist::from_snapshot(snap).map_err(|e| {
-                        format!("B/scale{scale}: histogram {name} not mergeable: {e}")
-                    })?;
-                    parts.entry(name.clone()).or_default().push(h);
-                }
-            }
-            let merged: BTreeMap<String, Hist> =
-                parts.iter().map(|(name, hs)| (name.clone(), hist::merge(hs))).collect();
-            let balanced = parts
-                .iter()
-                .all(|(name, hs)| merged[name].count() == hs.iter().map(Hist::count).sum::<u64>());
-            verdicts.push(Verdict {
-                cell: format!("B/scale{scale}/merged"),
-                pass: balanced,
-                detail: format!(
-                    "{} histogram(s) merged from {} process(es); sample counts {}",
-                    merged.len(),
-                    runs.len(),
-                    if balanced { "balance" } else { "DO NOT balance" }
-                ),
-            });
-
-            let mut walls = Hist::new();
-            let mut rss = Hist::new();
-            let mut rates = Hist::new();
-            for (_, run) in &runs {
-                let records = records_of(&run.report);
-                walls.record(run.wall_ms);
-                rss.record(run.report.peak_rss_kb);
-                rates.record(records_per_sec(records, run.wall_ms) as u64);
-            }
-            suite_b.push(SuiteBScale {
-                scale: u64::from(scale),
-                processes: runs.len() as u64,
-                wall_ms: Percentiles::of(&walls),
-                peak_rss_kb: Percentiles::of(&rss),
-                records_per_sec: Percentiles::of(&rates),
-                merged,
-            });
-        }
-    }
+    verdicts.push(agreement("A/daemon".into(), "index fingerprint", &daemon_fps));
 
     Ok(obs::SuiteReport {
         meta: obs::SuiteMeta {
             seed: cfg.seed,
             date: obs::report::today_utc(),
-            suites: cfg.sel.label().to_string(),
-            processes,
+            processes: suite_a.len() as u64,
         },
         suite_a,
-        suite_b,
         verdicts,
     })
 }
@@ -510,23 +318,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn suite_selection_parses_and_labels() {
-        assert_eq!(SuiteSel::parse("A"), Some(SuiteSel::A));
-        assert_eq!(SuiteSel::parse("b"), Some(SuiteSel::B));
-        assert_eq!(SuiteSel::parse("all"), Some(SuiteSel::All));
-        assert_eq!(SuiteSel::parse("ALL"), None);
-        assert_eq!(SuiteSel::parse(""), None);
-        assert_eq!(SuiteSel::All.label(), "all");
-        assert!(SuiteSel::All.runs_a() && SuiteSel::All.runs_b());
-        assert!(SuiteSel::A.runs_a() && !SuiteSel::A.runs_b());
-        assert!(!SuiteSel::B.runs_a() && SuiteSel::B.runs_b());
+    fn agreement_is_exact_and_names_the_cell_that_diverged() {
+        let same = [("jobs1".to_string(), "0xaa".to_string()), ("jobs2".into(), "0xaa".into())];
+        let v = agreement("A/repro/scale750".into(), "deterministic fingerprint", &same);
+        assert!(v.pass);
+        assert_eq!(v.cell, "A/repro/scale750");
+        assert_eq!(v.detail, "deterministic fingerprint 0xaa identical across jobs1, jobs2");
+
+        let split = [("clean".to_string(), "0xaa".to_string()), ("chaos3".into(), "0xab".into())];
+        let v = agreement("A/daemon".into(), "index fingerprint", &split);
+        assert!(!v.pass);
+        assert_eq!(v.detail, "index fingerprint diverges from clean=0xaa: chaos3=0xab");
     }
 
     #[test]
-    fn suite_b_scales_are_ascending_for_the_report() {
-        // The suite report requires strictly sorted rows; the grid must
-        // be declared that way rather than sorted after the fact.
-        assert!(SUITE_B_SCALES.windows(2).all(|w| w[0] < w[1]));
+    fn suite_a_grid_compares_at_least_two_cells_per_verdict() {
+        // One worker count per scale would make every repro verdict vacuous.
+        assert!(SUITE_A_JOBS.len() >= 2 && !SUITE_A_SCALES.is_empty());
     }
 
     #[test]

@@ -41,32 +41,18 @@ pub struct SweepConfig {
     pub heavy: u64,
 }
 
-/// FNV-1a over everything `Debug`-printed into it — fingerprints a cell's
-/// artifacts without materializing the (potentially huge) debug string.
-struct FnvWriter(u64);
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
 /// Fingerprint the deterministic artifacts of one longitudinal run: the
 /// episode feed, the joined DNS attack events, and the impact rows.
 /// `Debug` on `f64` prints the shortest round-tripping form, so equal
 /// fingerprints mean bit-equal floats.
 fn fingerprint(report: &LongitudinalReport) -> u64 {
     use std::fmt::Write as _;
-    let mut w = FnvWriter(0xcbf2_9ce4_8422_2325);
+    let mut w = simcore::hash::FnvWriter::new();
     let _ = write!(w, "{:?}", report.feed.episodes);
     let _ = write!(w, "{:?}", report.dns_events);
     let _ = write!(w, "{:?}", report.impacts);
     let _ = write!(w, "{:?}", report.monthly);
-    w.0
+    w.finish()
 }
 
 fn counter_delta(before: &obs::Snapshot, after: &obs::Snapshot, name: &str) -> u64 {

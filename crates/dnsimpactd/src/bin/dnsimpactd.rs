@@ -8,7 +8,7 @@
 //!   compact JSON line (records, ingest wall, full fingerprint, peak RSS)
 //!   to stdout — the serving cell of the `repro bench --suite`
 //!   orchestrator, which reads exactly that line per spawned process.
-//!   `--live-report PATH` writes the `dnsimpactd-live/v1` telemetry
+//!   `--live-report PATH` writes the `dnsimpactd-live/v2` telemetry
 //!   report (tick-clock series + SLO transitions) after ingest;
 //!   `--tick-cap` bounds the telemetry ring.
 //! - `fingerprint` — apply the whole feed in-process (no daemon, no

@@ -16,6 +16,8 @@ use crate::feed::{FeedBatch, FeedRecord};
 use dnsimpact_core::columnar::JoinTable;
 use dnssim::{DomainId, Infra, NsSetId};
 use scenarios::BuiltWorld;
+/// The hasher both fingerprints below are taken with.
+pub use simcore::hash::FnvWriter;
 use simcore::time::{SimTime, Window};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -279,35 +281,5 @@ impl DomainDir {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-}
-
-/// FNV-1a over everything `Debug`-printed into it (the same construction
-/// the scale sweep fingerprints artifacts with).
-pub struct FnvWriter(u64);
-
-impl FnvWriter {
-    pub fn new() -> FnvWriter {
-        FnvWriter(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for FnvWriter {
-    fn default() -> FnvWriter {
-        FnvWriter::new()
-    }
-}
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(())
     }
 }

@@ -287,7 +287,7 @@ impl Telemetry {
         o
     }
 
-    /// Build the `dnsimpactd-live/v1` report (validated by the caller).
+    /// Build the `dnsimpactd-live/v2` report (validated by the caller).
     pub fn live_report(&self, meta: &LiveMeta, fin: &LiveFinal) -> Json {
         let inner = self.inner.lock().unwrap();
         obs::live::build(

@@ -36,7 +36,8 @@
 //!
 //! - [`metrics`]: atomic [`Counter`]s, max-[`Gauge`]s, log-bucketed
 //!   [`Histogram`]s behind a process-global registry with stable,
-//!   sorted snapshots;
+//!   sorted snapshots ([`metrics::HistogramSnapshot`] is the one histogram
+//!   value form: what reports carry and what the reader re-checks);
 //! - [`span`]: hierarchical RAII span timers (`obs::span("join")`)
 //!   recording wall time under `time.span.<path>`;
 //! - [`trace`]: the causal event trace (DESIGN §10) — a bounded,
@@ -54,19 +55,12 @@
 //! - [`report`]: the machine-readable run report (`dnsimpact-metrics/v2`,
 //!   and the frozen `v1` as `LegacyRunReport`), the counter-invariant
 //!   checks, and the bench-regression comparator;
-//! - [`hist`]: plain-value log2 histograms ([`hist::Hist`]) rebuildable
-//!   from a report's `buckets` array and mergeable bucket-wise across
-//!   processes — the exact-merge backbone of `repro bench --suite`;
 //! - [`sweep`]: the scale-sweep report (`dnsimpact-sweep/v1`) emitted by
 //!   `repro bench --scale-sweep` — per-(scale, jobs) throughput, wall, and
 //!   peak-RSS cells, strictly sorted, floats finite;
-//! - [`suite`]: the process-suite report (`dnsimpact-suite/v1`) emitted by
-//!   `repro bench --suite` — Suite A deterministic cells, Suite B merged
-//!   per-process percentiles, and the per-cell verdict table;
-//! - [`daemon`]: the daemon serving-benchmark report
-//!   (`dnsimpactd-report/v1`) emitted by `repro daemon-bench` — ingest
-//!   fingerprint plus query QPS/tail-latency, with the shed-accounting
-//!   identity among its rules;
+//! - [`suite`]: the process-suite report (`dnsimpact-suite/v2`) emitted by
+//!   `repro bench --suite` — Suite A's deterministic per-process cells and
+//!   the per-cell verdict table;
 //! - [`timeseries`]: the live plane's bounded tick ring ([`TsStore`]) —
 //!   per-tick counter deltas and gauge levels on a feed-sequence tick
 //!   clock, with eviction accounting that makes "no sample lost or
@@ -75,7 +69,7 @@
 //!   a transition log and the overload-vs-starvation diagnosis;
 //! - [`expo`]: dependency-free Prometheus text exposition (renderer +
 //!   strict parser) over a metrics snapshot — the `/metricsz` body;
-//! - [`live`]: the live-telemetry report (`dnsimpactd-live/v1`) — tick
+//! - [`live`]: the live-telemetry report (`dnsimpactd-live/v2`) — tick
 //!   series, SLO verdicts, and final state split into `deterministic` /
 //!   `annotation` halves, built from the tick store and read back down
 //!   to the delta-conservation law;
@@ -85,9 +79,7 @@
 //!   nondeterministic can ever reach the stdout that the CI determinism
 //!   diff compares.
 
-pub mod daemon;
 pub mod expo;
-pub mod hist;
 pub mod json;
 pub mod live;
 pub mod metrics;
@@ -102,8 +94,6 @@ pub mod sweep;
 pub mod timeseries;
 pub mod trace;
 
-pub use daemon::{DaemonIngest, DaemonMeta, DaemonReport, DaemonServing, DAEMON_SCHEMA_ID};
-pub use hist::Hist;
 pub use json::Json;
 pub use live::{LiveFinal, LiveMeta, LIVE_SCHEMA_ID};
 pub use metrics::{counter, gauge, histogram, registry, Counter, Gauge, Histogram, Snapshot};

@@ -1,4 +1,4 @@
-//! The live-telemetry report: schema `dnsimpactd-live/v1`.
+//! The live-telemetry report: schema `dnsimpactd-live/v2`.
 //!
 //! One JSON document per daemon run (`dnsimpactd serve --live-report`),
 //! committed under `results/LIVE_<date>[_runN].json` and accepted by
@@ -25,16 +25,15 @@
 //! is how a committed report proves no sample was dropped or
 //! double-counted across ring wrap.
 
-use crate::hist::Hist;
 use crate::json::Json;
-use crate::metrics::Snapshot;
+use crate::metrics::{HistogramSnapshot, Snapshot};
 use crate::schema::{self, record, Reader, Report};
 use crate::slo::{SloSet, SloSpecRow, SloStatusView, Transition};
 use crate::timeseries::TsStore;
 use std::collections::BTreeMap;
 
 /// Schema identifier carried in every live report.
-pub const LIVE_SCHEMA_ID: &str = "dnsimpactd-live/v1";
+pub const LIVE_SCHEMA_ID: &str = "dnsimpactd-live/v2";
 
 record! {
     /// Run identity for the live report.
@@ -108,10 +107,11 @@ record! {
         pub slo_statuses: Vec<SloStatusView>,
         pub diagnosis: String,
         pub sched_counters: BTreeMap<String, u64>,
-        pub route_latency_us: BTreeMap<String, Hist>,
+        /// The registry's per-route latency histograms, as sampled.
+        pub route_latency_us: BTreeMap<String, HistogramSnapshot>,
     }
 
-    /// A complete live report, convertible to and from schema-`v1` JSON.
+    /// A complete live report, convertible to and from schema-`v2` JSON.
     pub struct LiveReport: Report {
         pub meta: LiveWindowMeta,
         pub deterministic: LiveDeterministic,
@@ -259,7 +259,10 @@ pub fn build(
             .iter()
             .filter_map(|(name, hs)| {
                 let route = name.strip_prefix("sched.daemon.http.latency_us.")?;
-                Some((route.to_string(), Hist::from_snapshot(hs).ok()?))
+                // The server is still answering while this is sampled: a
+                // snapshot torn by a concurrent `record` is left out rather
+                // than written as a distribution that contradicts itself.
+                hs.defects().is_empty().then(|| (route.to_string(), hs.clone()))
             })
             .collect(),
     };
@@ -337,7 +340,21 @@ mod tests {
         let snap = Snapshot {
             counters: BTreeMap::from([("sched.daemon.queries_shed".into(), 4)]),
             gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
+            // Values {1, 2, 2, 3, 4, 4, 9, 15}.
+            histograms: BTreeMap::from([(
+                "sched.daemon.http.latency_us.query".to_string(),
+                HistogramSnapshot {
+                    count: 8,
+                    sum: 40,
+                    min: 1,
+                    max: 15,
+                    p50: 3,
+                    p90: 15,
+                    p95: 15,
+                    p99: 15,
+                    buckets: vec![0, 1, 3, 2, 2],
+                },
+            )]),
         };
         build(&meta, &fin, &store, &slos, &|n| n.starts_with("live."), &snap)
     }
@@ -371,6 +388,21 @@ mod tests {
             .and_then(|t| t.as_array())
             .unwrap();
         assert!(!trans.is_empty());
+    }
+
+    #[test]
+    fn route_latency_carries_the_registry_snapshot() {
+        let doc = sample_report();
+        let report = LiveReport::from_json(&doc).unwrap();
+        let routes = &report.annotation.route_latency_us;
+        assert_eq!(routes.keys().collect::<Vec<_>>(), ["query"]);
+        assert_eq!((routes["query"].count, routes["query"].p90), (8, 15));
+
+        // The reader holds it to its buckets like any other histogram.
+        let text = doc.pretty().replace("\"p99\": 15", "\"p99\": 1");
+        let errors = validate(&Json::parse(&text).unwrap()).unwrap_err();
+        let want = "$.annotation.route_latency_us.query.p99 claims 1";
+        assert!(errors.iter().any(|e| e.starts_with(want)), "{errors:?}");
     }
 
     #[test]

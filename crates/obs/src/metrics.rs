@@ -84,6 +84,30 @@ impl Gauge {
 /// `i`, i.e. `[2^(i-1), 2^i)` for `i >= 1` and `{0}` for bucket 0.
 const BUCKETS: usize = 64;
 
+/// The quantiles a snapshot carries, by field name.
+const QUANTILES: [(&str, f64); 4] = [("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99)];
+
+/// The value at quantile `q` (0 < q <= 1) of `count` samples in log2
+/// `buckets`: the upper bound `2^i - 1` of the first bucket whose
+/// cumulative count reaches the rank (bucket 0 is `{0}`); `max` when the
+/// buckets hold fewer samples than that. Callers pass at most [`BUCKETS`]
+/// buckets whose sum fits a `u64` ([`HistogramSnapshot::defects`] checks
+/// both on report input before asking).
+fn bucket_quantile(buckets: &[u64], count: u64, max: u64, q: f64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((count as f64) * q).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (i, &b) in buckets.iter().enumerate() {
+        seen += b;
+        if seen >= rank {
+            return if i == 0 { 0 } else { (1u64 << i) - 1 };
+        }
+    }
+    max
+}
+
 /// Log2-bucketed histogram with exact count/sum/min/max. Quantiles are
 /// approximate (bucket upper bound) but the exact fields are what the
 /// determinism tests compare where a histogram is deterministic.
@@ -119,22 +143,8 @@ impl Histogram {
         let count = self.count.load(Ordering::Relaxed);
         let mut buckets: Vec<u64> =
             self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let quantile = |q: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let rank = ((count as f64) * q).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (i, &b) in buckets.iter().enumerate() {
-                seen += b;
-                if seen >= rank {
-                    // Upper bound of bucket i: 2^i - 1 (bucket 0 is {0}).
-                    return if i == 0 { 0 } else { (1u64 << i) - 1 };
-                }
-            }
-            self.max.load(Ordering::Relaxed)
-        };
-        let (p50, p90, p95, p99) = (quantile(0.50), quantile(0.90), quantile(0.95), quantile(0.99));
+        let max = self.max.load(Ordering::Relaxed);
+        let [p50, p90, p95, p99] = QUANTILES.map(|(_, q)| bucket_quantile(&buckets, count, max, q));
         // Trailing zeros trimmed so the carried form is canonical: equal
         // distributions compare and serialize equal regardless of max value.
         while buckets.last() == Some(&0) {
@@ -144,7 +154,7 @@ impl Histogram {
             count,
             sum: self.sum.load(Ordering::Relaxed),
             min: if count == 0 { 0 } else { self.min.load(Ordering::Relaxed) },
-            max: self.max.load(Ordering::Relaxed),
+            max,
             p50,
             p90,
             p95,
@@ -166,11 +176,11 @@ impl Histogram {
 
 record! {
     /// Point-in-time view of one histogram, as it appears in the run report.
-    /// `buckets` carries the raw log2 bucket counts (trailing zeros trimmed)
-    /// so per-process distributions can be merged exactly by the suite
-    /// orchestrator (see `crate::hist`). Reports written before `buckets`
-    /// existed carry none: they read as a non-empty histogram with empty
-    /// `buckets`, and are written back without the key.
+    /// `buckets` carries the raw log2 bucket counts (trailing zeros
+    /// trimmed), the parts the quantiles are checked against on the way
+    /// back in. Reports written before `buckets` existed carry none: they
+    /// read as a non-empty histogram with empty `buckets`, and are written
+    /// back without the key.
     #[derive(Eq)]
     pub struct HistogramSnapshot {
         pub count: u64,
@@ -201,12 +211,44 @@ impl HistogramSnapshot {
         self.count == 0 || !self.buckets.is_empty()
     }
 
-    /// When carried, the bucket counts must add up to `count` — the suite
-    /// merge relies on the accounting.
-    fn rules(&self, r: &mut Reader) {
+    /// What rules this snapshot out as the view of a quiescent histogram,
+    /// each as a `Reader::fail` message: `min > max` on a non-empty one,
+    /// and — when buckets are carried — more buckets than the log2 grid
+    /// has, bucket counts that do not add up to `count`, or a claimed
+    /// quantile the buckets do not imply. A report is outside input: it
+    /// cannot claim a distribution its own parts contradict. (A snapshot
+    /// taken while another thread records can be torn the same ways.)
+    pub fn defects(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if self.count > 0 && self.min > self.max {
+            out.push(format!(": min {} > max {}", self.min, self.max));
+        }
+        if !self.has_buckets() {
+            return out;
+        }
         let total = checked_sum(&self.buckets);
-        if self.has_buckets() && total != Some(self.count) {
-            r.fail(format_args!(".buckets sum to {} but count is {}", show_sum(total), self.count));
+        if self.buckets.len() > BUCKETS {
+            out.push(format!(
+                ".buckets has {} entries; the log2 grid has at most {BUCKETS}",
+                self.buckets.len()
+            ));
+        } else if total != Some(self.count) {
+            out.push(format!(".buckets sum to {} but count is {}", show_sum(total), self.count));
+        } else {
+            let claims = [self.p50, self.p90, self.p95, self.p99];
+            for ((key, q), claimed) in QUANTILES.into_iter().zip(claims) {
+                let implied = bucket_quantile(&self.buckets, self.count, self.max, q);
+                if claimed != implied {
+                    out.push(format!(".{key} claims {claimed} but the buckets imply {implied}"));
+                }
+            }
+        }
+        out
+    }
+
+    fn rules(&self, r: &mut Reader) {
+        for defect in self.defects() {
+            r.fail(defect);
         }
     }
 }
@@ -385,6 +427,59 @@ mod tests {
         assert!(s.p95 >= 95, "p95={}", s.p95);
         assert!(s.p99 >= 99, "p99={}", s.p99);
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99, "quantiles ordered");
+        // What the instrument writes is what the report reader accepts.
+        assert_eq!(s.defects(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn report_input_cannot_contradict_its_own_buckets() {
+        use crate::json::Json;
+        use crate::schema::{decode_at, Field};
+        // Values {1, 2, 2, 3, 4, 4, 9, 15}.
+        let sound = HistogramSnapshot {
+            count: 8,
+            sum: 40,
+            min: 1,
+            max: 15,
+            p50: 3,
+            p90: 15,
+            p95: 15,
+            p99: 15,
+            buckets: vec![0, 1, 3, 2, 2],
+        };
+        let read = |doc: &Json| decode_at::<HistogramSnapshot>(doc, "$.histograms.h");
+        assert_eq!(read(&sound.write()), Ok(sound.clone()));
+        let rejected = |bad: HistogramSnapshot, want: &str| {
+            let errors = read(&bad.write()).unwrap_err();
+            assert!(
+                errors.iter().any(|e| e.starts_with("$.histograms.h") && e.contains(want)),
+                "{want}: {errors:?}"
+            );
+        };
+
+        let mut wide = vec![0u64; 65];
+        wide[64] = 8;
+        rejected(HistogramSnapshot { buckets: wide, ..sound.clone() }, "buckets has 65 entries");
+        rejected(HistogramSnapshot { min: 16, ..sound.clone() }, "min 16 > max 15");
+        rejected(
+            HistogramSnapshot { p95: 7, ..sound.clone() },
+            ".p95 claims 7 but the buckets imply 15",
+        );
+        rejected(
+            HistogramSnapshot { count: 9, ..sound.clone() },
+            "buckets sum to 8 but count is 9",
+        );
+        let hostile = HistogramSnapshot { buckets: vec![u64::MAX, 9], ..sound.clone() };
+        rejected(hostile, "buckets sum to more than a u64");
+
+        // A pre-buckets histogram (samples, no `buckets` key) still decodes,
+        // and is still held to min <= max.
+        let Json::Object(pairs) = sound.write() else { unreachable!() };
+        let legacy = Json::Object(pairs.into_iter().filter(|(k, _)| k != "buckets").collect());
+        let back = read(&legacy).unwrap();
+        assert_eq!(back, HistogramSnapshot { buckets: vec![], ..sound.clone() });
+        assert_eq!(back.write().pretty(), legacy.pretty());
+        rejected(HistogramSnapshot { min: 16, buckets: vec![], ..sound }, "min 16 > max 15");
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   "stages": [ { "name": "longitudinal", "wall_ms": 400 }, ... ],
 //!   "counters":   { "join.rows_joined": 100, ... },
 //!   "gauges":     { "reactive.trigger_latency_max_secs": 480, ... },
-//!   "histograms": { "time.pool.task_ms": { "count": 8, "sum": 10,
-//!                   "min": 0, "max": 4, "p50": 1, "p90": 3,
-//!                   "p95": 3, "p99": 3, "buckets": [1, 2, 2, 3] } },
+//!   "histograms": { "time.pool.task_ms": { "count": 8, "sum": 19,
+//!                   "min": 0, "max": 4, "p50": 3, "p90": 7,
+//!                   "p95": 7, "p99": 7, "buckets": [1, 2, 2, 3] } },
 //!   "trace": { "events": 512, "dropped": 0,
 //!              "by_kind": { "AttackOnset": 100, ... } }
 //! }
@@ -40,8 +40,9 @@
 //! v1 is frozen as [`LegacyRunReport`]. Histogram `buckets` (raw log2
 //! bucket counts, trailing zeros trimmed) were added within v2 as an
 //! *optional-absent* field — older committed reports without it stay
-//! valid and re-serialize without it; the suite orchestrator requires it
-//! to merge per-process distributions exactly ([`crate::hist`]).
+//! valid and re-serialize without it; where it is carried, the count and
+//! the quantiles must be the ones it implies
+//! ([`crate::metrics::HistogramSnapshot::defects`]).
 
 use crate::json::Json;
 use crate::metrics::Snapshot;
@@ -276,73 +277,37 @@ pub fn check_invariants(doc: &Json) -> Result<(), Vec<String>> {
     }
 }
 
-/// `repro bench --compare` wall-clock regression threshold: fail when the
-/// new run exceeds baseline × factor + floor. Generous on purpose — the
-/// baseline may come from a different machine; this catches order-of-
-/// magnitude regressions, not noise.
-pub const WALL_REGRESSION_FACTOR: f64 = 3.0;
-/// Absolute slack added to the wall-clock limit (protects tiny baselines).
-pub const WALL_REGRESSION_FLOOR_MS: u64 = 2_000;
-/// Peak-RSS regression threshold factor.
-pub const RSS_REGRESSION_FACTOR: f64 = 2.0;
-/// Absolute slack added to the RSS limit, in kB.
-pub const RSS_REGRESSION_FLOOR_KB: u64 = 131_072;
-
 /// Diff a fresh bench report against a baseline report (`repro bench
 /// --compare`). Returns `(failures, warnings)`:
 ///
-/// - wall clock / peak RSS beyond the generous regression thresholds
-///   **fail**;
+/// - a baseline taken under a different seed/scale/chaos/experiment
+///   configuration **fails**: its counters are incomparable, and a gate
+///   that compared nothing must not read as green — re-take the baseline;
 /// - deterministic counters, gauges, and histogram shapes (names not
 ///   prefixed `time.`/`sched.`) present in *both* reports must match
 ///   **exactly** — any drift fails, because for a pinned bench
 ///   seed/scale/chaos configuration they are pure functions of the code;
-/// - names present in only one report (new or retired metrics) **warn**;
-/// - a baseline with a different seed/scale/chaos configuration warns and
-///   skips the drift check (the counters are incomparable).
+/// - names present in only one report (new or retired metrics) **warn**.
 ///
-/// Reads both documents leniently through raw JSON, so a schema-`v1`
-/// baseline (no `meta.run`, no `p95`, no `trace` block) remains usable.
+/// Wall clock and peak RSS are not compared: a ~150 ms run on a shared
+/// machine cannot carry a regression bound (`benchmark/` holds the perf
+/// contract). Reads both documents leniently through raw JSON, so a
+/// schema-`v1` baseline (no `meta.run`, no `p95`, no `trace` block)
+/// remains usable.
 pub fn compare_reports(current: &Json, baseline: &Json) -> (Vec<String>, Vec<String>) {
     let mut failures = Vec::new();
     let mut warnings = Vec::new();
-    let top = |doc: &Json, key: &str| doc.get(key).and_then(|v| v.as_u64());
-
-    match (top(current, "total_wall_ms"), top(baseline, "total_wall_ms")) {
-        (Some(cur), Some(base)) => {
-            let limit = (base as f64 * WALL_REGRESSION_FACTOR) as u64 + WALL_REGRESSION_FLOOR_MS;
-            if cur > limit {
-                failures.push(format!(
-                    "wall-clock regression: {cur} ms vs baseline {base} ms (limit {limit} ms)"
-                ));
-            }
-        }
-        _ => warnings.push("total_wall_ms missing; wall-clock comparison skipped".into()),
-    }
-    match (top(current, "peak_rss_kb"), top(baseline, "peak_rss_kb")) {
-        (Some(cur), Some(base)) => {
-            let limit = (base as f64 * RSS_REGRESSION_FACTOR) as u64 + RSS_REGRESSION_FLOOR_KB;
-            if cur > limit {
-                failures.push(format!(
-                    "peak-RSS regression: {cur} kB vs baseline {base} kB (limit {limit} kB)"
-                ));
-            }
-        }
-        _ => warnings.push("peak_rss_kb missing; RSS comparison skipped".into()),
-    }
 
     // Drift is only meaningful for an identical run configuration.
     let meta = |doc: &Json, key: &str| doc.get("meta").and_then(|m| m.get(key)).cloned();
-    let mut config_matches = true;
     for key in ["seed", "scale", "chaos_seed", "experiments"] {
         if meta(current, key) != meta(baseline, key) {
-            warnings.push(format!(
-                "baseline meta.{key} differs from this run; deterministic drift check skipped"
+            failures.push(format!(
+                "baseline is not comparable — re-take it: meta.{key} differs from this run"
             ));
-            config_matches = false;
         }
     }
-    if !config_matches {
+    if !failures.is_empty() {
         return (failures, warnings);
     }
 
@@ -352,7 +317,7 @@ pub fn compare_reports(current: &Json, baseline: &Json) -> (Vec<String>, Vec<Str
             current.get(section).and_then(|s| s.as_object()),
             baseline.get(section).and_then(|s| s.as_object()),
         ) else {
-            warnings.push(format!("{section} missing; drift check skipped for it"));
+            failures.push(format!("baseline is not comparable — re-take it: {section} missing"));
             continue;
         };
         for (name, value) in cur {
@@ -584,41 +549,45 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_regressions_and_drift_only() {
+    fn compare_flags_deterministic_drift_only() {
         let base = sample_report().to_json();
         // Identical reports: clean.
         let (failures, warnings) = compare_reports(&base, &base);
         assert!(failures.is_empty(), "{failures:?}");
         assert!(warnings.is_empty(), "{warnings:?}");
 
-        // Wall/RSS regressions beyond the generous thresholds fail; a new
-        // counter only warns; drift on a shared counter fails exactly.
+        // A new counter only warns; drift on a shared counter fails exactly.
         let mut cur = sample_report();
-        cur.total_wall_ms = 1234 * 4 + WALL_REGRESSION_FLOOR_MS;
-        cur.peak_rss_kb = 56_789 * 3 + RSS_REGRESSION_FLOOR_KB;
         cur.metrics.counters.insert("trace.events".into(), 400);
         *cur.metrics.counters.get_mut("join.rows_joined").unwrap() = 346;
         let (failures, warnings) = compare_reports(&cur.to_json(), &base);
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures.iter().any(|e| e.contains("wall-clock regression")));
-        assert!(failures.iter().any(|e| e.contains("peak-RSS regression")));
-        assert!(failures.iter().any(|e| e.contains("counters.join.rows_joined")));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("counters.join.rows_joined"), "{failures:?}");
         assert!(warnings.iter().any(|w| w.contains("trace.events absent from baseline")));
 
-        // Faster runs never fail; nondeterministic sections are ignored.
-        let mut fast = sample_report();
-        fast.total_wall_ms = 1;
-        fast.metrics.histograms.get_mut("time.pool.task_ms").unwrap().p50 = 999;
-        let (failures, _) = compare_reports(&fast.to_json(), &base);
+        // Wall clock, RSS and the nondeterministic namespaces are ignored.
+        let mut other_machine = sample_report();
+        other_machine.total_wall_ms *= 100;
+        other_machine.peak_rss_kb *= 100;
+        other_machine.metrics.histograms.get_mut("time.pool.task_ms").unwrap().sum = 999;
+        let (failures, _) = compare_reports(&other_machine.to_json(), &base);
         assert!(failures.is_empty(), "{failures:?}");
+    }
 
-        // A baseline from a different configuration skips the drift check.
+    #[test]
+    fn compare_fails_on_a_baseline_from_another_configuration() {
+        // Equal counters, so only the configuration can fail the gate: an
+        // edited bench scale or experiment list must not compare nothing
+        // and pass.
+        let cur = sample_report().to_json();
         let mut other = sample_report();
         other.meta.scale = 40;
-        *other.metrics.counters.get_mut("join.rows_joined").unwrap() = 9;
-        let (failures, warnings) = compare_reports(&cur.to_json(), &other.to_json());
-        assert!(failures.iter().all(|e| !e.contains("drift")), "{failures:?}");
-        assert!(warnings.iter().any(|w| w.contains("meta.scale")), "{warnings:?}");
+        other.meta.experiments.push("fig8".into());
+        let (failures, _) = compare_reports(&cur, &other.to_json());
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures.iter().all(|f| f.contains("not comparable — re-take it")), "{failures:?}");
+        assert!(failures.iter().any(|f| f.contains("meta.scale")), "{failures:?}");
+        assert!(failures.iter().any(|f| f.contains("meta.experiments")), "{failures:?}");
     }
 
     #[test]

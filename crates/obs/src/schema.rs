@@ -416,7 +416,6 @@ pub const REPORT_SCHEMAS: &[ReportSchema] = &[
     ReportSchema::of::<crate::report::LegacyRunReport>(),
     ReportSchema::of::<crate::sweep::SweepReport>(),
     ReportSchema::of::<crate::suite::SuiteReport>(),
-    ReportSchema::of::<crate::daemon::DaemonReport>(),
     ReportSchema::of::<crate::live::LiveReport>(),
 ];
 

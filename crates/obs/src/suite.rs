@@ -1,29 +1,18 @@
-//! The process-suite report: schema `dnsimpact-suite/v1`.
+//! The process-suite report: schema `dnsimpact-suite/v2`.
 //!
-//! Emitted by `repro bench --suite A|B|all` (DESIGN §14), the orchestrator
-//! that measures release-built binaries as OS processes. One document per
-//! suite run:
+//! Emitted by `repro bench --suite` (DESIGN §14), the orchestrator that
+//! runs release-built binaries as OS processes and checks that they agree.
+//! One document per suite run:
 //!
 //! ```json
 //! {
-//!   "schema": "dnsimpact-suite/v1",
-//!   "meta": { "seed": 42, "date": "2026-08-08", "suites": "all",
-//!             "processes": 12 },
+//!   "schema": "dnsimpact-suite/v2",
+//!   "meta": { "seed": 42, "date": "2026-08-08", "processes": 6 },
 //!   "suite_a": [
 //!     { "cell": "A/repro/scale750/jobs1", "kind": "repro",
 //!       "scale": 750, "jobs": 1, "wall_ms": 412, "peak_rss_kb": 43000,
 //!       "records": 7184, "records_per_sec": 17436.9,
 //!       "fingerprint": "0x00c5330b6d65f1a2" }, ...
-//!   ],
-//!   "suite_b": [
-//!     { "scale": 750, "processes": 3,
-//!       "wall_ms":         { "count": 3, "min": 390, "p50": 511,
-//!                            "p95": 511, "p99": 511, "max": 402 },
-//!       "peak_rss_kb":     { ... },
-//!       "records_per_sec": { ... },
-//!       "merged": { "time.pool.task_ms": { "count": 24, "sum": 90,
-//!                   "min": 0, "max": 11, "p50": 3, "p95": 15, "p99": 15,
-//!                   "buckets": [2, 3, 4, 6, 9] } } }, ...
 //!   ],
 //!   "verdicts": [
 //!     { "cell": "A/repro/scale750", "pass": true,
@@ -34,21 +23,13 @@
 //!
 //! Suite A cells are single-process measurements whose deterministic
 //! fingerprint must agree across processes of the same scale — exact, no
-//! envelopes. Suite B rows aggregate several chaos-seeded processes per
-//! scale: `wall_ms`/`peak_rss_kb`/`records_per_sec` are percentile blocks
-//! over one sample per process, and `merged` holds the per-process log2
-//! histograms fused bucket-wise by [`crate::hist::merge`] — exact, as if
-//! one process had observed every sample. Percentiles are log2-bucket
-//! upper bounds, so `p99` may exceed the exact `max`; `min`/`max` are
-//! exact. The `verdicts` table names every enforced check so a CI failure
-//! points at a cell, not a blanket diff.
+//! envelopes. The `verdicts` table names every enforced check so a CI
+//! failure points at a cell, not a blanket diff.
 
-use crate::hist::Hist;
 use crate::schema::{self, record, Reader, Report};
-use std::collections::BTreeMap;
 
 /// Schema identifier carried in every suite report.
-pub const SUITE_SCHEMA_ID: &str = "dnsimpact-suite/v1";
+pub const SUITE_SCHEMA_ID: &str = "dnsimpact-suite/v2";
 
 record! {
     /// Suite-run identity.
@@ -57,13 +38,9 @@ record! {
         pub seed: u64,
         /// UTC date of the run, `YYYY-MM-DD`.
         pub date: String [is schema::date],
-        /// Which suites ran: `"A"`, `"B"`, or `"all"`.
-        pub suites: String,
-        /// Total OS processes spawned (must equal `suite_a` cells plus the sum
-        /// of `suite_b` per-scale process counts).
+        /// OS processes spawned: one per `suite_a` cell.
         pub processes: u64,
     }
-    rules = SuiteMeta::rules;
 
     /// One Suite A cell: a single deterministic process measurement.
     pub struct SuiteACell {
@@ -83,31 +60,6 @@ record! {
     }
     rules = SuiteACell::rules;
 
-    /// Percentile block over one sample per process (Suite B). `p50`/`p95`/
-    /// `p99` are log2-bucket upper bounds; `min`/`max` are exact.
-    #[derive(Eq)]
-    pub struct Percentiles {
-        pub count: u64,
-        pub min: u64,
-        pub p50: u64,
-        pub p95: u64,
-        pub p99: u64,
-        pub max: u64,
-    }
-    rules = Percentiles::rules;
-
-    /// One Suite B row: several chaos-seeded processes at one scale.
-    pub struct SuiteBScale {
-        pub scale: u64,
-        pub processes: u64,
-        pub wall_ms: Percentiles,
-        pub peak_rss_kb: Percentiles,
-        pub records_per_sec: Percentiles,
-        /// Per-process report histograms merged bucket-wise, by name.
-        pub merged: BTreeMap<String, Hist>,
-    }
-    rules = SuiteBScale::rules;
-
     /// One enforced check and its outcome.
     #[derive(Eq)]
     pub struct Verdict {
@@ -116,25 +68,14 @@ record! {
         pub detail: String,
     }
 
-    /// A complete suite report, convertible to and from schema-`v1` JSON.
+    /// A complete suite report, convertible to and from schema-`v2` JSON.
     pub struct SuiteReport: Report {
         pub meta: SuiteMeta,
         pub suite_a: Vec<SuiteACell>,
-        pub suite_b: Vec<SuiteBScale>,
         pub verdicts: Vec<Verdict>,
     }
     rules = SuiteReport::rules;
     pub fn validate;
-}
-
-impl SuiteMeta {
-    fn rules(&self, r: &mut Reader) {
-        r.ensure(
-            matches!(self.suites.as_str(), "A" | "B" | "all"),
-            format_args!(".suites {:?} must be \"A\", \"B\", or \"all\"", self.suites),
-        );
-        r.ensure(self.processes > 0, ".processes must be at least 1");
-    }
 }
 
 impl SuiteACell {
@@ -149,66 +90,16 @@ impl SuiteACell {
     }
 }
 
-impl Percentiles {
-    /// Summarize a histogram holding one sample per process.
-    pub fn of(h: &Hist) -> Percentiles {
-        Percentiles {
-            count: h.count(),
-            min: h.min(),
-            p50: h.percentile(0.50),
-            p95: h.percentile(0.95),
-            p99: h.percentile(0.99),
-            max: h.max(),
-        }
-    }
-
-    fn rules(&self, r: &mut Reader) {
-        let Percentiles { min, p50, p95, p99, max, .. } = *self;
-        r.ensure(min <= max, format_args!(": min {min} > max {max}"));
-        // p50/p95/p99 are bucket upper bounds — ordered among themselves and
-        // never below min, but p99 may legitimately exceed the exact max.
-        r.ensure(
-            min <= p50 && p50 <= p95 && p95 <= p99,
-            format_args!(": percentiles out of order ({min}/{p50}/{p95}/{p99})"),
-        );
-    }
-}
-
-impl SuiteBScale {
-    fn rules(&self, r: &mut Reader) {
-        r.ensure(self.processes > 0, ".processes must be at least 1");
-        for (key, block) in [
-            ("wall_ms", &self.wall_ms),
-            ("peak_rss_kb", &self.peak_rss_kb),
-            ("records_per_sec", &self.records_per_sec),
-        ] {
-            let (count, processes) = (block.count, self.processes);
-            r.ensure(
-                count == processes,
-                format_args!(
-                    ".{key}.count is {count}, expected one sample per process ({processes})"
-                ),
-            );
-        }
-    }
-}
-
 impl Report for SuiteReport {
     const SCHEMA_ID: &'static str = SUITE_SCHEMA_ID;
 
     fn headline(&self) -> String {
-        let (a, b, v) = (self.suite_a.len(), self.suite_b.len(), self.verdicts.len());
-        format!("{a} suite A cell(s), {b} suite B scale(s), {v} verdict(s)")
+        format!("{} suite A cell(s), {} verdict(s)", self.suite_a.len(), self.verdicts.len())
     }
 }
 
 impl SuiteReport {
-    /// The cross-section accounting:
-    ///
-    /// - `meta.suites` matches the populated sections (`A` → no `suite_b`
-    ///   rows, `B` → no `suite_a` cells, `all` → both);
-    /// - `meta.processes` = suite A cells + Σ suite B per-scale processes;
-    /// - suite A cell labels unique; suite B rows strictly sorted by scale.
+    /// Suite A cell labels are unique, and `meta.processes` counts them.
     fn rules(&self, r: &mut Reader) {
         for (i, c) in self.suite_a.iter().enumerate() {
             let repeated = self.suite_a[..i].iter().any(|earlier| earlier.cell == c.cell);
@@ -217,39 +108,11 @@ impl SuiteReport {
                 format_args!(".suite_a[{i}].cell {:?} duplicates an earlier cell", c.cell),
             );
         }
-        for (i, pair) in self.suite_b.windows(2).enumerate() {
-            let (prev, scale) = (pair[0].scale, pair[1].scale);
-            r.ensure(
-                prev < scale,
-                format_args!(
-                    ".suite_b[{}].scale {scale} must exceed the previous row's {prev} \
-                     (rows strictly sorted by scale)",
-                    i + 1
-                ),
-            );
-        }
-        let a_cells = self.suite_a.len() as u64;
-        let b_processes = schema::checked_sum(self.suite_b.iter().map(|s| &s.processes));
-        let kind = self.meta.suites.as_str();
-        if matches!(kind, "A" | "all") && a_cells == 0 {
-            r.fail(format_args!(".meta.suites is {kind:?} but $.suite_a is empty"));
-        }
-        if kind == "A" && b_processes != Some(0) {
-            r.fail(".meta.suites is \"A\" but $.suite_b has rows");
-        }
-        if matches!(kind, "B" | "all") && b_processes == Some(0) {
-            r.fail(format_args!(".meta.suites is {kind:?} but $.suite_b is empty"));
-        }
-        if kind == "B" && a_cells > 0 {
-            r.fail(".meta.suites is \"B\" but $.suite_a has cells");
-        }
-        let (claimed, shown) = (self.meta.processes, schema::show_sum(b_processes));
+        let (claimed, cells) = (self.meta.processes, self.suite_a.len() as u64);
+        r.ensure(cells > 0, ".suite_a is empty");
         r.ensure(
-            b_processes.and_then(|b| b.checked_add(a_cells)) == Some(claimed),
-            format_args!(
-                ".meta.processes is {claimed} but suite_a has {a_cells} cell(s) and suite_b \
-                 accounts for {shown} process(es)"
-            ),
+            claimed == cells,
+            format_args!(".meta.processes is {claimed} but suite_a has {cells} cell(s)"),
         );
     }
 
@@ -258,51 +121,28 @@ impl SuiteReport {
         self.verdicts.iter().all(|v| v.pass)
     }
 
-    /// Human-readable summary: the Suite A cell table, the Suite B
-    /// percentile table, then the verdict table (stderr, like the sweep
-    /// summary).
+    /// Human-readable summary: the Suite A cell table, then the verdict
+    /// table (stderr, like the sweep summary).
     pub fn summary_table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "suite: seed={} date={} suites={} processes={}",
-            self.meta.seed, self.meta.date, self.meta.suites, self.meta.processes
+            "suite: seed={} date={} processes={}",
+            self.meta.seed, self.meta.date, self.meta.processes
         );
-        if !self.suite_a.is_empty() {
-            let _ = writeln!(out, "{:-<76}", "");
+        let _ = writeln!(out, "{:-<76}", "");
+        let _ = writeln!(
+            out,
+            "{:<28} {:>8} {:>10} {:>10} {:>14}",
+            "suite A cell", "wall_ms", "rss_kb", "records", "rec/s"
+        );
+        for c in &self.suite_a {
             let _ = writeln!(
                 out,
-                "{:<28} {:>8} {:>10} {:>10} {:>14}",
-                "suite A cell", "wall_ms", "rss_kb", "records", "rec/s"
+                "{:<28} {:>8} {:>10} {:>10} {:>14.1}",
+                c.cell, c.wall_ms, c.peak_rss_kb, c.records, c.records_per_sec
             );
-            for c in &self.suite_a {
-                let _ = writeln!(
-                    out,
-                    "{:<28} {:>8} {:>10} {:>10} {:>14.1}",
-                    c.cell, c.wall_ms, c.peak_rss_kb, c.records, c.records_per_sec
-                );
-            }
-        }
-        if !self.suite_b.is_empty() {
-            let _ = writeln!(out, "{:-<76}", "");
-            let _ = writeln!(
-                out,
-                "{:<20} {:>6} {:>10} {:>10} {:>10} {:>14}",
-                "suite B scale", "procs", "wall p50", "wall p99", "rss p99", "rec/s p50"
-            );
-            for s in &self.suite_b {
-                let _ = writeln!(
-                    out,
-                    "{:<20} {:>6} {:>10} {:>10} {:>10} {:>14}",
-                    s.scale,
-                    s.processes,
-                    s.wall_ms.p50,
-                    s.wall_ms.p99,
-                    s.peak_rss_kb.p99,
-                    s.records_per_sec.p50
-                );
-            }
         }
         let _ = writeln!(out, "{:-<76}", "");
         for v in &self.verdicts {
@@ -323,27 +163,9 @@ mod tests {
     use super::*;
     use crate::json::Json;
 
-    fn hist_of(values: &[u64]) -> Hist {
-        let mut h = Hist::new();
-        for &v in values {
-            h.record(v);
-        }
-        h
-    }
-
     fn sample_report() -> SuiteReport {
-        let walls = hist_of(&[390, 402, 511]);
-        let rss = hist_of(&[41_000, 41_200, 43_000]);
-        let rates = hist_of(&[17_000, 17_400, 18_100]);
-        let mut merged = BTreeMap::new();
-        merged.insert("time.pool.task_ms".to_string(), hist_of(&[1, 2, 2, 3, 9, 15]));
         SuiteReport {
-            meta: SuiteMeta {
-                seed: 42,
-                date: "2026-08-08".into(),
-                suites: "all".into(),
-                processes: 5,
-            },
+            meta: SuiteMeta { seed: 42, date: "2026-08-08".into(), processes: 2 },
             suite_a: vec![
                 SuiteACell {
                     cell: "A/repro/scale750/jobs1".into(),
@@ -368,14 +190,6 @@ mod tests {
                     fingerprint: "0x00c5330b6d65f1a2".into(),
                 },
             ],
-            suite_b: vec![SuiteBScale {
-                scale: 750,
-                processes: 3,
-                wall_ms: Percentiles::of(&walls),
-                peak_rss_kb: Percentiles::of(&rss),
-                records_per_sec: Percentiles::of(&rates),
-                merged,
-            }],
             verdicts: vec![Verdict {
                 cell: "A/repro/scale750".into(),
                 pass: true,
@@ -413,56 +227,20 @@ mod tests {
         report.meta.processes = 9;
         let errors = validate(&report.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("processes is 9")), "{errors:?}");
+
+        let mut empty = sample_report();
+        empty.suite_a.clear();
+        empty.meta.processes = 0;
+        let errors = validate(&empty.to_json()).unwrap_err();
+        assert!(errors.iter().any(|e| e.contains("suite_a is empty")), "{errors:?}");
     }
 
     #[test]
-    fn validate_enforces_suites_section_match() {
-        let mut only_a = sample_report();
-        only_a.meta.suites = "A".into();
-        let errors = validate(&only_a.to_json()).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("suite_b has rows")), "{errors:?}");
-
-        let mut only_b = sample_report();
-        only_b.meta.suites = "B".into();
-        let errors = validate(&only_b.to_json()).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("suite_a has cells")), "{errors:?}");
-
-        let mut empty_b = sample_report();
-        empty_b.suite_b.clear();
-        empty_b.meta.processes = 2;
-        let errors = validate(&empty_b.to_json()).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("suite_b is empty")), "{errors:?}");
-    }
-
-    #[test]
-    fn validate_rejects_duplicate_cells_and_unsorted_scales() {
+    fn validate_rejects_duplicate_cells() {
         let mut dup = sample_report();
         dup.suite_a[1].cell = dup.suite_a[0].cell.clone();
         let errors = validate(&dup.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("duplicates")), "{errors:?}");
-
-        let mut unsorted = sample_report();
-        let mut row = unsorted.suite_b[0].clone();
-        row.scale = 750; // equal, not strictly greater
-        unsorted.suite_b.push(row);
-        unsorted.meta.processes += 3;
-        let errors = validate(&unsorted.to_json()).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("strictly sorted")), "{errors:?}");
-    }
-
-    #[test]
-    fn validate_rejects_inconsistent_merged_histogram() {
-        let mut doc = sample_report().to_json();
-        let mut suite_b = doc.get("suite_b").unwrap().clone();
-        let Json::Array(rows) = &mut suite_b else { unreachable!() };
-        let mut merged = rows[0].get("merged").unwrap().clone();
-        let mut h = merged.get("time.pool.task_ms").unwrap().clone();
-        h.set("p99", Json::U64(1));
-        merged.set("time.pool.task_ms", h);
-        rows[0].set("merged", merged);
-        doc.set("suite_b", suite_b);
-        let errors = validate(&doc).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("p99 claims 1")), "{errors:?}");
     }
 
     #[test]
@@ -474,14 +252,6 @@ mod tests {
         let errors = validate(&report.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("records_per_sec")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("jobs must be at least 1")), "{errors:?}");
-    }
-
-    #[test]
-    fn validate_rejects_percentile_count_mismatch() {
-        let mut report = sample_report();
-        report.suite_b[0].wall_ms.count = 7;
-        let errors = validate(&report.to_json()).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("one sample per process")), "{errors:?}");
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! A multiply-fold hasher for maps keyed by already-packed integer ids.
+//! A multiply-fold hasher for maps keyed by already-packed integer ids,
+//! and the FNV-1a [`FnvWriter`] every fingerprint in the workspace is taken
+//! with.
 //!
 //! The batch hot path keeps millions of `(id, window)` cells in hash maps;
 //! SipHash spends more on each probe than the probe itself. The keys are
@@ -42,6 +44,39 @@ pub type PackedMap<K, V> = HashMap<K, V, BuildHasherDefault<PackedKeyHasher>>;
 
 /// The set form of [`PackedMap`], under the same limits.
 pub type PackedSet<K> = HashSet<K, BuildHasherDefault<PackedKeyHasher>>;
+
+/// FNV-1a over everything `Debug`-printed into it: fingerprints a value
+/// (an index state, a run's artifacts, a metric snapshot) without
+/// materializing the potentially huge debug string. `Debug` on `f64`
+/// prints the shortest round-tripping form, so equal fingerprints mean
+/// bit-equal floats.
+pub struct FnvWriter(u64);
+
+impl FnvWriter {
+    pub fn new() -> FnvWriter {
+        FnvWriter(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for FnvWriter {
+    fn default() -> FnvWriter {
+        FnvWriter::new()
+    }
+}
+
+impl std::fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -16,9 +16,10 @@
 //!   alias tables) implemented from scratch on top of `rand`'s uniform source.
 //! - [`events`]: a monotonic discrete-event queue.
 //! - [`hash`]: a multiply-fold hasher for maps keyed by internal integer ids
-//!   (never for keys from a trust boundary).
-//! - [`stats`]: streaming moments, Pearson correlation, quantiles and
-//!   log-spaced histograms used by the analysis pipeline.
+//!   (never for keys from a trust boundary), and the FNV-1a `Debug`
+//!   fingerprint writer.
+//! - [`stats`]: streaming moments, Pearson correlation and quantiles used
+//!   by the analysis pipeline.
 //! - [`intern`]: deterministic `u32` arena interner backing the columnar
 //!   (struct-of-arrays) hot path downstream.
 

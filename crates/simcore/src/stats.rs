@@ -1,6 +1,5 @@
 //! Streaming statistics used by the analysis pipeline: Welford moments,
-//! Pearson correlation, exact quantiles over collected samples, and
-//! logarithmically-binned histograms for the paper's scatter/heat figures.
+//! Pearson correlation, and exact quantiles over collected samples.
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -179,76 +178,6 @@ pub fn ccdf(samples: &[f64]) -> Vec<(f64, f64)> {
     out
 }
 
-/// A histogram with logarithmically spaced bins over `[lo, hi)`, plus
-/// underflow/overflow bins. Used for order-of-magnitude breakdowns such as
-/// "NSSets hosting 100–1K / 1K–10K / … domains".
-#[derive(Clone, Debug)]
-pub struct LogHistogram {
-    lo: f64,
-    ratio: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl LogHistogram {
-    pub fn new(lo: f64, hi: f64, bins: usize) -> LogHistogram {
-        assert!(lo > 0.0 && hi > lo && bins > 0);
-        LogHistogram {
-            lo,
-            ratio: (hi / lo).powf(1.0 / bins as f64),
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Decade bins: one bin per power of ten from `10^lo_exp` to `10^hi_exp`.
-    pub fn decades(lo_exp: i32, hi_exp: i32) -> LogHistogram {
-        assert!(hi_exp > lo_exp);
-        LogHistogram::new(10f64.powi(lo_exp), 10f64.powi(hi_exp), (hi_exp - lo_exp) as usize)
-    }
-
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let bin = ((x / self.lo).ln() / self.ratio.ln()) as usize;
-        if bin >= self.counts.len() {
-            self.overflow += 1;
-        } else {
-            self.counts[bin] += 1;
-        }
-    }
-
-    /// Index of the bin `x` falls into, or `None` for under/overflow.
-    pub fn bin_of(&self, x: f64) -> Option<usize> {
-        if x < self.lo {
-            return None;
-        }
-        let bin = ((x / self.lo).ln() / self.ratio.ln()) as usize;
-        (bin < self.counts.len()).then_some(bin)
-    }
-
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-    /// `[start, end)` of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        (self.lo * self.ratio.powi(i as i32), self.lo * self.ratio.powi(i as i32 + 1))
-    }
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,30 +269,5 @@ mod tests {
         // Monotone non-increasing fractions.
         let pts = ccdf(&[5.0, 3.0, 8.0, 1.0, 9.0, 3.0]);
         assert!(pts.windows(2).all(|w| w[0].1 >= w[1].1 && w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn log_histogram_decades() {
-        let mut h = LogHistogram::decades(0, 4); // [1, 10^4), 4 bins
-        for x in [0.5, 1.0, 5.0, 10.0, 99.0, 100.0, 5000.0, 10_000.0] {
-            h.push(x);
-        }
-        assert_eq!(h.underflow(), 1); // 0.5
-        assert_eq!(h.overflow(), 1); // 10_000
-        assert_eq!(h.counts(), &[2, 2, 1, 1]);
-        assert_eq!(h.total(), 8);
-        let (lo, hi) = h.bin_bounds(1);
-        assert!((lo - 10.0).abs() < 1e-9 && (hi - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_histogram_bin_of() {
-        let h = LogHistogram::decades(2, 8); // 100 .. 10^8
-        assert_eq!(h.bin_of(50.0), None);
-        assert_eq!(h.bin_of(100.0), Some(0));
-        assert_eq!(h.bin_of(999.0), Some(0));
-        assert_eq!(h.bin_of(1_000.0), Some(1));
-        assert_eq!(h.bin_of(10_000_000.0), Some(5));
-        assert_eq!(h.bin_of(1e9), None);
     }
 }

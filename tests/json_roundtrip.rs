@@ -5,8 +5,8 @@
 //! baseline written by one run diffs clean against a re-serialization by
 //! another.
 
-use obs::suite::{Percentiles, SuiteACell, SuiteBScale, Verdict};
-use obs::{Hist, Json, SuiteMeta, SuiteReport};
+use obs::suite::{SuiteACell, Verdict};
+use obs::{Json, SuiteMeta, SuiteReport};
 use proptest::prelude::*;
 use proptest::{Strategy, TestRng};
 
@@ -106,8 +106,8 @@ fn number_edge_cases() {
     assert_eq!(Json::parse(spaced).unwrap(), want);
 }
 
-/// A minimal valid `dnsimpact-suite/v1` report: two Suite A cells, one
-/// Suite B scale with a single process, accounting consistent.
+/// A minimal valid `dnsimpact-suite/v2` report: two Suite A cells,
+/// accounting consistent.
 fn tiny_suite_report() -> SuiteReport {
     let cell = |jobs: u64, wall: u64| SuiteACell {
         cell: format!("A/repro/scale750/jobs{jobs}"),
@@ -120,19 +120,9 @@ fn tiny_suite_report() -> SuiteReport {
         records_per_sec: 1_000.0 * 1_000.0 / wall as f64,
         fingerprint: "0x00c5330b6d65f1a2".into(),
     };
-    let mut one = Hist::new();
-    one.record(17);
     SuiteReport {
-        meta: SuiteMeta { seed: 1, date: "2026-08-08".into(), suites: "all".into(), processes: 3 },
+        meta: SuiteMeta { seed: 1, date: "2026-08-08".into(), processes: 2 },
         suite_a: vec![cell(1, 200), cell(2, 100)],
-        suite_b: vec![SuiteBScale {
-            scale: 750,
-            processes: 1,
-            wall_ms: Percentiles::of(&one),
-            peak_rss_kb: Percentiles::of(&one),
-            records_per_sec: Percentiles::of(&one),
-            merged: [("time.span.join".to_string(), one.clone())].into_iter().collect(),
-        }],
         verdicts: vec![Verdict {
             cell: "A/repro/scale750".into(),
             pass: true,
@@ -190,8 +180,11 @@ fn malformed_suite_reports_name_their_defects() {
         // NaN serializes as null, so the document is valid JSON with a
         // non-numeric rate.
         ("records_per_sec", |r| r.suite_a[0].records_per_sec = f64::NAN),
-        ("suite B percentile/process mismatch", |r| r.suite_b[0].processes = 7),
-        ("meta.suites vocabulary", |r| r.meta.suites = "everything".into()),
+        ("suite_a empty", |r| {
+            r.suite_a.clear();
+            r.meta.processes = 0;
+        }),
+        ("kind vocabulary", |r| r.suite_a[0].kind = "everything".into()),
     ];
     for (what, mutate) in mutations {
         let mut report = tiny_suite_report();
@@ -201,25 +194,13 @@ fn malformed_suite_reports_name_their_defects() {
         assert!(!errors.is_empty(), "{what}: no error reported");
         assert!(SuiteReport::from_json(&doc).is_err(), "{what}: from_json accepted it");
     }
-
-    // A merged histogram whose claimed p99 disagrees with its buckets —
-    // mutated at the text level, the way a corrupted file would arrive.
-    let text = tiny_suite_report().to_json().pretty();
-    assert!(text.contains("\"p99\": 31"), "fixture drifted: {text}");
-    let lying = text.replace("\"p99\": 31", "\"p99\": 1000000");
-    let doc = Json::parse(&lying).expect("still valid JSON");
-    let errors = obs::suite::validate(&doc).expect_err("lying merged p99 accepted");
-    assert!(
-        errors.iter().any(|e| e.contains("p99")),
-        "errors do not name the lying percentile: {errors:?}"
-    );
 }
 
 #[test]
 fn unknown_schema_suite_report_is_rejected() {
-    // A future or typo'd schema id must fail validation outright — the
-    // validator owns exactly `dnsimpact-suite/v1`.
-    for bad in ["dnsimpact-suite/v2", "dnsimpact-sweep/v1", ""] {
+    // A retired, future or typo'd schema id must fail validation outright
+    // — the validator owns exactly `dnsimpact-suite/v2`.
+    for bad in ["dnsimpact-suite/v1", "dnsimpact-sweep/v1", ""] {
         let mut doc = tiny_suite_report().to_json();
         doc.set("schema", Json::Str(bad.into()));
         let errors = obs::suite::validate(&doc).unwrap_err();
@@ -227,6 +208,19 @@ fn unknown_schema_suite_report_is_rejected() {
             errors.iter().any(|e| e.contains("schema")),
             "schema {bad:?}: errors do not mention the schema field: {errors:?}"
         );
+    }
+    // The schema table rejects a retired id by name, listing what it does
+    // know — it never hands the document to a neighbour's validator.
+    for retired in ["dnsimpactd-report/v1", "dnsimpact-suite/v1", "dnsimpactd-live/v1"] {
+        let mut doc = tiny_suite_report().to_json();
+        doc.set("schema", Json::Str(retired.into()));
+        assert!(obs::schema::lookup(&doc).is_none(), "{retired} still has a table row");
+        let errors = obs::schema::validate(&doc).unwrap_err();
+        assert_eq!(errors.len(), 1, "{retired}: {errors:?}");
+        assert!(errors[0].contains(retired), "{retired} not named: {errors:?}");
+        for known in obs::schema::REPORT_SCHEMAS {
+            assert!(errors[0].contains(known.id), "{} not listed: {errors:?}", known.id);
+        }
     }
     let mut doc = tiny_suite_report().to_json();
     let Json::Object(pairs) = std::mem::replace(&mut doc, Json::Null) else { unreachable!() };
@@ -300,7 +294,6 @@ fn reencode(doc: &Json) -> Result<Json, Vec<String>> {
         Some(LEGACY_SCHEMA_ID) => LegacyRunReport::from_json(doc).map(|r| r.to_json()),
         Some(obs::SWEEP_SCHEMA_ID) => obs::SweepReport::from_json(doc).map(|r| r.to_json()),
         Some(obs::SUITE_SCHEMA_ID) => SuiteReport::from_json(doc).map(|r| r.to_json()),
-        Some(obs::DAEMON_SCHEMA_ID) => obs::DaemonReport::from_json(doc).map(|r| r.to_json()),
         Some(obs::LIVE_SCHEMA_ID) => LiveReport::from_json(doc).map(|r| r.to_json()),
         other => panic!("no typed decoder listed for schema {other:?}"),
     }
@@ -410,7 +403,7 @@ proptest! {
         // or a non-empty list of `$.`-pathed violations, and validate
         // agrees with from_json — they are one walk.
         type Check = fn(&Json) -> Result<(), Vec<String>>;
-        let schemas: [(&str, Check, Check); 5] = [
+        let schemas: [(&str, Check, Check); 4] = [
             (
                 include_str!("../crates/obs/src/golden/report.json"),
                 obs::report::validate,
@@ -425,11 +418,6 @@ proptest! {
                 include_str!("../crates/obs/src/golden/suite.json"),
                 obs::suite::validate,
                 |d| SuiteReport::from_json(d).map(drop),
-            ),
-            (
-                include_str!("../crates/obs/src/golden/daemon.json"),
-                obs::daemon::validate,
-                |d| obs::DaemonReport::from_json(d).map(drop),
             ),
             (
                 include_str!("../crates/obs/src/golden/live.json"),
