@@ -1,7 +1,9 @@
 #!/bin/sh
 # Offline CI gates. Default run order:
 #
-#   lint         cargo fmt --check + cargo clippy -D warnings + sh -n ci.sh
+#   lint         cargo fmt --check + cargo clippy -D warnings + sh -n ci.sh,
+#                and every name `streamproc`'s lib.rs re-exports must be
+#                used outside the crate (crates/*/src, src/, benchmark/src)
 #   build        cargo build --release (workspace)
 #   tests        cargo test --workspace, plus the borrowed-vs-owned wire
 #                differential suite by name so a skipped or filtered-out
@@ -73,7 +75,8 @@ DAEMON=target/release/dnsimpactd
 
 list_gates() {
     cat << 'EOF'
-lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh
+lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh,
+             no streamproc re-export without a caller outside the crate
 build        cargo build --release (workspace)
 tests        cargo test --workspace + the dnswire differential suite by name
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
@@ -221,6 +224,16 @@ gate_lint() {
     cargo fmt --check
     echo "==> lint gate: cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "==> lint gate: every streamproc re-export has a caller outside the crate"
+    # The names of lib.rs's `pub use` items (single- or multi-line).
+    EXPORTS=$(awk '/^pub use/ { on = 1 } on { print } /;/ { on = 0 }' crates/streamproc/src/lib.rs |
+        sed 's/^pub use [a-z_]*:://' | tr -d '{};' | tr ',' '\n' | tr -d ' ')
+    for N in $EXPORTS; do
+        grep -rlw -- "$N" crates/*/src src benchmark/src | grep -qv '^crates/streamproc/' || {
+            echo "streamproc re-exports $N but nothing outside the crate uses it" >&2
+            exit 1
+        }
+    done
 }
 
 gate_build() {

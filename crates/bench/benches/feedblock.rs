@@ -67,8 +67,8 @@ fn bench_feedblock(c: &mut Criterion) {
         b.iter(|| black_box(classifier.episodes_from_block(black_box(&block))));
     });
 
-    // Topic fan-out cost: a block clone is a refcount bump on the shared
-    // arena; the row path deep-copies every record per subscriber.
+    // Fan-out cost: handing a block to one more consumer is a refcount
+    // bump on the shared arena; the row path deep-copies every record.
     g.bench_function("fanout_rows_clone", |b| {
         b.iter(|| black_box(black_box(&records).clone()));
     });

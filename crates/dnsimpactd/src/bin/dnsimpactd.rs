@@ -182,11 +182,15 @@ fn serve(args: &[String]) -> Result<(), String> {
     obs::progress(
         "daemon",
         &format!(
-            "ingest complete: seq {} / {} batches, full_fp {:#018x} (restarts {})",
+            "ingest complete: seq {} / {} batches, full_fp {:#018x} (repair_rounds {}, \
+             dropped {}, duplicated {}, reordered {})",
             ingestor.state.applied_seq,
             source.batches.len(),
             ingestor.state.full_fingerprint(),
-            stats.restarts,
+            stats.repair_rounds,
+            stats.dropped,
+            stats.duplicated,
+            stats.reordered,
         ),
     );
     if let Some(path) = &o.live_report {
@@ -224,7 +228,6 @@ fn serve(args: &[String]) -> Result<(), String> {
         line.set("ingest_wall_ms", Json::U64(ingest_wall_ms));
         line.set("full_fp", Json::Str(format!("{:#018x}", ingestor.state.full_fingerprint())));
         line.set("peak_rss_kb", Json::U64(obs::rss::peak_rss_kb()));
-        line.set("restarts", Json::U64(stats.restarts));
         println!("{}", line.compact());
         server.shutdown();
         return Ok(());

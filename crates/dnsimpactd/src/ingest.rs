@@ -188,9 +188,10 @@ impl<'a> Ingestor<'a> {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::feed::{self, FeedConfig};
     use attack::Protocol;
     use simcore::time::Window;
-    use streamproc::Topic;
     use telescope::{AttackEpisode, EpisodeBlock, EpisodeColumns};
 
     fn episode(victim: &str, w0: u64, w1: u64) -> AttackEpisode {
@@ -207,9 +208,9 @@ mod tests {
         }
     }
 
-    /// Blocks are the feed's transport form: fanning one out to N topic
-    /// consumers clones a refcount, not the rows. Every consumer sees the
-    /// same arena and ingests to exactly the columns the row path builds.
+    /// Blocks are the feed's transport form: handing one to N consumers
+    /// clones a refcount, not the rows. Every consumer sees the same arena
+    /// and ingests to exactly the columns the row path builds.
     #[test]
     fn episode_block_fans_out_by_refcount_not_copy() {
         let rows = vec![
@@ -219,14 +220,7 @@ mod tests {
         ];
         let block = EpisodeBlock::from_episodes(&rows);
 
-        let topic: Topic<EpisodeBlock> = Topic::new("episodes");
-        let a = topic.subscribe();
-        let b = topic.subscribe();
-        topic.publish(block.clone());
-        topic.close();
-
-        let got_a = a.recv().expect("consumer a gets the block");
-        let got_b = b.recv().expect("consumer b gets the block");
+        let (got_a, got_b) = (block.clone(), block.clone());
         assert!(EpisodeBlock::same_arena(&got_a, &block), "fan-out must share the arena");
         assert!(EpisodeBlock::same_arena(&got_b, &block), "fan-out must share the arena");
 
@@ -236,5 +230,28 @@ mod tests {
             cols.push_block(&got);
             assert_eq!(format!("{cols:?}"), format!("{reference:?}"), "block ingest diverged");
         }
+    }
+
+    /// A chaos-seeded ingest does real repair work, and the index it
+    /// builds is the clean run's, state fingerprint for state fingerprint.
+    #[test]
+    fn chaos_ingest_repairs_and_reaches_the_clean_state() {
+        let mut cfg = FeedConfig::pinned(1_500);
+        cfg.months = 1;
+        cfg.world.domains = 500;
+        let source = feed::build(&cfg, 1);
+        let ingest = |chaos_seed| {
+            let cell = Arc::new(SwapCell::new(IndexSnapshot::default()));
+            let mut ing =
+                Ingestor::new(&source, IngestConfig { chaos_seed, ..Default::default() }, cell);
+            let stats = ing.recover_and_run();
+            (stats, ing.state.state_fingerprint())
+        };
+        let (clean, clean_fp) = ingest(None);
+        let (chaos, chaos_fp) = ingest(Some(3));
+        assert!(clean.is_clean());
+        assert!(chaos.repair_rounds > 0, "the chaos transport retransmitted: {chaos:?}");
+        assert!(chaos.dropped > 0 && chaos.duplicated > 0 && chaos.reordered > 0, "{chaos:?}");
+        assert_eq!(chaos_fp, clean_fp);
     }
 }

@@ -5,7 +5,7 @@
 //! run; this crate keeps the answer warm. A deterministic feed source
 //! ([`feed`]) replays the RSDoS episode stream and OpenINTEL-style daily
 //! aggregates as sequence-numbered batches; the ingester ([`ingest`])
-//! pulls them through `streamproc`'s at-least-once supervised transport,
+//! pulls them through `streamproc`'s repaired at-least-once transport,
 //! grows a columnar NSSet→impact index ([`index`]) incrementally, and
 //! publishes each applied batch as an immutable hot-swapped snapshot. A
 //! minimal HTTP/JSON server ([`http`]) answers domain queries from the

@@ -14,9 +14,9 @@
 //!
 //! - [`probe`]: the NS-exhaustive prober.
 //! - [`plan`]: trigger logic and probe scheduling.
-//! - [`platform`]: the streaming pipeline (feed topic → join/trigger stage
-//!   → probe executor) built on `streamproc`, with both sequential and
-//!   discrete-event (chronologically interleaved) executors.
+//! - [`platform`]: the pipeline (a trigger fold over the feed in arrival
+//!   order → probe executor), with both sequential and discrete-event
+//!   (chronologically interleaved) executors.
 //! - [`vantage`]: multi-vantage probing (the paper's §9 future work) that
 //!   pierces anycast catchment masking.
 

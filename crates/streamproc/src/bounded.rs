@@ -3,10 +3,9 @@
 //! The backpressure primitive for serving paths: producers `try_push` and
 //! get an immediate `Err` back when the queue is at capacity (the caller
 //! sheds the work — visibly — instead of queueing without bound), while
-//! consumers block on `pop` until work or shutdown arrives. Unlike the
-//! [`crate::topic`] channels, which are unbounded by design (pipeline
-//! stages must never silently drop records), this queue exists precisely
-//! to make overload an explicit, countable event.
+//! consumers block on `pop` until work or shutdown arrives. The queue
+//! exists to make overload an explicit, countable event; the pipeline's
+//! own records never pass through it, because they must never be shed.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

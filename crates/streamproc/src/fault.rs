@@ -13,8 +13,6 @@
 //! number)` or `(plan seed, task, attempt)` — never of thread timing — which
 //! is what makes the injected schedule independent of `--jobs`.
 
-use crate::exec::StageHandle;
-use crate::topic::{Consumer, Topic};
 use simcore::rng::{hash_label, splitmix64, RngFactory};
 
 /// A sequence-numbered envelope: the unit of at-least-once delivery.
@@ -195,137 +193,98 @@ pub fn injected_crash() -> ! {
     std::panic::resume_unwind(Box::new(InjectedCrash))
 }
 
-/// Spawn a chaos transport stage: applies the plan's per-record fault
-/// actions to a sequence-stamped stream. Held records are delivered late
-/// (after `lag` subsequent deliveries, or at end-of-stream past the
-/// watermark); drops simply vanish, for a repair round to retransmit.
+/// Deliver `batch` through round `round` of `plan`'s chaos transport and
+/// return what arrives, in arrival order. Drops vanish, for a repair round
+/// to retransmit; duplicates arrive twice back-to-back; held records arrive
+/// late — after `lag` further records, or past the watermark at the end of
+/// the batch, in (remaining lag, seq) order.
 ///
-/// The stage is single-threaded and keyed purely by `(round, seq)`, so its
-/// output for a given input batch is deterministic.
-pub fn spawn_chaos_stage<T>(
-    name: &str,
-    plan: FaultPlan,
+/// Fault accounting (out-of-band, see `obs`): each fault is counted where it
+/// is applied, here, and where the recovery machinery undoes it — holds at
+/// release (here), drops at retransmission and duplicates at sink dedup (in
+/// [`crate::supervise::reliable_stream`]), crashes at restart (in
+/// [`crate::pool::parallel_map_supervised`]). For a completed run every
+/// class balances, so `chaos.faults_repaired == chaos.faults_injected`.
+pub(crate) fn chaos_round<T: Clone>(
+    site: &str,
+    plan: &FaultPlan,
     round: u64,
-    input: Consumer<Seq<T>>,
-    out: Topic<Seq<T>>,
-) -> StageHandle
-where
-    T: Clone + Send + 'static,
-{
-    let site = name.to_string();
-    StageHandle::spawn(&format!("chaos:{name}"), move || {
-        // Fault accounting (out-of-band, see `obs`): injections counted
-        // here at the moment each fault is applied; repairs counted where
-        // the recovery machinery undoes them — holds at release (below),
-        // drops at retransmission, duplicates at sink dedup, crashes at
-        // supervisor restart. For a completed run every class balances, so
-        // `chaos.faults_repaired == chaos.faults_injected` exactly. Trace
-        // events mirror the counters with matching detail keys, so
-        // `obs::trace::check_causality` can pair each injection with its
-        // repair per `(site, detail)`.
-        let injected = obs::counter("chaos.faults_injected");
-        let repaired = obs::counter("chaos.faults_repaired");
-        let mut emitted = 0u64;
-        let mut held: Vec<(u32, Seq<T>)> = Vec::new();
-        while let Some(msg) = input.recv() {
-            match plan.action(round, msg.seq) {
-                FaultAction::Deliver => {
-                    out.publish(msg);
-                    emitted += 1;
-                }
-                FaultAction::Drop => {
-                    obs::counter("chaos.drops_injected").incr();
-                    injected.incr();
-                    obs::trace::emit(
-                        obs::EventKind::FaultInjected,
-                        &site,
-                        None,
-                        None,
-                        format!("drop seq={}", msg.seq),
-                        None,
-                    );
-                }
-                FaultAction::Duplicate => {
-                    obs::counter("chaos.dups_injected").incr();
-                    injected.incr();
-                    obs::trace::emit(
-                        obs::EventKind::FaultInjected,
-                        &site,
-                        None,
-                        None,
-                        format!("dup seq={}", msg.seq),
-                        None,
-                    );
-                    out.publish(msg.clone());
-                    out.publish(msg);
-                    emitted += 2;
-                }
-                FaultAction::Hold(lag) => {
-                    obs::counter("chaos.holds_injected").incr();
-                    injected.incr();
-                    obs::trace::emit(
-                        obs::EventKind::FaultInjected,
-                        &site,
-                        None,
-                        None,
-                        format!("hold seq={}", msg.seq),
-                        Some(lag as u64),
-                    );
-                    held.push((lag, msg));
-                }
+    batch: &[Seq<T>],
+) -> Vec<Seq<T>> {
+    let mut out = Vec::with_capacity(batch.len());
+    let mut held: Vec<(u32, Seq<T>)> = Vec::new();
+    for msg in batch {
+        match plan.action(round, msg.seq) {
+            FaultAction::Deliver => out.push(msg.clone()),
+            FaultAction::Drop => note_fault(site, false, "drop", msg.seq, None),
+            FaultAction::Duplicate => {
+                note_fault(site, false, "dup", msg.seq, None);
+                out.push(msg.clone());
+                out.push(msg.clone());
             }
-            // Age held records; release the due ones (late, out of order).
-            let mut due = Vec::new();
-            held.retain_mut(|h| {
-                h.0 -= 1;
-                if h.0 == 0 {
-                    due.push(h.1.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            for m in due {
-                obs::counter("chaos.holds_repaired").incr();
-                repaired.incr();
-                obs::trace::emit(
-                    obs::EventKind::FaultRepaired,
-                    &site,
-                    None,
-                    None,
-                    format!("hold seq={}", m.seq),
-                    None,
-                );
-                out.publish(m);
-                emitted += 1;
+            FaultAction::Hold(lag) => {
+                note_fault(site, false, "hold", msg.seq, Some(lag as u64));
+                held.push((lag, msg.clone()));
             }
         }
-        // End of input: whatever is still held arrives past the stream's
-        // watermark, in (remaining lag, seq) order.
-        held.sort_by_key(|(lag, m)| (*lag, m.seq));
-        for (_, m) in held {
-            obs::counter("chaos.holds_repaired").incr();
-            repaired.incr();
-            obs::trace::emit(
-                obs::EventKind::FaultRepaired,
-                &site,
-                None,
-                None,
-                format!("hold seq={}", m.seq),
-                None,
-            );
-            out.publish(m);
-            emitted += 1;
+        // Age held records; release the due ones (late, out of order).
+        let mut due = Vec::new();
+        held.retain_mut(|h| {
+            h.0 -= 1;
+            if h.0 == 0 {
+                due.push(h.1.clone());
+                false
+            } else {
+                true
+            }
+        });
+        for m in due {
+            note_fault(site, true, "hold", m.seq, None);
+            out.push(m);
         }
-        out.close();
-        emitted
-    })
+    }
+    held.sort_by_key(|(lag, m)| (*lag, m.seq));
+    for (_, m) in held {
+        note_fault(site, true, "hold", m.seq, None);
+        out.push(m);
+    }
+    out
+}
+
+/// Count one `class` fault (`drop`, `dup` or `hold`) on record `seq` as
+/// injected or `repaired`, and trace it with the `(site, detail)` key that
+/// `obs::trace::check_causality` pairs an injection with its repair by.
+pub(crate) fn note_fault(site: &str, repaired: bool, class: &str, seq: u64, value: Option<u64>) {
+    let by_class = match (class, repaired) {
+        ("drop", false) => "chaos.drops_injected",
+        ("drop", true) => "chaos.drops_repaired",
+        ("dup", false) => "chaos.dups_injected",
+        ("dup", true) => "chaos.dups_repaired",
+        ("hold", false) => "chaos.holds_injected",
+        ("hold", true) => "chaos.holds_repaired",
+        _ => unreachable!("no fault class '{class}'"),
+    };
+    let (kind, total) = if repaired {
+        (obs::EventKind::FaultRepaired, "chaos.faults_repaired")
+    } else {
+        (obs::EventKind::FaultInjected, "chaos.faults_injected")
+    };
+    obs::counter(by_class).incr();
+    obs::counter(total).incr();
+    obs::trace::emit(kind, site, None, None, format!("{class} seq={seq}"), value);
+}
+
+/// Serialises the unit tests that move the process-global `chaos.*`
+/// counters, so a test can assert on their deltas.
+#[cfg(test)]
+pub(crate) fn chaos_counters_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::sink_to_vec;
 
     fn plan(cfg: ChaosConfig) -> FaultPlan {
         FaultPlan::new(&RngFactory::new(7), "test-stage", cfg)
@@ -382,23 +341,12 @@ mod tests {
     }
 
     #[test]
-    fn chaos_stage_drops_dups_and_reorders_deterministically() {
-        let run = || {
-            let p = plan(ChaosConfig::CALIBRATED);
-            let src: Topic<Seq<u64>> = Topic::new("src");
-            let out: Topic<Seq<u64>> = Topic::new("out");
-            let stage = spawn_chaos_stage("t", p, 0, src.subscribe(), out.clone());
-            let sink = sink_to_vec(out.subscribe());
-            for m in seq_stamp(0..400u64) {
-                src.publish(m);
-            }
-            src.close();
-            stage.join();
-            sink.join().unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "chaos stage output is reproducible");
+    fn chaos_round_drops_dups_and_reorders_deterministically() {
+        let _g = chaos_counters_lock();
+        let batch = seq_stamp(0..400u64);
+        let a = chaos_round("t", &plan(ChaosConfig::CALIBRATED), 0, &batch);
+        let b = chaos_round("t", &plan(ChaosConfig::CALIBRATED), 0, &batch);
+        assert_eq!(a, b, "chaos round output is reproducible");
         let seqs: Vec<u64> = a.iter().map(|m| m.seq).collect();
         let mut sorted = seqs.clone();
         sorted.sort();
@@ -412,6 +360,7 @@ mod tests {
 
     #[test]
     fn held_records_flush_at_end_of_stream() {
+        let _g = chaos_counters_lock();
         // With hold probability 1 everything is held and must still come out.
         let cfg = ChaosConfig {
             drop_prob: 0.0,
@@ -421,17 +370,8 @@ mod tests {
             crash_prob: 0.0,
             max_crashes: 0,
         };
-        let p = plan(cfg);
-        let src: Topic<Seq<u32>> = Topic::new("src");
-        let out: Topic<Seq<u32>> = Topic::new("out");
-        let stage = spawn_chaos_stage("t", p, 0, src.subscribe(), out.clone());
-        let sink = sink_to_vec(out.subscribe());
-        for m in seq_stamp(0..20u32) {
-            src.publish(m);
-        }
-        src.close();
-        stage.join();
-        let mut got: Vec<u64> = sink.join().unwrap().iter().map(|m| m.seq).collect();
+        let out = chaos_round("t", &plan(cfg), 0, &seq_stamp(0..20u32));
+        let mut got: Vec<u64> = out.iter().map(|m| m.seq).collect();
         got.sort();
         assert_eq!(got, (0..20).collect::<Vec<u64>>(), "nothing lost to the watermark");
     }

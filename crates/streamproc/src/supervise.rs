@@ -1,47 +1,37 @@
-//! Supervised stages: bounded restarts, at-least-once delivery, idempotent
-//! dedup.
+//! Supervision: at-least-once delivery repaired to exactly-once, and the
+//! restart policy supervised tasks run under.
 //!
 //! Recovery is layered the way the paper's stack layers Kafka under Spark
-//! (§4.3.1):
+//! (§4.3.1), except that no layer needs a thread: each is a deterministic
+//! function of its input and a [`FaultPlan`]:
 //!
-//! 1. **Transport repair** ([`reliable_stream`]): records cross a lossy
-//!    chaos channel sequence-stamped; the sink dedups and re-orders, detects
-//!    gaps, and retransmits the missing sequences in bounded repair rounds.
-//!    The final round is fault-free, so delivery always terminates with the
-//!    exact input batch, in order.
-//! 2. **Stage supervision** ([`supervised_flat_map`]): the stage body runs
-//!    in worker incarnations that are restarted (bounded, with exponential
-//!    backoff) when they panic — whether the panic is an injected
-//!    [`crate::fault::InjectedCrash`] or a real bug. Restarts resume from an
-//!    acknowledged input watermark, so any input processed after the last
-//!    ack is redelivered; outputs are keyed `(input seq, output index)` and
-//!    deduped at the sink, making redelivery idempotent.
+//! 1. **Transport repair** ([`reliable_stream`]): a batch is sequence-
+//!    stamped and sent through one pure chaos round per attempt; the sink
+//!    dedups and re-orders, detects gaps, and retransmits the missing
+//!    sequences in bounded repair rounds. Rounds past
+//!    `max_repair_rounds` are fault-free, so delivery always terminates
+//!    with the exact input batch, in order.
+//! 2. **Task supervision** ([`crate::pool::parallel_map_supervised`]): each
+//!    task runs in a bounded-restart retry loop with exponential backoff,
+//!    whether the panic is an injected [`crate::fault::InjectedCrash`] or a
+//!    real bug; a restarted task re-runs from its input, so its one result
+//!    is the fault-free one.
 //!
-//! Together these give the headline invariant: for a deterministic stage
-//! body, *fault-free output ≡ faulted-and-recovered output*.
+//! Together these give the headline invariant: for a deterministic task,
+//! *fault-free output ≡ faulted-and-recovered output*.
 
-use crate::exec::{sink_to_vec, spawn_stage};
-use crate::fault::{injected_crash, spawn_chaos_stage, FaultPlan, Seq};
-use crate::topic::Topic;
-use simcore::rng::hash_label;
+use crate::fault::{chaos_round, note_fault, seq_stamp, FaultPlan, Seq};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-/// Restart and delivery policy for supervised stages.
+/// Restart and delivery policy for supervised tasks and transports.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
-    /// Restart budget per stage; the panic propagates once it is exhausted.
+    /// Restart budget per task; the panic propagates once it is exhausted.
     /// Keep `>= ChaosConfig::max_crashes` so injected crashes always recover.
     pub max_restarts: u32,
     /// Exponential backoff between restarts: `base << attempt`, capped.
     pub backoff_base_ms: u64,
     pub backoff_cap_ms: u64,
-    /// Advance the ack watermark every N processed inputs. Smaller means
-    /// less redelivery after a crash; larger exercises dedup harder.
-    pub ack_interval: u64,
     /// Chaos repair rounds before the transport falls back to a fault-free
     /// retransmission, bounding delivery time.
     pub max_repair_rounds: u32,
@@ -53,7 +43,6 @@ impl Default for SupervisorConfig {
             max_restarts: 8,
             backoff_base_ms: 1,
             backoff_cap_ms: 16,
-            ack_interval: 16,
             max_repair_rounds: 8,
         }
     }
@@ -72,10 +61,8 @@ pub struct SuperviseStats {
     pub reordered: u64,
     /// Transport repair rounds that had to retransmit missing sequences.
     pub repair_rounds: u64,
-    /// Stage incarnations restarted after a panic.
+    /// Task attempts restarted after a panic.
     pub restarts: u64,
-    /// Outputs redelivered by restarted incarnations and deduped away.
-    pub redelivered: u64,
     /// Total restart backoff slept, in milliseconds.
     pub backoff_ms: u64,
 }
@@ -87,7 +74,6 @@ impl SuperviseStats {
         self.reordered += other.reordered;
         self.repair_rounds += other.repair_rounds;
         self.restarts += other.restarts;
-        self.redelivered += other.redelivered;
         self.backoff_ms += other.backoff_ms;
     }
 
@@ -101,76 +87,60 @@ impl SuperviseStats {
 /// and return them exactly, in order, plus what it took to get there.
 ///
 /// With `plan: None` this is free: the batch is returned untouched.
-pub fn reliable_stream<T>(
+pub fn reliable_stream<T: Clone>(
     name: &str,
     items: Vec<T>,
     plan: Option<&FaultPlan>,
     cfg: &SupervisorConfig,
-) -> (Vec<T>, SuperviseStats)
-where
-    T: Clone + Send + 'static,
-{
+) -> (Vec<T>, SuperviseStats) {
+    repair(name, items, plan, cfg, |_| {})
+}
+
+/// [`reliable_stream`], handing each round's delivered sequence — before
+/// dedup — to `observe`.
+fn repair<T: Clone>(
+    name: &str,
+    items: Vec<T>,
+    plan: Option<&FaultPlan>,
+    cfg: &SupervisorConfig,
+    mut observe: impl FnMut(&[Seq<T>]),
+) -> (Vec<T>, SuperviseStats) {
     let mut stats = SuperviseStats::default();
-    let Some(&plan) = plan else { return (items, stats) };
+    let Some(plan) = plan else { return (items, stats) };
     let total = items.len();
     let mut received: BTreeMap<u64, T> = BTreeMap::new();
-    let mut pending: Vec<Seq<T>> = crate::fault::seq_stamp(items);
+    let mut pending: Vec<Seq<T>> = seq_stamp(items);
     let mut round = 0u64;
     while !pending.is_empty() {
         if round > 0 {
             // This round's retransmission is the repair of the previous
             // round's drops (records dropped again re-inject and get a
             // further round, so the totals balance exactly).
-            obs::counter("chaos.drops_repaired").add(pending.len() as u64);
-            obs::counter("chaos.faults_repaired").add(pending.len() as u64);
             for m in &pending {
-                obs::trace::emit(
-                    obs::EventKind::FaultRepaired,
-                    name,
-                    None,
-                    None,
-                    format!("drop seq={}", m.seq),
-                    None,
-                );
+                note_fault(name, true, "drop", m.seq, None);
             }
         }
-        let src: Topic<Seq<T>> = Topic::new(&format!("{name}:replay"));
-        let out: Topic<Seq<T>> = Topic::new(&format!("{name}:delivered"));
         // Bounded repair: after `max_repair_rounds` faulty rounds the
         // retransmission is fault-free, so delivery always terminates.
-        let stage = if round < cfg.max_repair_rounds as u64 {
-            spawn_chaos_stage(name, plan, round, src.subscribe(), out.clone())
+        let delivered = if round < cfg.max_repair_rounds as u64 {
+            chaos_round(name, plan, round, &pending)
         } else {
-            spawn_stage(&format!("replay:{name}"), src.subscribe(), out.clone(), |m| vec![m])
+            pending.clone()
         };
-        let sink = sink_to_vec(out.subscribe());
-        for m in &pending {
-            src.publish(m.clone());
-        }
-        src.close();
-        stage.join();
+        observe(&delivered);
         // Sink-side dedup + re-sequencing.
         let mut high_water = None;
-        for m in sink.join().expect("reliable_stream sink") {
+        for m in delivered {
             if high_water.is_some_and(|hw| m.seq < hw) {
                 stats.reordered += 1;
                 obs::counter("chaos.reordered_observed").incr();
             }
             high_water = Some(high_water.map_or(m.seq, |hw: u64| hw.max(m.seq)));
             if received.insert(m.seq, m.payload).is_some() {
-                stats.duplicated += 1;
                 // Sink-side dedup repairs exactly the duplicate copies the
-                // chaos stage injected.
-                obs::counter("chaos.dups_repaired").incr();
-                obs::counter("chaos.faults_repaired").incr();
-                obs::trace::emit(
-                    obs::EventKind::FaultRepaired,
-                    name,
-                    None,
-                    None,
-                    format!("dup seq={}", m.seq),
-                    None,
-                );
+                // chaos round injected.
+                stats.duplicated += 1;
+                note_fault(name, true, "dup", m.seq, None);
             }
         }
         // Gap detection: whatever is still missing goes into the next
@@ -187,137 +157,10 @@ where
     (received.into_values().collect(), stats)
 }
 
-/// Run `f` as a supervised flat-map over `items`: input crosses a repaired
-/// chaos transport, the stage body is restarted on panics (resuming from
-/// the ack watermark), and sequence-keyed outputs are deduped at the sink.
-///
-/// `f(i, &item)` must be deterministic in `(i, item)` — the usual rule for
-/// this codebase — which is what makes redelivery invisible in the output:
-/// the returned `Vec` equals `items.iter().enumerate().flat_map(f)` exactly,
-/// for any plan.
-pub fn supervised_flat_map<I, O, F>(
-    name: &str,
-    items: Vec<I>,
-    plan: Option<&FaultPlan>,
-    cfg: &SupervisorConfig,
-    f: F,
-) -> (Vec<O>, SuperviseStats)
-where
-    I: Clone + Send + Sync + 'static,
-    O: Clone + Send + 'static,
-    F: Fn(u64, &I) -> Vec<O> + Send + Sync + 'static,
-{
-    // Layer 1: repaired transport.
-    let (input, mut stats) = reliable_stream(name, items, plan, cfg);
-    let input: Arc<Vec<I>> = Arc::new(input);
-    let n = input.len() as u64;
-    let task = hash_label(name);
-    let plan = plan.copied();
-
-    // Layer 2: supervised incarnations feeding a dedup sink.
-    let out: Topic<((u64, u32), O)> = Topic::new(&format!("{name}:out"));
-    let sink = sink_to_vec(out.subscribe());
-    let acked = Arc::new(AtomicU64::new(0));
-    let f = Arc::new(f);
-    let mut attempt: u32 = 0;
-    loop {
-        let start = acked.load(Ordering::Acquire);
-        let crash_after = plan.and_then(|p| p.crash_point(task, attempt, n - start));
-        let worker = {
-            let input = Arc::clone(&input);
-            let out = out.clone();
-            let acked = Arc::clone(&acked);
-            let f = Arc::clone(&f);
-            let ack_interval = cfg.ack_interval.max(1);
-            let site = name.to_string();
-            // A raw thread (not StageHandle) so the supervisor sees the
-            // panic as a `Result` instead of propagating it.
-            thread::Builder::new()
-                .name(format!("{name}#{attempt}"))
-                .spawn(move || {
-                    let mut since_ack = 0u64;
-                    for i in start..n {
-                        if crash_after == Some(i - start) {
-                            obs::trace::emit(
-                                obs::EventKind::FaultInjected,
-                                &site,
-                                None,
-                                None,
-                                format!("crash attempt={attempt}"),
-                                None,
-                            );
-                            injected_crash();
-                        }
-                        for (k, o) in f(i, &input[i as usize]).into_iter().enumerate() {
-                            out.publish(((i, k as u32), o));
-                        }
-                        since_ack += 1;
-                        if since_ack >= ack_interval {
-                            acked.store(i + 1, Ordering::Release);
-                            since_ack = 0;
-                        }
-                    }
-                    if crash_after == Some(n - start) {
-                        obs::trace::emit(
-                            obs::EventKind::FaultInjected,
-                            &site,
-                            None,
-                            None,
-                            format!("crash attempt={attempt}"),
-                            None,
-                        );
-                        injected_crash();
-                    }
-                })
-                .expect("spawn supervised stage")
-        };
-        match worker.join() {
-            Ok(()) => break,
-            Err(e) => {
-                if attempt >= cfg.max_restarts {
-                    out.close();
-                    std::panic::resume_unwind(e);
-                }
-                if e.downcast_ref::<crate::fault::InjectedCrash>().is_some() {
-                    obs::counter("chaos.crashes_repaired").incr();
-                    obs::counter("chaos.faults_repaired").incr();
-                    obs::trace::emit(
-                        obs::EventKind::FaultRepaired,
-                        name,
-                        None,
-                        None,
-                        format!("crash attempt={attempt}"),
-                        None,
-                    );
-                }
-                obs::counter("chaos.restarts").incr();
-                stats.restarts += 1;
-                let backoff = (cfg.backoff_base_ms << attempt.min(16)).min(cfg.backoff_cap_ms);
-                stats.backoff_ms += backoff;
-                obs::counter("chaos.backoff_ms").add(backoff);
-                thread::sleep(Duration::from_millis(backoff));
-                attempt += 1;
-            }
-        }
-    }
-    out.close();
-
-    // Idempotent dedup: outputs redelivered after a restart collapse onto
-    // their (input seq, output index) key, restoring sequential order.
-    let mut deduped: BTreeMap<(u64, u32), O> = BTreeMap::new();
-    for (key, o) in sink.join().expect("supervised sink") {
-        if deduped.insert(key, o).is_some() {
-            stats.redelivered += 1;
-            obs::counter("chaos.redelivered").incr();
-        }
-    }
-    (deduped.into_values().collect(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::ChaosConfig;
+    use crate::fault::{chaos_counters_lock, ChaosConfig};
     use simcore::rng::RngFactory;
 
     fn plan(cfg: ChaosConfig) -> FaultPlan {
@@ -326,6 +169,7 @@ mod tests {
 
     #[test]
     fn reliable_stream_is_exactly_once_end_to_end() {
+        let _g = chaos_counters_lock();
         let items: Vec<u64> = (0..700).collect();
         let p = plan(ChaosConfig::CALIBRATED);
         let (got, stats) =
@@ -339,6 +183,7 @@ mod tests {
 
     #[test]
     fn reliable_stream_stats_are_deterministic() {
+        let _g = chaos_counters_lock();
         let p = plan(ChaosConfig::CALIBRATED);
         let run =
             || reliable_stream("t", (0..300u64).collect(), Some(&p), &SupervisorConfig::default());
@@ -354,6 +199,7 @@ mod tests {
 
     #[test]
     fn reliable_stream_terminates_even_at_full_drop_rate() {
+        let _g = chaos_counters_lock();
         // Every chaos round drops everything; the bounded fault-free round
         // must still deliver.
         let cfg = ChaosConfig {
@@ -372,54 +218,96 @@ mod tests {
         assert_eq!(stats.dropped, 150);
     }
 
-    #[test]
-    fn supervised_flat_map_equals_sequential_under_chaos() {
-        let items: Vec<u64> = (0..400).collect();
-        let body = |i: u64, x: &u64| vec![i * 1000 + x, i * 1000 + x + 1];
-        let want: Vec<u64> =
-            items.iter().enumerate().flat_map(|(i, x)| body(i as u64, x)).collect();
-        let p = plan(ChaosConfig::CALIBRATED);
-        let (got, stats) =
-            supervised_flat_map("t", items, Some(&p), &SupervisorConfig::default(), body);
-        assert_eq!(got, want, "recovered output equals fault-free output");
-        assert!(stats.restarts > 0, "the calibrated profile crashes this stage: {stats:?}");
+    /// The chaos counters a transport run moves, in the order the pinned
+    /// cases list their deltas.
+    const CHAOS_COUNTERS: [&str; 11] = [
+        "chaos.drops_injected",
+        "chaos.drops_repaired",
+        "chaos.dups_injected",
+        "chaos.dups_repaired",
+        "chaos.holds_injected",
+        "chaos.holds_repaired",
+        "chaos.faults_injected",
+        "chaos.faults_repaired",
+        "chaos.reordered_observed",
+        "chaos.retransmit_rounds",
+        "chaos.trace.events",
+    ];
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01B3))
     }
 
+    /// Pins the transport on fixed plans — three seeds at the calibrated and
+    /// at a heavy profile, and one run cut off by `max_repair_rounds` — to
+    /// what the threaded transport it replaced produced: the exact stats,
+    /// the `chaos.*` counter deltas, an FNV over every round's delivered
+    /// sequence before dedup, and an FNV over the run's sorted trace lines.
     #[test]
-    fn supervised_flat_map_without_plan_is_plain_flat_map() {
-        let (got, stats) = supervised_flat_map(
-            "t",
-            vec![10u64, 20, 30],
-            None,
-            &SupervisorConfig::default(),
-            |_, x| vec![x * 2],
-        );
-        assert_eq!(got, vec![20, 40, 60]);
-        assert!(stats.is_clean());
-    }
-
-    #[test]
-    fn restart_budget_exhaustion_propagates_the_panic() {
-        // A body that always really panics must eventually escape, even
-        // under supervision.
-        let cfg = SupervisorConfig { max_restarts: 2, backoff_base_ms: 0, ..Default::default() };
-        let r = std::panic::catch_unwind(|| {
-            supervised_flat_map("t", vec![1u32], None, &cfg, |_, _: &u32| -> Vec<u32> {
-                std::panic::resume_unwind(Box::new("real bug"))
-            })
-        });
-        assert!(r.is_err(), "panic escapes after the restart budget");
-    }
-
-    #[test]
-    fn restarts_resume_from_ack_watermark() {
-        // Tight ack interval + forced crashes: output still exact.
-        let chaos = ChaosConfig { crash_prob: 1.0, max_crashes: 2, ..ChaosConfig::DISABLED };
-        let p = plan(chaos);
-        let sup = SupervisorConfig { ack_interval: 4, backoff_base_ms: 0, ..Default::default() };
-        let items: Vec<u64> = (0..100).collect();
-        let (got, stats) = supervised_flat_map("t", items.clone(), Some(&p), &sup, |_, x| vec![*x]);
-        assert_eq!(got, items);
-        assert_eq!(stats.restarts, p.planned_crashes(hash_label("t")) as u64);
+    fn transport_is_pinned_on_fixed_plans() {
+        let _g = chaos_counters_lock();
+        const HEAVY: ChaosConfig = ChaosConfig {
+            drop_prob: 0.2,
+            dup_prob: 0.2,
+            hold_prob: 0.25,
+            max_hold: 6,
+            crash_prob: 0.9,
+            max_crashes: 3,
+        };
+        let stats = |dropped, duplicated, reordered, repair_rounds| SuperviseStats {
+            dropped,
+            duplicated,
+            reordered,
+            repair_rounds,
+            ..SuperviseStats::default()
+        };
+        #[rustfmt::skip]
+        let cases = [
+            (1, ChaosConfig::CALIBRATED, 8, stats(16, 26, 21, 2),
+             [16, 16, 26, 26, 23, 23, 65, 65, 21, 2, 130], 0x39f2e37100f9b4c0, 0x881d65a0c8788bbd),
+            (2, ChaosConfig::CALIBRATED, 8, stats(15, 11, 22, 1),
+             [15, 15, 11, 11, 23, 23, 49, 49, 22, 1, 98], 0x26a1d8ad001cb0db, 0xf5fc7f6495b7f6cc),
+            (3, ChaosConfig::CALIBRATED, 8, stats(20, 20, 17, 1),
+             [20, 20, 20, 20, 19, 19, 59, 59, 17, 1, 118], 0xf9b4776c94c4fe80, 0x79005cf86a592152),
+            (1, HEAVY, 8, stats(76, 57, 59, 4),
+             [76, 76, 57, 57, 85, 85, 218, 218, 59, 4, 436], 0x066bbd26e91ca72b, 0x255c3a02e2108787),
+            (2, HEAVY, 8, stats(57, 67, 60, 3),
+             [57, 57, 67, 67, 87, 87, 211, 211, 60, 3, 422], 0xf11df9a46e6ab138, 0x9e7b6a27b91b8a3c),
+            (3, HEAVY, 8, stats(71, 69, 52, 5),
+             [71, 71, 69, 69, 77, 77, 217, 217, 52, 5, 434], 0x7c934e088f04c8ee, 0x980285312f4ab7ed),
+            // Two faulty rounds leave records pending; the third passes through.
+            (4, HEAVY, 2, stats(70, 63, 50, 2),
+             [70, 70, 63, 63, 75, 75, 208, 208, 50, 2, 416], 0x5d37a8be28a06f59, 0x6375535633830ae9),
+        ];
+        let items: Vec<u64> = (0..256).map(|i| i * 7 + 3).collect();
+        for (case, (seed, chaos, rounds, want_stats, want_counters, want_delivered, want_trace)) in
+            cases.into_iter().enumerate()
+        {
+            let site = format!("pinned-{case}");
+            let plan = FaultPlan::from_seed(seed, "pinned", chaos);
+            let sup = SupervisorConfig { max_repair_rounds: rounds, ..SupervisorConfig::default() };
+            let before = CHAOS_COUNTERS.map(|c| obs::counter(c).get());
+            let mut delivered = FNV_OFFSET;
+            let (got, stats) = repair(&site, items.clone(), Some(&plan), &sup, |round| {
+                for m in round {
+                    delivered = fnv(fnv(delivered, &m.seq.to_le_bytes()), &m.payload.to_le_bytes());
+                }
+            });
+            let mut counters = CHAOS_COUNTERS.map(|c| obs::counter(c).get());
+            for (c, b) in counters.iter_mut().zip(before) {
+                *c -= b;
+            }
+            let trace = obs::trace::snapshot()
+                .iter()
+                .filter(|e| e.scope == site)
+                .fold(FNV_OFFSET, |h, e| fnv(h, e.deterministic_line().as_bytes()));
+            assert_eq!(got, items, "case {case}: the batch comes back exactly");
+            assert_eq!(stats, want_stats, "case {case}");
+            assert_eq!(counters, want_counters, "case {case}: {CHAOS_COUNTERS:?}");
+            assert_eq!(delivered, want_delivered, "case {case}: delivered sequence");
+            assert_eq!(trace, want_trace, "case {case}: trace events");
+        }
     }
 }

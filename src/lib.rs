@@ -14,7 +14,7 @@
 //! | [`telescope`] | darknet, backscatter, RSDoS inference, the feed |
 //! | [`openintel`] | daily active measurement platform |
 //! | [`census`] | anycast census + open-resolver lists |
-//! | [`streamproc`] | topics, tumbling windows, threaded stages |
+//! | [`streamproc`] | worker pools, fault injection, repaired transport, supervision |
 //! | [`core`] | **the paper's data-join pipeline and analyses** |
 //! | [`reactive`] | RSDoS-triggered NS-exhaustive probing |
 //! | [`scenarios`] | world generator + TransIP / mil.ru / RDZ case studies |
