@@ -13,9 +13,9 @@
 #   metrics      repro bench: schema-validated run report, counter
 #                invariants, exact deterministic-counter diff against the
 #                committed BENCH baseline
-#   wirebench    criterion smoke over the zero-copy parse, arena feed-block
-#                and telescope/load-book benches: every expected benchmark
-#                must run to completion and report a number
+#   wirebench    criterion smoke over the zero-copy parse, arena feed-block,
+#                telescope/load-book and trace-emit benches: every expected
+#                benchmark must run to completion and report a number
 #   trace        pinned scenario with --trace-json: schema + causality
 #                validation, and `repro explain` byte-identical across
 #                worker counts
@@ -82,7 +82,7 @@ tests        cargo test --workspace + the dnswire differential suite by name
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
 chaos        kill -9 mid-run + resume must equal a clean, fault-free run
 metrics      repro bench: report schema + counter invariants + BENCH baseline diff
-wirebench    criterion smoke: every parse/feed-block/telescope bench runs and reports
+wirebench    criterion smoke: every parse/feed-block/telescope/trace bench runs and reports
 trace        trace export schema + causality; repro explain deterministic
 sweep        bench --scale-sweep smoke: cross-jobs fingerprints + sweep schema
 suite        bench --suite: cross-process fingerprint verdicts all PASS + suite schema
@@ -308,14 +308,17 @@ gate_metrics() {
 }
 
 gate_wirebench() {
-    echo "==> wire gate: criterion smoke over parse + feed-block + telescope benches"
-    # The zero-copy parse and arena-block benches, and the batch hot
-    # path's sorted-run and packed-key kernels (cell merge inside the
-    # sampler, episode extraction, the load book), must run to completion
-    # and report every expected benchmark — a panicking or silently-
-    # dropped bench fails here. The feedblock bench's own post-run assert
-    # re-proves block rows == row-path records on the bench input.
+    echo "==> wire gate: criterion smoke over parse + feed-block + telescope + trace benches"
+    # The zero-copy parse and arena-block benches, the batch hot path's
+    # sorted-run and packed-key kernels (cell merge inside the sampler,
+    # episode extraction, the load book filled and indexed), and the
+    # trace's price per event (onset payload vs formatted text, ring empty
+    # and full) must run to completion and report every expected
+    # benchmark — a panicking or silently-dropped bench fails here. The
+    # feedblock bench's own post-run assert re-proves block rows ==
+    # row-path records on the bench input.
     cargo bench -p dnsimpact-bench --bench wire --bench feedblock --bench telescope \
+        --bench trace \
         > "$SMOKE/wirebench.txt" 2>&1 || {
         cat "$SMOKE/wirebench.txt" >&2
         exit 1
@@ -324,14 +327,15 @@ gate_wirebench() {
         dnswire/parse_ref_and_canonical_qname feedblock/classify_into_block \
         feedblock/episodes_from_block feedblock/fanout_block_clone \
         telescope/backscatter_sample telescope/classify telescope/episodes \
-        loadbook/add_585k_cells; do
+        loadbook/fill_and_index_585k_cells trace/emit_onset/empty_ring \
+        trace/emit_onset/full_ring trace/emit_text/empty_ring trace/emit_text/full_ring; do
         grep -q "$B" "$SMOKE/wirebench.txt" || {
             echo "benchmark $B missing from criterion smoke output" >&2
             cat "$SMOKE/wirebench.txt" >&2
             exit 1
         }
     done
-    echo "==> wire gate passed (all parse/feed-block/telescope benches ran and reported)"
+    echo "==> wire gate passed (all parse/feed-block/telescope/trace benches ran and reported)"
 }
 
 gate_trace() {

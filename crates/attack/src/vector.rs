@@ -19,6 +19,15 @@ impl Protocol {
             Protocol::Udp => 17,
         }
     }
+
+    /// The variant's name, as `Debug` prints it (`Tcp`, `Udp`, `Icmp`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Protocol::Tcp => "Tcp",
+            Protocol::Udp => "Udp",
+            Protocol::Icmp => "Icmp",
+        }
+    }
 }
 
 /// How an attack vector sources its traffic — which decides whether the
@@ -115,6 +124,13 @@ mod tests {
         assert_eq!(Protocol::Tcp.number(), 6);
         assert_eq!(Protocol::Udp.number(), 17);
         assert_eq!(Protocol::Icmp.number(), 1);
+    }
+
+    #[test]
+    fn protocol_names_are_the_debug_names() {
+        for p in [Protocol::Tcp, Protocol::Udp, Protocol::Icmp] {
+            assert_eq!(p.name(), format!("{p:?}"));
+        }
     }
 
     #[test]

@@ -465,6 +465,11 @@ fn measure_and_aggregate(
     obs::counter("impact.baselines_missing").add(sourced(BaselineSource::Missing));
     obs::counter("outage.sweep_days_lost").add(lost_days.len() as u64);
 
+    // The book builds its index at its first lookup. Take that here, on the
+    // calling thread: built inside a pool worker, the maps land in that
+    // worker's allocator arena, and jobs=2 peak RSS read +16 % (DESIGN.md
+    // §19).
+    let _ = loads.len();
     let batches = measure(infra, schedule, resolver, loads, rngs, config, jobs, &tasks);
     let store = merge(&tasks, &batches, &rows);
     obs::counter("openintel.records_measured").add(batches.iter().map(|b| b.len() as u64).sum());

@@ -227,6 +227,9 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
     // the row path by telescope's differential tests).
     let record_block = classifier.classify_into_block(&observations);
     let episodes = classifier.episodes_from_block(&record_block);
+    // Both are consumed: free them before the load book's index is built
+    // (at the first `span_aggregate`), not after the feed is.
+    drop((observations, record_block));
 
     let gap =
         FeedGapModel::from_seed(cfg.gap_seed, cfg.gap_prob, cfg.max_gap_windows, cfg.loss_frac);

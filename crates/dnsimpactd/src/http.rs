@@ -46,7 +46,8 @@
 
 use crate::index::{BaselineSource, DomainDir, IndexSnapshot};
 use crate::telemetry::Telemetry;
-use obs::Json;
+use obs::metrics::Held;
+use obs::{Counter, Histogram, Json};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -115,11 +116,11 @@ impl Server {
                         break;
                     }
                     let Ok(conn) = conn else { continue };
-                    obs::counter("sched.daemon.queries_received").incr();
+                    QUERIES_RECEIVED.incr();
                     match queue.try_push(conn) {
                         Ok(()) => {}
                         Err(PushError::Full(conn)) | Err(PushError::Closed(conn)) => {
-                            obs::counter("sched.daemon.queries_shed").incr();
+                            QUERIES_SHED.incr();
                             // Drain the request before answering: closing a
                             // socket with unread data RSTs the connection and
                             // can discard the queued 503 — the client would
@@ -151,8 +152,8 @@ impl Server {
                             std::thread::sleep(Duration::from_millis(cfg.handle_delay_ms));
                         }
                         match handle(conn, &cell, &dir, &cfg, telemetry.as_deref()) {
-                            Ok(()) => obs::counter("sched.daemon.queries_served").incr(),
-                            Err(_) => obs::counter("sched.daemon.query_errors").incr(),
+                            Ok(()) => QUERIES_SERVED.incr(),
+                            Err(_) => QUERY_ERRORS.incr(),
                         }
                     }
                 })
@@ -201,25 +202,49 @@ fn drain_request(mut conn: &TcpStream, timeout: Duration) -> std::io::Result<()>
     }
 }
 
-/// The fixed route-metric table. Unknown paths share the `other` pair,
-/// so hostile path spam cannot grow the registry.
-fn route_metrics(path: &str) -> (&'static str, &'static str) {
-    match path {
-        "/healthz" => {
-            ("sched.daemon.http.requests.healthz", "sched.daemon.http.latency_us.healthz")
-        }
-        "/readyz" => ("sched.daemon.http.requests.readyz", "sched.daemon.http.latency_us.readyz"),
-        "/statz" => ("sched.daemon.http.requests.statz", "sched.daemon.http.latency_us.statz"),
-        "/query" => ("sched.daemon.http.requests.query", "sched.daemon.http.latency_us.query"),
-        "/metricsz" => {
-            ("sched.daemon.http.requests.metricsz", "sched.daemon.http.latency_us.metricsz")
-        }
-        "/seriesz" => {
-            ("sched.daemon.http.requests.seriesz", "sched.daemon.http.latency_us.seriesz")
-        }
-        "/sloz" => ("sched.daemon.http.requests.sloz", "sched.daemon.http.latency_us.sloz"),
-        _ => ("sched.daemon.http.requests.other", "sched.daemon.http.latency_us.other"),
-    }
+// The accept and worker loops count every connection: each handle is
+// interned at its first use and held, so no request takes the metric
+// registry's lock.
+static QUERIES_RECEIVED: Held<Counter> = Held::counter("sched.daemon.queries_received");
+static QUERIES_SHED: Held<Counter> = Held::counter("sched.daemon.queries_shed");
+static QUERIES_SERVED: Held<Counter> = Held::counter("sched.daemon.queries_served");
+static QUERY_ERRORS: Held<Counter> = Held::counter("sched.daemon.query_errors");
+
+/// One route's request counter and latency histogram.
+struct RouteMetrics {
+    requests: Held<Counter>,
+    latency_us: Held<Histogram>,
+}
+
+macro_rules! route {
+    ($name:literal) => {
+        (
+            concat!("/", $name),
+            RouteMetrics {
+                requests: Held::counter(concat!("sched.daemon.http.requests.", $name)),
+                latency_us: Held::histogram(concat!("sched.daemon.http.latency_us.", $name)),
+            },
+        )
+    };
+}
+
+/// The fixed route-metric table, each handle interned at its route's first
+/// request. Unknown paths share the `other` pair, so hostile path spam
+/// cannot grow the registry.
+static ROUTES: [(&str, RouteMetrics); 8] = [
+    route!("healthz"),
+    route!("readyz"),
+    route!("statz"),
+    route!("query"),
+    route!("metricsz"),
+    route!("seriesz"),
+    route!("sloz"),
+    route!("other"),
+];
+
+fn route_metrics(path: &str) -> &'static RouteMetrics {
+    let (_, other) = &ROUTES[ROUTES.len() - 1];
+    ROUTES.iter().find(|(p, _)| *p == path).map_or(other, |(_, m)| m)
 }
 
 /// Read one request line + headers (8 KiB cap), route, respond.
@@ -257,8 +282,8 @@ fn handle(
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
-    let (requests, latency) = route_metrics(path);
-    obs::counter(requests).incr();
+    let metrics = route_metrics(path);
+    metrics.requests.incr();
     let started = Instant::now();
     let result = if path == "/metricsz" {
         // Text exposition, not JSON — rendered from the whole registry.
@@ -268,7 +293,7 @@ fn handle(
         let (status, body) = route(path, query, &snap, dir, cfg, telemetry);
         respond(conn, status, &body)
     };
-    obs::histogram(latency).record(started.elapsed().as_micros() as u64);
+    metrics.latency_us.record(started.elapsed().as_micros() as u64);
     result
 }
 
@@ -409,13 +434,10 @@ fn route(
             // The serving-side accounting, in the same snapshot the CI
             // gate and the watchdog already poll: shedding was previously
             // visible only in the final report.
-            b.set(
-                "queries_received",
-                Json::U64(obs::counter("sched.daemon.queries_received").get()),
-            );
-            b.set("queries_served", Json::U64(obs::counter("sched.daemon.queries_served").get()));
-            b.set("queries_shed", Json::U64(obs::counter("sched.daemon.queries_shed").get()));
-            b.set("query_errors", Json::U64(obs::counter("sched.daemon.query_errors").get()));
+            b.set("queries_received", Json::U64(QUERIES_RECEIVED.get()));
+            b.set("queries_served", Json::U64(QUERIES_SERVED.get()));
+            b.set("queries_shed", Json::U64(QUERIES_SHED.get()));
+            b.set("query_errors", Json::U64(QUERY_ERRORS.get()));
             if let Some(tel) = telemetry {
                 b.set("checkpoint_seq", Json::U64(tel.checkpoint_seq()));
                 b.set("slo", tel.statz_slo());

@@ -15,6 +15,8 @@
 use crate::feed::{FeedBatch, FeedRecord};
 use dnsimpact_core::columnar::JoinTable;
 use dnssim::{DomainId, Infra, NsSetId};
+use obs::metrics::Held;
+use obs::{Counter, Gauge};
 use scenarios::BuiltWorld;
 /// The hasher both fingerprints below are taken with.
 pub use simcore::hash::FnvWriter;
@@ -61,6 +63,17 @@ pub struct NsSetImpact {
     pub baseline_source: Option<BaselineSource>,
 }
 
+// Applied per batch and per record: each handle is interned at its first
+// use and held, so no apply takes the metric registry's lock.
+static BATCHES_APPLIED: Held<Counter> = Held::counter("daemon.batches_applied");
+static RECORDS_APPLIED: Held<Counter> = Held::counter("daemon.records_applied");
+static STALENESS_S: Held<Gauge> = Held::gauge("daemon.staleness_s");
+static EPISODES_APPLIED: Held<Counter> = Held::counter("daemon.episodes_applied");
+static BASELINES_APPLIED: Held<Counter> = Held::counter("daemon.baselines_applied");
+static BASELINE_FALLBACKS: Held<Counter> = Held::counter("daemon.baseline_fallbacks");
+static BASELINES_MISSING: Held<Counter> = Held::counter("daemon.baselines_missing");
+static ATTACK_OBS_APPLIED: Held<Counter> = Held::counter("daemon.attack_obs_applied");
+
 /// The ingester's mutable index.
 #[derive(Clone, Debug, Default)]
 pub struct IndexState {
@@ -89,9 +102,9 @@ impl IndexState {
         self.applied_seq = batch.seq + 1;
         self.clock = batch.clock;
         self.horizon = batch.horizon;
-        obs::counter("daemon.batches_applied").incr();
-        obs::counter("daemon.records_applied").add(batch.records.len() as u64);
-        obs::gauge("daemon.staleness_s").set(self.staleness_s());
+        BATCHES_APPLIED.incr();
+        RECORDS_APPLIED.add(batch.records.len() as u64);
+        STALENESS_S.set(self.staleness_s());
     }
 
     fn apply_record(&mut self, world: &BuiltWorld, rec: &FeedRecord) {
@@ -125,11 +138,11 @@ impl IndexState {
                         }
                     }
                 }
-                obs::counter("daemon.episodes_applied").incr();
+                EPISODES_APPLIED.incr();
             }
             FeedRecord::DayBaseline { nsset, day, avg_rtt_ms, domains_measured } => {
                 self.baselines.insert((nsset.0, *day), (*avg_rtt_ms, *domains_measured));
-                obs::counter("daemon.baselines_applied").incr();
+                BASELINES_APPLIED.incr();
             }
             FeedRecord::AttackObs { nsset, first_window, avg_rtt_ms, domains_measured, .. } => {
                 let day = first_window.day();
@@ -145,10 +158,10 @@ impl IndexState {
                         }
                     };
                 if source == BaselineSource::WeekBefore {
-                    obs::counter("daemon.baseline_fallbacks").incr();
+                    BASELINE_FALLBACKS.incr();
                 }
                 if source == BaselineSource::Missing {
-                    obs::counter("daemon.baselines_missing").incr();
+                    BASELINES_MISSING.incr();
                 }
                 let s = self.nssets.entry(nsset.0).or_default();
                 s.during_rtt_ms = Some(*avg_rtt_ms);
@@ -160,7 +173,7 @@ impl IndexState {
                         s.worst_impact_on_rtt = Some(r);
                     }
                 }
-                obs::counter("daemon.attack_obs_applied").incr();
+                ATTACK_OBS_APPLIED.incr();
             }
         }
     }

@@ -349,6 +349,47 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     registry().histogram(name)
 }
 
+/// A named instrument for a `static`: interned at its first use, exactly
+/// as [`counter`]/[`gauge`]/[`histogram`] would, and held after, so a
+/// per-record or per-request site takes the registry's lock and name
+/// lookup once per process instead of once per call.
+///
+/// ```
+/// static APPLIED: obs::metrics::Held<obs::Counter> = obs::metrics::Held::counter("doc.applied");
+/// APPLIED.incr();
+/// assert_eq!(obs::counter("doc.applied").get(), 1);
+/// ```
+pub struct Held<T: 'static> {
+    name: &'static str,
+    intern: fn(&'static str) -> &'static T,
+    handle: OnceLock<&'static T>,
+}
+
+impl Held<Counter> {
+    pub const fn counter(name: &'static str) -> Self {
+        Held { name, intern: counter, handle: OnceLock::new() }
+    }
+}
+
+impl Held<Gauge> {
+    pub const fn gauge(name: &'static str) -> Self {
+        Held { name, intern: gauge, handle: OnceLock::new() }
+    }
+}
+
+impl Held<Histogram> {
+    pub const fn histogram(name: &'static str) -> Self {
+        Held { name, intern: histogram, handle: OnceLock::new() }
+    }
+}
+
+impl<T> std::ops::Deref for Held<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.handle.get_or_init(|| (self.intern)(self.name))
+    }
+}
+
 /// Name prefixes carrying wall-clock or scheduling-dependent values,
 /// excluded from determinism comparison (crate docs, "Determinism
 /// domains").

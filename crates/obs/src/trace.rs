@@ -23,10 +23,12 @@
 //! their scope instead (they are attributed to runs, not episodes).
 
 use crate::json::Json;
-use crate::metrics::{counter, Counter};
+use crate::metrics::{Counter, Held};
 use crate::report::{MAX_PROBES_PER_ROUND, MAX_TRIGGER_LATENCY_SECS};
 use crate::schema::{record, Reader};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -175,8 +177,64 @@ fn sort_key(e: &TraceEvent) -> (&str, u64, u64, u8, &str, u64) {
     )
 }
 
+/// The typed payload of an [`EventKind::AttackOnset`] event. The ring
+/// keeps these fields and renders the detail text only when it is read
+/// ([`snapshot`]), so a run that emits tens of thousands of onsets and
+/// never reads them formats none.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Onset {
+    pub victim: Ipv4Addr,
+    /// The protocol's name as the feed prints it (`Tcp`, `Udp`, `Icmp`).
+    pub protocol: &'static str,
+    pub port: u16,
+    pub peak_ppm: f64,
+}
+
+impl Onset {
+    /// The event's `detail`: `victim <ip> <protocol> port <n> peak <ppm> ppm`,
+    /// the peak rounded to a whole number.
+    pub fn render(&self) -> String {
+        let Onset { victim, protocol, port, peak_ppm } = self;
+        format!("victim {victim} {protocol} port {port} peak {peak_ppm:.0} ppm")
+    }
+}
+
+/// An event as the ring holds it: the scope borrowed when it is a
+/// `'static` string, the detail as its caller gave it.
+struct Stored {
+    kind: EventKind,
+    scope: Cow<'static, str>,
+    episode: Option<u64>,
+    sim_secs: Option<u64>,
+    detail: Detail,
+    value: Option<u64>,
+    wall_micros: u64,
+}
+
+enum Detail {
+    Text(String),
+    Onset(Onset),
+}
+
+impl Stored {
+    fn to_event(&self) -> TraceEvent {
+        TraceEvent {
+            kind: self.kind,
+            scope: self.scope.to_string(),
+            episode: self.episode,
+            sim_secs: self.sim_secs,
+            detail: match &self.detail {
+                Detail::Text(text) => text.clone(),
+                Detail::Onset(onset) => onset.render(),
+            },
+            value: self.value,
+            wall_micros: self.wall_micros,
+        }
+    }
+}
+
 struct Shard {
-    events: Mutex<VecDeque<TraceEvent>>,
+    events: Mutex<VecDeque<Stored>>,
 }
 
 struct Ring {
@@ -201,13 +259,18 @@ fn wall_micros() -> u64 {
 /// Shard by event content, not by thread: the load spreads over every
 /// shard whatever the worker count, so the ring's full capacity is usable
 /// even from a single-threaded run, and — as long as the run fits the
-/// ring — the retained set is independent of `--jobs`.
-fn shard_index(event: &TraceEvent) -> usize {
+/// ring — the retained set is independent of `--jobs`. The hash covers
+/// what the caller hands over: a text event's detail, an onset's episode
+/// (no rendered text exists at emit time; the episode alone tells one
+/// onset of a scope from the next).
+fn shard_index(event: &Stored) -> usize {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     event.scope.hash(&mut h);
     event.episode.hash(&mut h);
-    event.detail.hash(&mut h);
+    if let Detail::Text(text) = &event.detail {
+        text.hash(&mut h);
+    }
     event.kind.rank().hash(&mut h);
     (h.finish() as usize) % TRACE_SHARDS
 }
@@ -222,45 +285,73 @@ pub fn emit(
     detail: impl Into<String>,
     value: Option<u64>,
 ) {
-    let event = TraceEvent {
+    push(Stored {
         kind,
-        scope: scope.to_string(),
+        scope: Cow::Owned(scope.to_string()),
         episode,
         sim_secs,
-        detail: detail.into(),
+        detail: Detail::Text(detail.into()),
         value,
         wall_micros: wall_micros(),
-    };
-    // The three counters are interned on first use, as `counter` would, and
-    // then held: a registry lock and a name lookup per event was a twentieth
-    // of a sparse batch run.
-    static DROPPED: OnceLock<&Counter> = OnceLock::new();
-    static FAULT_EVENTS: OnceLock<&Counter> = OnceLock::new();
-    static EVENTS: OnceLock<&Counter> = OnceLock::new();
+    });
+}
+
+/// Record one [`EventKind::AttackOnset`] of episode `scope/episode`,
+/// starting at `sim_secs` and lasting `duration_min`: the event
+/// [`emit`] would record with `onset.render()` as its detail, nothing
+/// formatted or allocated until the ring is read.
+pub fn emit_onset(
+    scope: &'static str,
+    episode: u64,
+    sim_secs: u64,
+    onset: Onset,
+    duration_min: u64,
+) {
+    push(Stored {
+        kind: EventKind::AttackOnset,
+        scope: Cow::Borrowed(scope),
+        episode: Some(episode),
+        sim_secs: Some(sim_secs),
+        detail: Detail::Onset(onset),
+        value: Some(duration_min),
+        wall_micros: wall_micros(),
+    });
+}
+
+fn push(event: Stored) {
+    static DROPPED: Held<Counter> = Held::counter("sched.trace.dropped");
+    static FAULT_EVENTS: Held<Counter> = Held::counter("chaos.trace.events");
+    static EVENTS: Held<Counter> = Held::counter("trace.events");
+    let kind = event.kind;
     let r = ring();
     let mut q = r.shards[shard_index(&event)].events.lock().unwrap();
-    if q.len() == SHARD_CAPACITY {
-        q.pop_front();
+    let evicted = if q.len() == SHARD_CAPACITY {
         r.dropped.fetch_add(1, Ordering::Relaxed);
-        DROPPED.get_or_init(|| counter("sched.trace.dropped")).incr();
-    }
+        DROPPED.incr();
+        q.pop_front()
+    } else {
+        None
+    };
     q.push_back(event);
     drop(q);
+    // Freed outside the shard's lock.
+    drop(evicted);
     // Fault events are chaos-seed-dependent, so their count lives in the
     // chaos namespace (excluded from chaos-vs-clean comparisons); every
     // other kind is part of the deterministic pipeline accounting.
     if kind.is_fault() {
-        FAULT_EVENTS.get_or_init(|| counter("chaos.trace.events")).incr();
+        FAULT_EVENTS.incr();
     } else {
-        EVENTS.get_or_init(|| counter("trace.events")).incr();
+        EVENTS.incr();
     }
 }
 
 /// Copy out every retained event, ordered by the deterministic sort key.
+/// Onset details are rendered here.
 pub fn snapshot() -> Vec<TraceEvent> {
     let mut out = Vec::new();
     for shard in &ring().shards {
-        out.extend(shard.events.lock().unwrap().iter().cloned());
+        out.extend(shard.events.lock().unwrap().iter().map(Stored::to_event));
     }
     out.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)));
     out

@@ -3,7 +3,7 @@
 use crate::darknet::Darknet;
 use attack::{Attack, Protocol, VectorKind};
 use rand::rngs::SmallRng;
-use simcore::dist::poisson;
+use simcore::dist::{binomial, poisson};
 use simcore::rng::RngFactory;
 use simcore::time::Window;
 use std::net::Ipv4Addr;
@@ -58,29 +58,42 @@ impl<'a> BackscatterSampler<'a> {
         merge_same_cell(out)
     }
 
+    /// One attack's observations, in window order. What is per attack
+    /// (dominant vector, rates, ports) is computed once; the windows are
+    /// walked without collecting them; the RNG draws are a Poisson then, for
+    /// a non-empty window, a binomial, window by window.
     fn sample_attack(&self, a: &Attack, rng: &mut SmallRng, out: &mut Vec<BackscatterObs>) {
         // A NaN/infinite rate would poison the pps sum and the dominant-vector
         // comparison; such a vector cannot deliver packets, so it is simply
         // not visible.
-        let visible: Vec<_> = a
-            .vectors
-            .iter()
-            .filter(|v| v.kind == VectorKind::RandomSpoofed && v.victim_pps.is_finite())
-            .collect();
-        let Some(dominant) = visible.iter().max_by(|x, y| x.victim_pps.total_cmp(&y.victim_pps))
-        else {
+        let visible = || {
+            a.vectors
+                .iter()
+                .filter(|v| v.kind == VectorKind::RandomSpoofed && v.victim_pps.is_finite())
+        };
+        let Some(dominant) = visible().max_by(|x, y| x.victim_pps.total_cmp(&y.victim_pps)) else {
             return; // nothing spoofed → nothing reaches the telescope
         };
-        let spoofed_pps: f64 = visible.iter().map(|v| v.victim_pps).sum();
+        let (protocol, first_port) = (dominant.protocol, dominant.first_port());
+        let spoofed_pps: f64 = visible().map(|v| v.victim_pps).sum();
         let response_pps = spoofed_pps.min(self.victim_response_cap_pps);
-        let unique_ports: u16 = visible.iter().map(|v| v.ports.len() as u16).sum::<u16>().max(1);
+        let unique_ports = visible()
+            .map(|v| u16::try_from(v.ports.len()).unwrap_or(u16::MAX))
+            .fold(0u16, u16::saturating_add)
+            .max(1);
+        let coverage = self.darknet.coverage();
+        let n = self.darknet.slash16s().len() as u64;
         for (w, frac) in a.window_overlaps() {
-            let mean_pkts = response_pps * frac * 300.0 * self.darknet.coverage();
+            let mean_pkts = response_pps * frac * 300.0 * coverage;
             let packets = poisson(rng, mean_pkts);
             if packets == 0 {
                 continue;
             }
-            let slash16s = self.sample_distinct_slash16s(packets, rng);
+            // Distinct /16s: the exact expectation plus binomial jitter
+            // (variance of distinct bins is ≤ the expectation), cheap and
+            // accurate for tiny and huge packet counts alike.
+            let p = self.darknet.slash16_hit_share(packets);
+            let slash16s = binomial(rng, n, p).max(1).min(packets) as u32;
             // Peak rate within the window: mean ppm inflated by Poisson
             // relative spread (bounded below by the mean).
             let mean_ppm = packets as f64 / (5.0 * frac.max(1e-9));
@@ -90,24 +103,12 @@ impl<'a> BackscatterSampler<'a> {
                 window: w,
                 packets,
                 slash16s,
-                protocol: dominant.protocol,
-                first_port: dominant.first_port(),
+                protocol,
+                first_port,
                 unique_ports,
                 max_ppm,
             });
         }
-    }
-
-    /// Distinct /16s via the exact expectation + binomial noise (cheap and
-    /// accurate for both tiny and huge packet counts).
-    fn sample_distinct_slash16s(&self, packets: u64, rng: &mut SmallRng) -> u32 {
-        let n = self.darknet.slash16s().len() as f64;
-        let expect = self.darknet.expected_distinct_slash16s(packets);
-        // Variance of distinct-bins is ≤ expectation; approximate with a
-        // small binomial jitter around the expectation.
-        let p = (expect / n).clamp(0.0, 1.0);
-        let sampled = simcore::dist::binomial(rng, n as u64, p);
-        (sampled.max(1)).min(packets) as u32
     }
 }
 
@@ -283,6 +284,20 @@ mod tests {
     }
 
     #[test]
+    fn unique_ports_saturate_instead_of_wrapping() {
+        let d = Darknet::ucsd_like();
+        let s = BackscatterSampler::new(&d);
+        // 40 000 + 40 000 ports: a plain u16 sum panics in a test build and
+        // wraps to 14 464 in a release one.
+        let mut a = spoofed_attack(50_000.0, 10);
+        a.vectors[0].ports = (0..40_000u16).collect();
+        a.vectors.push(a.vectors[0].clone());
+        let obs = s.sample(&[a], &RngFactory::new(7));
+        assert!(!obs.is_empty());
+        assert!(obs.iter().all(|o| o.unique_ports == u16::MAX), "{:?}", obs[0].unique_ports);
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let d = Darknet::ucsd_like();
         let s = BackscatterSampler::new(&d);
@@ -294,8 +309,106 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use attack::{AttackId, VectorSpec};
     use proptest::prelude::*;
+    use simcore::dist::binomial;
+    use simcore::time::{SimDuration, SimTime};
     use std::collections::HashMap;
+
+    /// `sample_attack` as it was before the per-attack hoisting and the /16
+    /// share table, kept as the reference.
+    fn sample_attack_reference(
+        s: &BackscatterSampler,
+        a: &Attack,
+        rng: &mut SmallRng,
+        out: &mut Vec<BackscatterObs>,
+    ) {
+        let visible: Vec<_> = a
+            .vectors
+            .iter()
+            .filter(|v| v.kind == VectorKind::RandomSpoofed && v.victim_pps.is_finite())
+            .collect();
+        let Some(dominant) = visible.iter().max_by(|x, y| x.victim_pps.total_cmp(&y.victim_pps))
+        else {
+            return;
+        };
+        let spoofed_pps: f64 = visible.iter().map(|v| v.victim_pps).sum();
+        let response_pps = spoofed_pps.min(s.victim_response_cap_pps);
+        let unique_ports: u16 = visible.iter().map(|v| v.ports.len() as u16).sum::<u16>().max(1);
+        for (w, frac) in a.window_overlaps() {
+            let mean_pkts = response_pps * frac * 300.0 * s.darknet.coverage();
+            let packets = poisson(rng, mean_pkts);
+            if packets == 0 {
+                continue;
+            }
+            let n = s.darknet.slash16s().len() as f64;
+            let expect = s.darknet.expected_distinct_slash16s(packets);
+            let p = (expect / n).clamp(0.0, 1.0);
+            let slash16s = (binomial(rng, n as u64, p).max(1)).min(packets) as u32;
+            let mean_ppm = packets as f64 / (5.0 * frac.max(1e-9));
+            let max_ppm = mean_ppm * (1.0 + 1.0 / (packets as f64).sqrt());
+            out.push(BackscatterObs {
+                victim: a.target,
+                window: w,
+                packets,
+                slash16s,
+                protocol: dominant.protocol,
+                first_port: dominant.first_port(),
+                unique_ports,
+                max_ppm,
+            });
+        }
+    }
+
+    fn arb_vector() -> impl Strategy<Value = VectorSpec> {
+        // Rates from silent to past the response cap, a shared rate so two
+        // vectors can tie for dominant, and the poisoned ones the filter
+        // must drop; ports ≤ 64 per vector, as generated catalogs carry (the
+        // reference's plain u16 sum would overflow past that).
+        let pps = prop_oneof![
+            Just(0.0),
+            Just(5_000.0),
+            Just(5_000.0),
+            0.0f64..10.0,
+            10.0f64..20_000.0,
+            1e5f64..1e8,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+        ];
+        (0u8..5, 0u8..3, 0u16..64, pps).prop_map(|(kind, proto, ports, victim_pps)| VectorSpec {
+            kind: match kind {
+                0..=2 => VectorKind::RandomSpoofed,
+                3 => VectorKind::Reflection,
+                _ => VectorKind::Direct,
+            },
+            protocol: [Protocol::Tcp, Protocol::Udp, Protocol::Icmp][proto as usize],
+            ports: (0..ports).map(|p| 1 + p * 7).collect(),
+            victim_pps,
+            source_count: 1_000,
+        })
+    }
+
+    fn arb_catalog() -> impl Strategy<Value = Vec<Attack>> {
+        let attack = (
+            0u32..4,
+            0u64..3_000,
+            prop_oneof![Just(0u64), 1u64..300, 1u64..20_000],
+            prop::collection::vec(arb_vector(), 0..4),
+        );
+        prop::collection::vec(attack, 0..8).prop_map(|attacks| {
+            attacks
+                .into_iter()
+                .enumerate()
+                .map(|(i, (victim, start, dur, vectors))| Attack {
+                    id: AttackId(i as u64),
+                    target: Ipv4Addr::from(0xCB00_7100 | victim),
+                    start: SimTime(start),
+                    duration: SimDuration::from_secs(dur),
+                    vectors,
+                })
+                .collect()
+        })
+    }
 
     /// The merge as it was before the sorted rewrite, kept as the reference.
     fn merge_same_cell_hashmap(mut obs: Vec<BackscatterObs>) -> Vec<BackscatterObs> {
@@ -340,6 +453,27 @@ mod proptests {
     }
 
     proptest! {
+        /// The hoisted sampler emits the reference's observations, bit for
+        /// bit, and leaves each attack's RNG stream in the same state.
+        #[test]
+        fn hoisted_sampler_equals_the_reference(catalog in arb_catalog(), seed in 0u64..1_000) {
+            let d = Darknet::ucsd_like();
+            let s = BackscatterSampler::new(&d);
+            let streams = RngFactory::new(seed).indexed("backscatter");
+            for a in &catalog {
+                let (mut got_rng, mut want_rng) = (streams.stream(a.id.0), streams.stream(a.id.0));
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                s.sample_attack(a, &mut got_rng, &mut got);
+                sample_attack_reference(&s, a, &mut want_rng, &mut want);
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(g.max_ppm.to_bits(), w.max_ppm.to_bits());
+                    prop_assert_eq!(g, w);
+                }
+                prop_assert_eq!(got_rng, want_rng, "RNG state after attack {}", a.id.0);
+            }
+        }
+
         #[test]
         fn sorted_merge_equals_hashmap_merge(obs in prop::collection::vec(arb_obs(), 0..80)) {
             let want = merge_same_cell_hashmap(obs.clone());

@@ -15,12 +15,29 @@ use std::net::Ipv4Addr;
 /// let victim_pps = 21_800.0 * d.scale_factor() / 60.0;
 /// assert!((victim_pps - 124_000.0).abs() < 1_000.0);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Darknet {
     prefixes: Vec<Ipv4Net>,
     trie: PrefixTrie<()>,
     total_addrs: u64,
     slash16s: Vec<Slash16>,
+    /// [`Darknet::slash16_hit_share`] for every packet count below
+    /// [`SHARE_TABLE_LEN`], computed once by the same expression.
+    hit_share: Box<[f64]>,
+}
+
+/// Packet counts below this read the /16 hit share from the table: a
+/// window's backscatter is mostly a few hundred to a few thousand packets.
+const SHARE_TABLE_LEN: u64 = 4096;
+
+impl std::fmt::Debug for Darknet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Darknet")
+            .field("prefixes", &self.prefixes)
+            .field("total_addrs", &self.total_addrs)
+            .field("slash16s", &self.slash16s.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Darknet {
@@ -48,7 +65,10 @@ impl Darknet {
         }
         slash16s.sort();
         slash16s.dedup();
-        Darknet { prefixes, trie, total_addrs: total, slash16s }
+        let mut d =
+            Darknet { prefixes, trie, total_addrs: total, slash16s, hit_share: Box::default() };
+        d.hit_share = (0..SHARE_TABLE_LEN).map(|k| d.hit_share_of(k)).collect();
+        d
     }
 
     /// The UCSD-NT shape: a /9 plus a /10 — ≈1/341 of IPv4 (the paper's
@@ -108,6 +128,23 @@ impl Darknet {
         let n = self.slash16s.len() as f64;
         n * (1.0 - (1.0 - 1.0 / n).powf(packets as f64))
     }
+
+    /// The expected share of the darknet's /16s that `packets` uniform
+    /// packets hit, `expected_distinct_slash16s(packets) / n` clamped to a
+    /// probability: the backscatter sampler's binomial `p`, asked once per
+    /// observed window. Read from a table below [`SHARE_TABLE_LEN`] packets
+    /// (bit-equal: the table holds this very expression's values).
+    pub fn slash16_hit_share(&self, packets: u64) -> f64 {
+        match self.hit_share.get(packets as usize) {
+            Some(&p) => p,
+            None => self.hit_share_of(packets),
+        }
+    }
+
+    fn hit_share_of(&self, packets: u64) -> f64 {
+        let n = self.slash16s.len() as f64;
+        (self.expected_distinct_slash16s(packets) / n).clamp(0.0, 1.0)
+    }
 }
 
 #[cfg(test)]
@@ -156,6 +193,18 @@ mod tests {
             }
         }
         assert!(seen_second, "both prefixes get sampled");
+    }
+
+    #[test]
+    fn hit_share_table_equals_the_expression() {
+        for d in [Darknet::ucsd_like(), Darknet::new(vec!["10.1.2.0/24".parse().unwrap()])] {
+            let n = d.slash16s().len() as f64;
+            // The sampler's expression before the table, spelled out.
+            let expression = |k: u64| (d.expected_distinct_slash16s(k) / n).clamp(0.0, 1.0);
+            for k in (0..SHARE_TABLE_LEN).chain([4_096, 4_097, 100_000, u64::MAX]) {
+                assert_eq!(d.slash16_hit_share(k).to_bits(), expression(k).to_bits(), "k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -96,19 +96,21 @@ impl RsdosFeed {
     /// feed `scope` (`rsdos`, `milru`, …). The episode's index in this
     /// feed becomes its causal id (`scope/idx`) for the rest of the
     /// pipeline. Pure function of the feed, so the emitted stream is
-    /// identical for any `--jobs` or chaos seed.
-    pub fn trace_onsets(&self, scope: &str) {
+    /// identical for any `--jobs` or chaos seed. The ring keeps each
+    /// onset's fields and renders its detail only when read.
+    pub fn trace_onsets(&self, scope: &'static str) {
         for (idx, e) in self.episodes.iter().enumerate() {
-            obs::trace::emit(
-                obs::EventKind::AttackOnset,
+            obs::trace::emit_onset(
                 scope,
-                Some(idx as u64),
-                Some(e.first_window.start().secs()),
-                format!(
-                    "victim {} {:?} port {} peak {:.0} ppm",
-                    e.victim, e.protocol, e.first_port, e.peak_ppm
-                ),
-                Some(e.duration().secs() / 60),
+                idx as u64,
+                e.first_window.start().secs(),
+                obs::trace::Onset {
+                    victim: e.victim,
+                    protocol: e.protocol.name(),
+                    port: e.first_port,
+                    peak_ppm: e.peak_ppm,
+                },
+                e.duration().secs() / 60,
             );
         }
     }
@@ -304,6 +306,40 @@ mod tests {
         assert_eq!(ix.lookup("10.0.0.2".parse().unwrap(), Window(25)), Some(2));
     }
 
+    /// The onset detail rendered when the ring is read is the text the
+    /// emitter used to `format!`: every protocol, `peak_ppm` ties at `x.5`
+    /// (rounded half to even by `{:.0}`), values past 2⁵³, and 0.0.
+    #[test]
+    fn onset_details_render_as_the_emitter_formatted_them() {
+        let peaks = [0.0, 0.5, 1.5, 2.5, 1234.5, 3098.49, 9_007_199_254_740_993.0, 1e300];
+        let mut episodes = Vec::new();
+        for (i, &peak_ppm) in peaks.iter().enumerate() {
+            for protocol in [Protocol::Tcp, Protocol::Udp, Protocol::Icmp] {
+                let mut e = episode(&format!("192.0.2.{i}"), i as u64, i as u64 + 2);
+                (e.protocol, e.peak_ppm, e.first_port) = (protocol, peak_ppm, 65_535 - i as u16);
+                episodes.push(e);
+            }
+        }
+        let feed = RsdosFeed::new(vec![], episodes);
+        // The ring is process-global: this scope is the test's own.
+        feed.trace_onsets("onset-render-test");
+        let mut traced: Vec<_> =
+            obs::trace::snapshot().into_iter().filter(|t| t.scope == "onset-render-test").collect();
+        traced.sort_by_key(|t| t.episode);
+        assert_eq!(traced.len(), feed.episodes.len());
+        for (idx, (t, e)) in traced.iter().zip(&feed.episodes).enumerate() {
+            let old = format!(
+                "victim {} {:?} port {} peak {:.0} ppm",
+                e.victim, e.protocol, e.first_port, e.peak_ppm
+            );
+            assert_eq!(t.detail, old);
+            assert_eq!(t.kind, obs::EventKind::AttackOnset);
+            assert_eq!(t.episode, Some(idx as u64));
+            assert_eq!(t.sim_secs, Some(e.first_window.start().secs()));
+            assert_eq!(t.value, Some(e.duration().secs() / 60));
+        }
+    }
+
     #[test]
     fn empty_feed_summary() {
         let feed = RsdosFeed::default();
@@ -312,5 +348,31 @@ mod tests {
             s,
             FeedSummary { attacks: 0, unique_ips: 0, unique_slash24s: 0, unique_asns: 0 }
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `Onset::render` ≡ the emitter's old `format!` over every finite
+        /// non-negative `peak_ppm` bit pattern, any victim and port.
+        #[test]
+        fn onset_render_equals_the_old_format(
+            victim in any::<u32>(),
+            proto in 0usize..3,
+            port in any::<u16>(),
+            ppm_bits in 0u64..0x7FF0_0000_0000_0000,
+        ) {
+            let (victim, peak_ppm) = (Ipv4Addr::from(victim), f64::from_bits(ppm_bits));
+            let protocol = [Protocol::Tcp, Protocol::Udp, Protocol::Icmp][proto];
+            let onset = obs::trace::Onset { victim, protocol: protocol.name(), port, peak_ppm };
+            prop_assert_eq!(
+                onset.render(),
+                format!("victim {} {:?} port {} peak {:.0} ppm", victim, protocol, port, peak_ppm)
+            );
+        }
     }
 }

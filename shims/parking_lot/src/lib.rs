@@ -59,6 +59,15 @@ impl<T: ?Sized> RwLock<T> {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// A read guard if no writer holds the lock, else `None`.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.inner.try_read() {
+            Ok(guard) => Some(guard),
+            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
     }
