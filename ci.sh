@@ -2,18 +2,17 @@
 # Offline CI gates. Default run order:
 #
 #   lint         cargo fmt --check + cargo clippy -D warnings + sh -n ci.sh,
-#                and every name `streamproc`'s lib.rs re-exports must be
-#                used outside the crate (crates/*/src, src/, benchmark/src)
+#                and every name the lib.rs of `streamproc`, `dnswire` or
+#                `dnssim` re-exports must be used outside its crate
+#                (crates/*/src, src/, benchmark/src)
 #   build        cargo build --release (workspace)
-#   tests        cargo test --workspace, plus the borrowed-vs-owned wire
-#                differential suite by name so a skipped or filtered-out
-#                differential run can never pass quietly
+#   tests        cargo test --workspace
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
 #   chaos        fault injection, kill -9 mid-run, resume, diff vs clean
 #   metrics      repro bench: schema-validated run report, counter
 #                invariants, exact deterministic-counter diff against the
 #                committed BENCH baseline
-#   wirebench    criterion smoke over the zero-copy parse, arena feed-block,
+#   wirebench    criterion smoke over the arena feed-block,
 #                telescope/load-book and trace-emit benches: every expected
 #                benchmark must run to completion and report a number
 #   trace        pinned scenario with --trace-json: schema + causality
@@ -75,14 +74,14 @@ DAEMON=target/release/dnsimpactd
 
 list_gates() {
     cat << 'EOF'
-lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh,
-             no streamproc re-export without a caller outside the crate
+lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh, no
+             streamproc/dnswire/dnssim re-export without a caller outside its crate
 build        cargo build --release (workspace)
-tests        cargo test --workspace + the dnswire differential suite by name
+tests        cargo test --workspace
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
 chaos        kill -9 mid-run + resume must equal a clean, fault-free run
 metrics      repro bench: report schema + counter invariants + BENCH baseline diff
-wirebench    criterion smoke: every parse/feed-block/telescope/trace bench runs and reports
+wirebench    criterion smoke: every feed-block/telescope/trace bench runs and reports
 trace        trace export schema + causality; repro explain deterministic
 sweep        bench --scale-sweep smoke: cross-jobs fingerprints + sweep schema
 suite        bench --suite: cross-process fingerprint verdicts all PASS + suite schema
@@ -224,16 +223,20 @@ gate_lint() {
     cargo fmt --check
     echo "==> lint gate: cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
-    echo "==> lint gate: every streamproc re-export has a caller outside the crate"
-    # The names of lib.rs's `pub use` items (single- or multi-line).
-    EXPORTS=$(awk '/^pub use/ { on = 1 } on { print } /;/ { on = 0 }' crates/streamproc/src/lib.rs |
-        sed 's/^pub use [a-z_]*:://' | tr -d '{};' | tr ',' '\n' | tr -d ' ')
-    for N in $EXPORTS; do
-        grep -rlw -- "$N" crates/*/src src benchmark/src | grep -qv '^crates/streamproc/' || {
-            echo "streamproc re-exports $N but nothing outside the crate uses it" >&2
-            exit 1
-        }
+    UNUSED=0
+    for C in streamproc dnswire dnssim; do
+        echo "==> lint gate: every $C re-export has a caller outside the crate"
+        # The names of lib.rs's `pub use` items (single- or multi-line).
+        EXPORTS=$(awk '/^pub use/ { on = 1 } on { print } /;/ { on = 0 }' "crates/$C/src/lib.rs" |
+            sed 's/^pub use [a-z_]*:://' | tr -d '{};' | tr ',' '\n' | tr -d ' ')
+        for N in $EXPORTS; do
+            grep -rlw -- "$N" crates/*/src src benchmark/src | grep -qv "^crates/$C/" || {
+                echo "$C re-exports $N but nothing outside the crate uses it" >&2
+                UNUSED=$((UNUSED + 1))
+            }
+        done
     done
+    [ "$UNUSED" -eq 0 ]
 }
 
 gate_build() {
@@ -244,11 +247,6 @@ gate_build() {
 gate_tests() {
     echo "==> cargo test -q (workspace)"
     cargo test --workspace -q
-    echo "==> tier-1 differential: borrowed wire views vs owned decoders"
-    # Run the borrowed==owned differential suite by name: it is the
-    # contract that lets every hot path use the zero-copy views, so it
-    # must visibly execute (not just ride along in the workspace pass).
-    cargo test -q -p dnswire --test differential
 }
 
 gate_determinism() {
@@ -308,26 +306,23 @@ gate_metrics() {
 }
 
 gate_wirebench() {
-    echo "==> wire gate: criterion smoke over parse + feed-block + telescope + trace benches"
-    # The zero-copy parse and arena-block benches, the batch hot path's
-    # sorted-run and packed-key kernels (cell merge inside the sampler,
-    # episode extraction, the load book filled and indexed), and the
+    echo "==> wire gate: criterion smoke over feed-block + telescope + trace benches"
+    # The arena-block benches, the batch hot path's sorted-run and
+    # packed-key kernels (cell merge inside the sampler, episode
+    # extraction, the load book filled and indexed), and the
     # trace's price per event (onset payload vs formatted text, ring empty
     # and full) must run to completion and report every expected
     # benchmark — a panicking or silently-dropped bench fails here. The
     # feedblock bench's own post-run assert re-proves block rows ==
     # row-path records on the bench input.
-    cargo bench -p dnsimpact-bench --bench wire --bench feedblock --bench telescope \
-        --bench trace \
+    cargo bench -p dnsimpact-bench --bench feedblock --bench telescope --bench trace \
         > "$SMOKE/wirebench.txt" 2>&1 || {
         cat "$SMOKE/wirebench.txt" >&2
         exit 1
     }
-    for B in dnswire/decode_ns_response dnswire/parse_ref_ns_response \
-        dnswire/parse_ref_and_canonical_qname feedblock/classify_into_block \
-        feedblock/episodes_from_block feedblock/fanout_block_clone \
-        telescope/backscatter_sample telescope/classify telescope/episodes \
-        loadbook/fill_and_index_585k_cells trace/emit_onset/empty_ring \
+    for B in feedblock/classify_into_block feedblock/episodes_from_block \
+        feedblock/fanout_block_clone telescope/backscatter_sample telescope/classify \
+        telescope/episodes loadbook/fill_and_index_585k_cells trace/emit_onset/empty_ring \
         trace/emit_onset/full_ring trace/emit_text/empty_ring trace/emit_text/full_ring; do
         grep -q "$B" "$SMOKE/wirebench.txt" || {
             echo "benchmark $B missing from criterion smoke output" >&2
@@ -335,7 +330,7 @@ gate_wirebench() {
             exit 1
         }
     done
-    echo "==> wire gate passed (all parse/feed-block/telescope/trace benches ran and reported)"
+    echo "==> wire gate passed (all feed-block/telescope/trace benches ran and reported)"
 }
 
 gate_trace() {

@@ -16,14 +16,11 @@
 //! evaluation; [`ports`], [`failures`], [`correlate`] and [`resilience`]
 //! hold the per-figure analyses; [`casestudy`] computes the TransIP-style
 //! per-nameserver attack metrics (Table 2) and time series (Figures 2–3);
-//! [`report`] renders aligned text tables and CSV; [`enduser`] quantifies
-//! §6.3.1's caching argument (how TTL and popularity shield end users from
-//! authoritative outages).
+//! [`report`] renders aligned text tables and CSV.
 
 pub mod casestudy;
 pub mod columnar;
 pub mod correlate;
-pub mod enduser;
 pub mod failures;
 pub mod impact;
 pub mod join;

@@ -115,4 +115,15 @@ mod tests {
         assert_eq!(load(&dir), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn deeply_nested_marker_is_rejected_not_a_crash() {
+        let dir = tmpdir("deep");
+        std::fs::write(dir.join(FILE), "[".repeat(100_000)).expect("hostile marker");
+        let rejected = obs::counter("daemon.ckpt_rejected");
+        let before = rejected.get();
+        assert_eq!(load(&dir), None);
+        assert!(rejected.get() > before, "the marker takes the reject path");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -13,26 +13,17 @@
 //!   queueing model, shared by the per-query and aggregate simulation paths.
 //! - [`infra`]: the registry tying domains, NSSets and nameservers together,
 //!   with the per-window attack-load book.
-//! - [`server`]: authoritative answer construction (real `dnswire`
-//!   messages) for the per-query path.
 //! - [`resolver`]: the unbound-like resolver (random nameserver selection,
 //!   timeout, bounded retries) and query outcomes.
-//! - [`cache`]: a TTL cache for resolution paths that are allowed to reuse
-//!   cached NS records.
-//! - [`zone`]: loading real zone-file delegations into the registry.
 
-pub mod cache;
 pub mod deploy;
 pub mod ids;
 pub mod infra;
 pub mod load;
 pub mod resolver;
-pub mod server;
-pub mod zone;
 
 pub use deploy::{Deployment, Nameserver, Uplink};
-pub use ids::{DomainId, NsId, NsSet, NsSetId};
-pub use infra::{AttackLoad, Infra, LoadBook};
-pub use load::{LoadModel, ServiceState};
-pub use resolver::{AttemptTrace, QueryOutcome, QueryStatus, Resolver};
-pub use zone::{ZoneLoadError, ZoneLoader};
+pub use ids::{DomainId, NsId, NsSetId};
+pub use infra::{Infra, LoadBook};
+pub use load::ServiceState;
+pub use resolver::{QueryOutcome, QueryStatus, Resolver};

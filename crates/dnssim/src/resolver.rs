@@ -14,7 +14,6 @@
 use crate::ids::{DomainId, NsId};
 use crate::infra::{Infra, LoadBook};
 use crate::load::ServiceState;
-use crate::server;
 use rand::Rng;
 use simcore::time::Window;
 
@@ -48,29 +47,14 @@ pub struct Resolver {
     pub timeout_ms: f64,
     /// Maximum servers tried before giving up with TIMEOUT.
     pub max_attempts: u32,
-    /// When true, queries and answers are round-tripped through their wire
-    /// encodings (slower; used by the per-query fidelity and the reactive
-    /// prober).
-    pub exercise_wire: bool,
 }
 
 impl Default for Resolver {
     fn default() -> Resolver {
         // unbound defaults in the OpenINTEL deployment: ~1.5 s usable
         // per-server budget, and it will move on to other servers.
-        Resolver { timeout_ms: 1_500.0, max_attempts: 3, exercise_wire: false }
+        Resolver { timeout_ms: 1_500.0, max_attempts: 3 }
     }
-}
-
-/// One contacted server within a resolution, for packet-level export and
-/// per-server diagnostics.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AttemptTrace {
-    pub ns: NsId,
-    pub status: QueryStatus,
-    /// Time this attempt consumed: the answer RTT, or the full per-attempt
-    /// timeout.
-    pub rtt_ms: f64,
 }
 
 impl Resolver {
@@ -84,38 +68,19 @@ impl Resolver {
         loads: &LoadBook,
         rng: &mut R,
     ) -> QueryOutcome {
-        self.resolve_with(infra, domain, rng, |ns| infra.service_state(ns, window, loads), |_| {})
-    }
-
-    /// As [`Resolver::resolve`], additionally returning the per-server
-    /// attempt trace (which servers were contacted, in order, and how each
-    /// attempt ended).
-    pub fn resolve_traced<R: Rng + ?Sized>(
-        &self,
-        infra: &Infra,
-        domain: DomainId,
-        window: Window,
-        loads: &LoadBook,
-        rng: &mut R,
-    ) -> (QueryOutcome, Vec<AttemptTrace>) {
-        let mut trace = Vec::new();
-        let state_of = |ns| infra.service_state(ns, window, loads);
-        let outcome = self.resolve_with(infra, domain, rng, state_of, |a| trace.push(a));
-        (outcome, trace)
+        self.resolve_with(infra, domain, rng, |ns| infra.service_state(ns, window, loads))
     }
 
     /// The resolution itself, over the caller's view of the servers:
     /// `state_of` answers for each contacted server (a caller resolving many
-    /// domains in one window computes each server's state once), and
-    /// `on_attempt` sees every attempt in order. Draws from `rng` exactly
-    /// as [`Resolver::resolve`] does.
+    /// domains in one window computes each server's state once). Draws from
+    /// `rng` exactly as [`Resolver::resolve`] does.
     pub fn resolve_with<R: Rng + ?Sized>(
         &self,
         infra: &Infra,
         domain: DomainId,
         rng: &mut R,
         mut state_of: impl FnMut(NsId) -> ServiceState,
-        mut on_attempt: impl FnMut(AttemptTrace),
     ) -> QueryOutcome {
         // Resolution must go through the parent-side delegation when it
         // disagrees with the child zone (§3.2): the parent decides which
@@ -131,17 +96,15 @@ impl Resolver {
             let ns = members[(start + k) % members.len()];
             attempts += 1;
             let state = state_of(ns);
-            let (status, rtt_ms) = match self.one_attempt(infra, domain, ns, &state, rng) {
+            let (status, rtt_ms) = match self.one_attempt(infra, ns, &state, rng) {
                 AttemptResult::Answered(rtt) => (QueryStatus::Ok, rtt),
                 AttemptResult::ServFail(rtt) => (QueryStatus::ServFail, rtt),
-                AttemptResult::Timeout => (QueryStatus::Timeout, self.timeout_ms),
+                AttemptResult::Timeout => {
+                    rtt_total += self.timeout_ms;
+                    continue;
+                }
             };
-            on_attempt(AttemptTrace { ns, status, rtt_ms });
-            if status == QueryStatus::Timeout {
-                rtt_total += self.timeout_ms;
-            } else {
-                return QueryOutcome { status, rtt_ms: rtt_total + rtt_ms, attempts };
-            }
+            return QueryOutcome { status, rtt_ms: rtt_total + rtt_ms, attempts };
         }
         QueryOutcome { status: QueryStatus::Timeout, rtt_ms: rtt_total, attempts }
     }
@@ -149,7 +112,6 @@ impl Resolver {
     fn one_attempt<R: Rng + ?Sized>(
         &self,
         infra: &Infra,
-        domain: DomainId,
         ns: NsId,
         state: &ServiceState,
         rng: &mut R,
@@ -164,69 +126,12 @@ impl Resolver {
             if rtt >= self.timeout_ms {
                 return AttemptResult::Timeout;
             }
-            if self.exercise_wire {
-                let q = server::via_wire(&server::ns_query(
-                    rng.random(),
-                    infra.domain(domain).name.clone(),
-                ));
-                let resp = server::via_wire(&server::answer_ns_query(infra, domain, &q));
-                debug_assert_eq!(resp.header.id, q.header.id);
-            }
             AttemptResult::Answered(rtt)
         } else if u < state.answer_prob + state.servfail_prob {
-            if self.exercise_wire {
-                let q = server::ns_query(rng.random(), infra.domain(domain).name.clone());
-                let resp = server::via_wire(&server::answer_servfail(&q));
-                debug_assert_eq!(resp.rcode(), dnswire::Rcode::ServFail);
-            }
             AttemptResult::ServFail(n.base_rtt_ms * state.rtt_mult.min(10.0))
         } else {
             AttemptResult::Timeout
         }
-    }
-}
-
-impl Resolver {
-    /// The "additional queries" path of §3.2, footnote 1: consult a TTL
-    /// cache first. A fresh cached NS RRset answers locally (masking any
-    /// ongoing attack until expiry); a miss resolves authoritatively and,
-    /// on success, refreshes the cache. Returns the outcome and whether it
-    /// was served from cache.
-    pub fn resolve_cached<R: Rng + ?Sized>(
-        &self,
-        infra: &Infra,
-        cache: &mut crate::cache::TtlCache,
-        domain: DomainId,
-        at: simcore::time::SimTime,
-        loads: &LoadBook,
-        rng: &mut R,
-    ) -> (QueryOutcome, bool) {
-        use crate::cache::CacheKey;
-        use dnswire::{RData, Record, RrType};
-        let name = infra.domain(domain).name.clone();
-        let key = CacheKey { name: name.clone(), rtype: RrType::Ns };
-        if cache.get(&key, at).is_some() {
-            // Local cache hit: sub-millisecond, no authoritative contact.
-            return (QueryOutcome { status: QueryStatus::Ok, rtt_ms: 0.1, attempts: 0 }, true);
-        }
-        let out = self.resolve(infra, domain, at.window(), loads, rng);
-        if out.status == QueryStatus::Ok {
-            let rec = infra.domain(domain);
-            let records: Vec<Record> = infra
-                .nsset(rec.nsset)
-                .members()
-                .iter()
-                .map(|&ns| {
-                    Record::new(
-                        name.clone(),
-                        crate::server::NS_TTL,
-                        RData::Ns(infra.nameserver(ns).name.clone()),
-                    )
-                })
-                .collect();
-            cache.put(key, records, at);
-        }
-        (out, false)
     }
 }
 
@@ -351,50 +256,6 @@ mod tests {
         assert!(ok > n * 95 / 100, "retries should mask one dead server: {ok}/{n}");
         // About a third of queries start at the dead server.
         assert!(slow > n / 5, "some queries should pay the timeout: {slow}");
-    }
-
-    #[test]
-    fn wire_exercise_path_agrees() {
-        let (infra, d, _) = world(50_000.0);
-        let book = LoadBook::new();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let r = Resolver { exercise_wire: true, ..Resolver::default() };
-        let out = r.resolve(&infra, d, Window(0), &book, &mut rng);
-        assert_eq!(out.status, QueryStatus::Ok);
-    }
-
-    #[test]
-    fn cached_resolution_masks_attacks_until_ttl_expiry() {
-        use crate::cache::TtlCache;
-        use simcore::time::{SimDuration, SimTime};
-        let (infra, d, addrs) = world(50_000.0);
-        let mut cache = TtlCache::new();
-        let mut rng = SmallRng::seed_from_u64(23);
-        let r = Resolver::default();
-        // Warm the cache while healthy.
-        let t0 = SimTime::from_days(2);
-        let (out, from_cache) =
-            r.resolve_cached(&infra, &mut cache, d, t0, &LoadBook::new(), &mut rng);
-        assert_eq!(out.status, QueryStatus::Ok);
-        assert!(!from_cache, "first query is authoritative");
-        // The attack starts; everything authoritative is dead.
-        let mut book = LoadBook::new();
-        let t1 = t0 + SimDuration::from_mins(30);
-        for a in &addrs {
-            book.add(*a, t1.window(), 50_000_000.0);
-        }
-        let (out, from_cache) = r.resolve_cached(&infra, &mut cache, d, t1, &book, &mut rng);
-        assert_eq!(out.status, QueryStatus::Ok, "cache masks the outage");
-        assert!(from_cache);
-        assert!(out.rtt_ms < 1.0);
-        // Past the NS TTL (3600 s) the mask falls and resolution fails.
-        let t2 = t0 + SimDuration::from_secs(crate::server::NS_TTL as u64 + 60);
-        for a in &addrs {
-            book.add(*a, t2.window(), 50_000_000.0);
-        }
-        let (out, from_cache) = r.resolve_cached(&infra, &mut cache, d, t2, &book, &mut rng);
-        assert!(!from_cache);
-        assert_ne!(out.status, QueryStatus::Ok, "empty cache exposes the attack");
     }
 
     #[test]

@@ -1,71 +1,30 @@
-//! DNS wire format, implemented from scratch (RFC 1035 plus the handful of
-//! record types this study needs).
+//! Domain names for the simulated DNS world.
 //!
-//! The OpenINTEL-style measurement platform and the reactive prober build
-//! real query/response messages through this crate, and the pcap exporter
-//! frames them into UDP packets — so the simulated measurement path
-//! exercises an honest encode/decode cycle rather than passing structs
-//! around.
+//! The measurement pipeline never builds a DNS message: it records
+//! (domain, day, window, RTT, status) outcomes, so all it needs of the DNS
+//! is a validated, case-normalised domain name.
 //!
-//! - [`name`]: domain names with label validation and RFC 1035 §4.1.4
-//!   compression (encode and decode, with pointer-loop protection).
-//! - [`types`]: record types, classes, opcodes, rcodes.
-//! - [`rdata`]: typed RDATA for A, AAAA, NS, CNAME, SOA, MX, TXT, PTR, and
-//!   an opaque fallback.
-//! - [`message`]: header, question and resource-record sections, full
-//!   message encode/decode.
-//! - [`tcp`]: DNS-over-TCP framing and an incremental stream decoder.
-//! - [`edns`]: EDNS(0) OPT handling and UDP-payload fit checks.
-//! - [`zonefile`]: RFC 1035 master-file parsing.
-//! - [`view`]: borrowed, zero-copy message views ([`MessageRef`] /
-//!   [`RecordRef`] / [`NameRef`]) for the hot parse paths; the owned
-//!   decoders above are the differential reference.
+//! - [`name`]: domain names with label and length validation and their
+//!   textual form.
 
-pub mod edns;
-pub mod message;
 pub mod name;
-pub mod rdata;
-pub mod tcp;
-pub mod types;
-pub mod view;
-pub mod zonefile;
 
-pub use bytes::{Bytes, BytesMut};
-pub use edns::{edns_options, edns_udp_payload, fits_udp, set_edns, EdnsOption};
-pub use message::{Flags, Header, Message, Question, Record};
-pub use name::{Name, MAX_POINTER_HOPS};
-pub use rdata::RData;
-pub use tcp::{decode_tcp, decode_tcp_ref, encode_tcp, TcpStreamDecoder};
-pub use types::{Opcode, Rcode, RrClass, RrType};
-pub use view::{MessageRef, NameRef, QuestionRef, RDataRef, RecordRef, TxtRef};
-pub use zonefile::{parse_zone, ZoneError};
+pub use name::Name;
 
-/// Errors produced while decoding wire-format data.
+/// Why a string or label list is not a valid domain name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// Input ended before the structure was complete.
-    Truncated,
-    /// A domain-name label exceeded 63 octets or used a reserved tag.
+    /// A domain-name label was empty or exceeded 63 octets.
     BadLabel,
-    /// A whole name exceeded 255 octets.
+    /// A whole name exceeded 255 octets in its wire encoding.
     NameTooLong,
-    /// Compression pointers formed a loop or pointed forward.
-    BadPointer,
-    /// RDATA length disagreed with its type's structure.
-    BadRdata,
-    /// A count field promised more records than the message holds.
-    BadCount,
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Truncated => write!(f, "message truncated"),
             WireError::BadLabel => write!(f, "invalid label"),
             WireError::NameTooLong => write!(f, "name exceeds 255 octets"),
-            WireError::BadPointer => write!(f, "invalid compression pointer"),
-            WireError::BadRdata => write!(f, "malformed rdata"),
-            WireError::BadCount => write!(f, "section count mismatch"),
         }
     }
 }

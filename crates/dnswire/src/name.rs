@@ -1,20 +1,13 @@
-//! Domain names: validation, textual form, and wire encoding with RFC 1035
-//! message compression.
+//! Domain names: validation and textual form.
 
 use crate::WireError;
-use bytes::{BufMut, BytesMut};
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
 /// Maximum octets of a single label.
-pub const MAX_LABEL: usize = 63;
+const MAX_LABEL: usize = 63;
 /// Maximum octets of a whole encoded name (including length bytes and root).
-pub const MAX_NAME: usize = 255;
-/// Upper bound on compression-pointer hops while decoding; beyond this we
-/// declare a loop. Shared by the owned decoder and the borrowed
-/// [`NameRef`](crate::NameRef) parser so both reject at the same depth.
-pub const MAX_POINTER_HOPS: usize = 64;
+const MAX_NAME: usize = 255;
 
 /// A fully-qualified domain name, stored as lowercase labels (DNS names are
 /// case-insensitive; OpenINTEL normalizes to lowercase before joining).
@@ -50,189 +43,10 @@ impl Name {
         Ok(name)
     }
 
-    pub fn labels(&self) -> &[Vec<u8>] {
-        &self.labels
-    }
-
-    pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Length of the uncompressed wire encoding (length bytes + labels +
-    /// terminating root byte).
-    pub fn encoded_len(&self) -> usize {
+    /// terminating root byte), the quantity RFC 1035 caps at 255.
+    fn encoded_len(&self) -> usize {
         self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
-    }
-
-    /// The name with its leftmost label removed (`www.example.com` →
-    /// `example.com`). Returns root for a single-label name. Allocates an
-    /// owned name; hot paths that only need to *look at* an ancestor
-    /// should use the borrowed [`suffix`](Name::suffix) view instead.
-    pub fn parent(&self) -> Name {
-        Name { labels: self.labels.get(1..).unwrap_or(&[]).to_vec() }
-    }
-
-    /// Borrowed label suffix starting `skip` labels in — the
-    /// allocation-free form of `skip` chained [`parent`](Name::parent)
-    /// calls. The slice is directly usable as a hash-map key against
-    /// `Name` keys (see the `Borrow<[Vec<u8>]>` impl), which is how
-    /// [`encode_compressed`](Name::encode_compressed) walks ancestor
-    /// chains without cloning a single label.
-    pub fn suffix(&self, skip: usize) -> &[Vec<u8>] {
-        &self.labels[skip.min(self.labels.len())..]
-    }
-
-    /// Whether `self` equals or is a subdomain of `zone`.
-    pub fn is_subdomain_of(&self, zone: &Name) -> bool {
-        if zone.labels.len() > self.labels.len() {
-            return false;
-        }
-        self.labels[self.labels.len() - zone.labels.len()..] == zone.labels[..]
-    }
-
-    /// Prepend a label (`child("www")` on `example.com` →
-    /// `www.example.com`).
-    pub fn child(&self, label: &str) -> Result<Name, WireError> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.as_bytes().to_vec());
-        labels.extend(self.labels.iter().cloned());
-        Name::from_labels(labels)
-    }
-
-    /// Encode without compression.
-    pub fn encode_uncompressed(&self, buf: &mut BytesMut) {
-        for l in &self.labels {
-            buf.put_u8(l.len() as u8);
-            buf.put_slice(l);
-        }
-        buf.put_u8(0);
-    }
-
-    /// Encode with compression against `table`, which maps already-emitted
-    /// name suffixes to their offsets in the message. `base` is the offset
-    /// of `buf`'s start within the whole message (0 for DNS over UDP).
-    pub fn encode_compressed(
-        &self,
-        buf: &mut BytesMut,
-        table: &mut HashMap<Name, u16>,
-        base: usize,
-    ) {
-        // Longest already-emitted suffix (smallest start index), found by
-        // borrowed slice lookup: no per-suffix Name clones on the hot path.
-        let n = self.labels.len();
-        let mut stop = n;
-        let mut pointer = None;
-        for i in 0..n {
-            if let Some(&off) = table.get(&self.labels[i..]) {
-                pointer = Some(off);
-                stop = i;
-                break;
-            }
-        }
-        let mut emitted: Vec<(usize, u16)> = Vec::new();
-        for i in 0..stop {
-            let here = base + buf.len();
-            // Pointers only address the first 16K − 2 bytes of a message.
-            if here <= 0x3FFF {
-                emitted.push((i, here as u16));
-            }
-            let l = &self.labels[i];
-            buf.put_u8(l.len() as u8);
-            buf.put_slice(l);
-        }
-        match pointer {
-            Some(off) => buf.put_u16(0xC000 | off),
-            None => buf.put_u8(0),
-        }
-        // Only suffixes the table has never seen allocate an owned key.
-        for (i, off) in emitted {
-            if !table.contains_key(&self.labels[i..]) {
-                table.insert(Name { labels: self.labels[i..].to_vec() }, off);
-            }
-        }
-    }
-
-    /// Decode a (possibly compressed) name from `msg` starting at `*pos`.
-    /// Advances `*pos` past the name's in-place bytes (not past pointer
-    /// targets).
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Name, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
-        let mut cursor = *pos;
-        let mut jumped = false;
-        let mut hops = 0usize;
-        let mut total_len = 1usize; // terminating root byte
-        loop {
-            let tag = *msg.get(cursor).ok_or(WireError::Truncated)?;
-            match tag & 0xC0 {
-                0x00 => {
-                    if !jumped {
-                        *pos = cursor + 1;
-                    }
-                    if tag == 0 {
-                        if !jumped {
-                            *pos = cursor + 1;
-                        }
-                        break;
-                    }
-                    let len = tag as usize;
-                    let label =
-                        msg.get(cursor + 1..cursor + 1 + len).ok_or(WireError::Truncated)?;
-                    total_len += len + 1;
-                    if total_len > MAX_NAME {
-                        return Err(WireError::NameTooLong);
-                    }
-                    labels.push(label.to_ascii_lowercase());
-                    cursor += 1 + len;
-                    if !jumped {
-                        *pos = cursor;
-                    }
-                }
-                0xC0 => {
-                    let lo = *msg.get(cursor + 1).ok_or(WireError::Truncated)? as usize;
-                    let target = (((tag & 0x3F) as usize) << 8) | lo;
-                    // A pointer must point strictly backwards.
-                    if target >= cursor {
-                        return Err(WireError::BadPointer);
-                    }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(WireError::BadPointer);
-                    }
-                    if !jumped {
-                        *pos = cursor + 2;
-                        jumped = true;
-                    }
-                    cursor = target;
-                }
-                _ => return Err(WireError::BadLabel), // 0x40/0x80 reserved
-            }
-        }
-        Ok(Name { labels })
-    }
-
-    /// Construct from labels the caller has already validated (label and
-    /// name length limits hold, bytes already lowercased). Used by the
-    /// borrowed view layer's `to_owned` so a validated parse does not pay
-    /// for a second validation pass.
-    pub(crate) fn from_validated_labels(labels: Vec<Vec<u8>>) -> Name {
-        debug_assert!(labels.iter().all(|l| !l.is_empty() && l.len() <= MAX_LABEL));
-        let name = Name { labels };
-        debug_assert!(name.encoded_len() <= MAX_NAME);
-        name
-    }
-}
-
-/// `Name` hashes and compares exactly like its label slice (it is a
-/// single-field struct with derived impls), so maps keyed by `Name` can be
-/// probed with a borrowed `&[Vec<u8>]` suffix — the basis of the
-/// clone-free compression-table lookups above.
-impl std::borrow::Borrow<[Vec<u8>]> for Name {
-    fn borrow(&self) -> &[Vec<u8>] {
-        &self.labels
     }
 }
 
@@ -289,7 +103,7 @@ mod tests {
         assert_eq!(n("example.com.").to_string(), "example.com");
         assert_eq!(n(".").to_string(), ".");
         assert_eq!(Name::root().to_string(), ".");
-        assert_eq!(n("mil.ru").label_count(), 2);
+        assert_eq!(n("mil.ru").encoded_len(), 8);
     }
 
     #[test]
@@ -299,6 +113,7 @@ mod tests {
         let too_long = "a".repeat(64);
         assert_eq!(Name::from_labels([too_long.as_bytes()]).unwrap_err(), WireError::BadLabel);
         assert_eq!(Name::from_labels(["".as_bytes()]).unwrap_err(), WireError::BadLabel);
+        assert_eq!("a..b".parse::<Name>().unwrap_err(), WireError::BadLabel);
     }
 
     #[test]
@@ -310,137 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn parent_and_subdomain() {
-        let name = n("ns1.transip.nl");
-        assert_eq!(name.parent(), n("transip.nl"));
-        assert!(name.is_subdomain_of(&n("transip.nl")));
-        assert!(name.is_subdomain_of(&n("nl")));
-        assert!(name.is_subdomain_of(&Name::root()));
-        assert!(!name.is_subdomain_of(&n("transip.com")));
-        assert!(!n("nl").is_subdomain_of(&name));
-        assert!(name.is_subdomain_of(&name));
-    }
-
-    #[test]
-    fn suffix_is_the_borrowed_parent_chain() {
-        let name = n("ns1.transip.nl");
-        assert_eq!(name.suffix(0), name.labels());
-        assert_eq!(name.suffix(1), name.parent().labels());
-        assert_eq!(name.suffix(2), name.parent().parent().labels());
-        assert!(name.suffix(3).is_empty());
-        assert!(name.suffix(99).is_empty());
-        assert!(Name::root().suffix(0).is_empty());
-        assert_eq!(Name::root().parent(), Name::root());
-    }
-
-    #[test]
-    fn child_builds_subdomain() {
-        assert_eq!(n("example.com").child("www").unwrap(), n("www.example.com"));
-    }
-
-    #[test]
-    fn encode_uncompressed_bytes() {
-        let mut buf = BytesMut::new();
-        n("mil.ru").encode_uncompressed(&mut buf);
-        assert_eq!(&buf[..], b"\x03mil\x02ru\x00");
-        assert_eq!(n("mil.ru").encoded_len(), 8);
-    }
-
-    #[test]
-    fn decode_simple() {
-        let wire = b"\x03mil\x02ru\x00rest";
-        let mut pos = 0;
-        let name = Name::decode(wire, &mut pos).unwrap();
-        assert_eq!(name, n("mil.ru"));
-        assert_eq!(pos, 8);
-    }
-
-    #[test]
-    fn decode_uppercase_normalizes() {
-        let wire = b"\x03MIL\x02RU\x00";
-        let mut pos = 0;
-        assert_eq!(Name::decode(wire, &mut pos).unwrap(), n("mil.ru"));
-    }
-
-    #[test]
-    fn compression_roundtrip_shares_suffix() {
-        let mut buf = BytesMut::new();
-        let mut table = HashMap::new();
-        n("ns1.example.com").encode_compressed(&mut buf, &mut table, 0);
-        let first_len = buf.len();
-        n("ns2.example.com").encode_compressed(&mut buf, &mut table, 0);
-        // Second name should be label "ns2" (4 bytes) + pointer (2 bytes).
-        assert_eq!(buf.len() - first_len, 6);
-        let mut pos = 0;
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), n("ns1.example.com"));
-        assert_eq!(pos, first_len);
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), n("ns2.example.com"));
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn identical_name_becomes_pure_pointer() {
-        let mut buf = BytesMut::new();
-        let mut table = HashMap::new();
-        n("example.com").encode_compressed(&mut buf, &mut table, 0);
-        let first_len = buf.len();
-        n("example.com").encode_compressed(&mut buf, &mut table, 0);
-        assert_eq!(buf.len() - first_len, 2);
-    }
-
-    #[test]
-    fn pointer_loop_rejected() {
-        // Pointer at offset 0 pointing to itself is forward/equal → rejected.
-        let wire = [0xC0, 0x00];
-        let mut pos = 0;
-        assert_eq!(Name::decode(&wire, &mut pos), Err(WireError::BadPointer));
-    }
-
-    #[test]
-    fn forward_pointer_rejected() {
-        let wire = [0xC0, 0x04, 0x00, 0x00, 0x00];
-        let mut pos = 0;
-        assert_eq!(Name::decode(&wire, &mut pos), Err(WireError::BadPointer));
-    }
-
-    #[test]
-    fn truncated_name_rejected() {
-        let wire = b"\x03mi";
-        let mut pos = 0;
-        assert_eq!(Name::decode(wire, &mut pos), Err(WireError::Truncated));
-        let wire2 = b"\x03mil"; // missing terminator
-        let mut pos2 = 0;
-        assert_eq!(Name::decode(wire2, &mut pos2), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn reserved_label_tags_rejected() {
-        let wire = [0x40, 0x00];
-        let mut pos = 0;
-        assert_eq!(Name::decode(&wire, &mut pos), Err(WireError::BadLabel));
-        let wire = [0x80, 0x00];
-        let mut pos = 0;
-        assert_eq!(Name::decode(&wire, &mut pos), Err(WireError::BadLabel));
-    }
-
-    #[test]
     fn non_ascii_labels_escape_in_display() {
         let name = Name::from_labels([&[0xFFu8, b'a'][..]]).unwrap();
         assert_eq!(name.to_string(), "\\255a");
-    }
-
-    #[test]
-    fn decode_after_pointer_resumes_correctly() {
-        // Message: name1 at 0, then at offset 8 a name "www" + ptr→0, then a
-        // trailing byte. pos must end just past the pointer.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(b"\x03mil\x02ru\x00"); // offset 0..8
-        wire.extend_from_slice(b"\x03www\xC0\x00"); // offset 8..14
-        wire.push(0xAB);
-        let mut pos = 8;
-        let name = Name::decode(&wire, &mut pos).unwrap();
-        assert_eq!(name, n("www.mil.ru"));
-        assert_eq!(pos, 14);
     }
 }
 
@@ -449,61 +136,12 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn arb_label() -> impl Strategy<Value = String> {
-        "[a-z0-9-]{1,20}"
-    }
-
     fn arb_name() -> impl Strategy<Value = Name> {
-        prop::collection::vec(arb_label(), 0..6)
+        prop::collection::vec("[a-z0-9-]{1,20}", 0..6)
             .prop_map(|ls| Name::from_labels(ls.iter().map(|s| s.as_bytes())).unwrap())
     }
 
     proptest! {
-        #[test]
-        fn uncompressed_roundtrip(name in arb_name()) {
-            let mut buf = BytesMut::new();
-            name.encode_uncompressed(&mut buf);
-            prop_assert_eq!(buf.len(), name.encoded_len());
-            let mut pos = 0;
-            let back = Name::decode(&buf, &mut pos).unwrap();
-            prop_assert_eq!(back, name);
-            prop_assert_eq!(pos, buf.len());
-        }
-
-        #[test]
-        fn compressed_roundtrip_many(names in prop::collection::vec(arb_name(), 1..12)) {
-            let mut buf = BytesMut::new();
-            let mut table = HashMap::new();
-            let mut offsets = Vec::new();
-            for name in &names {
-                offsets.push(buf.len());
-                name.encode_compressed(&mut buf, &mut table, 0);
-            }
-            for (name, &off) in names.iter().zip(&offsets) {
-                let mut pos = off;
-                let back = Name::decode(&buf, &mut pos).unwrap();
-                prop_assert_eq!(&back, name);
-            }
-        }
-
-        #[test]
-        fn compression_never_longer(names in prop::collection::vec(arb_name(), 1..12)) {
-            let mut cbuf = BytesMut::new();
-            let mut table = HashMap::new();
-            let mut ubuf = BytesMut::new();
-            for name in &names {
-                name.encode_compressed(&mut cbuf, &mut table, 0);
-                name.encode_uncompressed(&mut ubuf);
-            }
-            prop_assert!(cbuf.len() <= ubuf.len());
-        }
-
-        #[test]
-        fn decode_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-            let mut pos = 0;
-            let _ = Name::decode(&bytes, &mut pos);
-        }
-
         #[test]
         fn display_parse_roundtrip(name in arb_name()) {
             let s = name.to_string();

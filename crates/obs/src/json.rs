@@ -198,7 +198,7 @@ impl Json {
 
     /// Parse a JSON document. Errors carry a byte offset and message.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -233,9 +233,19 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a hostile input (a checkpoint
+/// marker, a report) of ~100k `[` overflows the thread's stack and aborts
+/// the process; past the cap it returns an error instead. The deepest
+/// committed document (`results/LIVE_*.json`, `golden/live.json`) nests 5
+/// levels, and the round-trip tests go to 500.
+const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -277,8 +287,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if b == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -484,5 +501,50 @@ mod tests {
         let text = format!("{}", u64::MAX);
         assert_eq!(Json::parse(&text).unwrap(), Json::U64(u64::MAX));
         assert_eq!(Json::parse("-3.5").unwrap(), Json::F64(-3.5));
+    }
+
+    /// `depth` levels of nesting around `7`; level `i` (outermost first)
+    /// is an array or a single-key object as `object_at(i)` says.
+    fn nested(depth: usize, object_at: impl Fn(usize) -> bool) -> String {
+        let (mut open, mut close) = (String::new(), String::new());
+        for i in 0..depth {
+            if object_at(i) {
+                open.push_str("{\"k\":");
+                close.insert(0, '}');
+            } else {
+                open.push('[');
+                close.insert(0, ']');
+            }
+        }
+        format!("{open}7{close}")
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for shape in ["arrays", "objects", "mixed"] {
+            let object_at = |i: usize| match shape {
+                "arrays" => false,
+                "objects" => true,
+                _ => i % 3 == 1,
+            };
+            let at_cap = Json::parse(&nested(MAX_DEPTH, object_at));
+            assert!(at_cap.is_ok(), "{shape} at depth {MAX_DEPTH}: {at_cap:?}");
+            let over = Json::parse(&nested(MAX_DEPTH + 1, object_at)).unwrap_err();
+            assert!(
+                over.starts_with(&format!("nesting deeper than {MAX_DEPTH} at byte ")),
+                "{over}"
+            );
+        }
+        // Same-level siblings do not add up: the cap is on depth, not on
+        // the number of containers.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1, |_| false); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"));
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 }

@@ -15,8 +15,6 @@
 //!   baselines, and the `Impact_on_RTT` inputs.
 //! - [`aggregate`]: the closed-form expected-outcome fidelity (exact
 //!   enumeration of the resolver's retry process).
-//! - [`pcapexport`]: Wireshark-ready captures of a window's measurement
-//!   traffic.
 //!
 //! Full-interval sweeps over every domain are intentionally *lazy*: the
 //! longitudinal pipeline only materializes measurements for NSSets and
@@ -27,13 +25,11 @@
 pub mod aggregate;
 pub mod measure;
 pub mod outage;
-pub mod pcapexport;
 pub mod store;
 pub mod sweep;
 
 pub use aggregate::{expected_impact_on_rtt, expected_outcome, ExpectedStats};
 pub use measure::{measure_window, MeasurementRec};
 pub use outage::OutageModel;
-pub use pcapexport::{export_measurement_pcap, ExportStats};
 pub use store::{MeasurementStore, NsSetWindowStats};
 pub use sweep::SweepSchedule;

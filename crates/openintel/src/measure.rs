@@ -94,7 +94,7 @@ fn measure_one(
     state_of: impl FnMut(NsId) -> ServiceState,
 ) -> MeasurementRec {
     let mut rng = streams.stream((domain.0 as u64) << 32 | window.0 & 0xFFFF_FFFF);
-    let q = resolver.resolve_with(infra, domain, &mut rng, state_of, |_| {});
+    let q = resolver.resolve_with(infra, domain, &mut rng, state_of);
     MeasurementRec { domain, nsset, window, rtt_ms: q.rtt_ms, status: q.status }
 }
 
@@ -326,7 +326,7 @@ mod tests {
             // The memoised resolution draws exactly what the plain one does.
             let mut memo_rng = stream_of(d);
             let state_of = |ns| states.get(ns, || infra.service_state(ns, window, &loads));
-            assert_eq!(resolver.resolve_with(&infra, d, &mut memo_rng, state_of, |_| {}), q);
+            assert_eq!(resolver.resolve_with(&infra, d, &mut memo_rng, state_of), q);
             assert_eq!(memo_rng.random::<u64>(), plain_rng.random::<u64>());
             statuses.insert(q.status);
         }
@@ -452,7 +452,7 @@ mod tests {
                 let (mut memo_rng, mut plain_rng) = (stream(), stream());
                 let state_of = |ns| day_state(&infra, &mut memo, ns, DAY, w, loads);
                 assert_eq!(
-                    resolver.resolve_with(&infra, d, &mut memo_rng, state_of, |_| {}),
+                    resolver.resolve_with(&infra, d, &mut memo_rng, state_of),
                     resolver.resolve(&infra, d, w, loads, &mut plain_rng),
                     "{name}"
                 );

@@ -54,27 +54,6 @@ impl<T: Eq + Hash + Clone> Interner<T> {
         id
     }
 
-    /// The id of a *borrowed* form of a value, allocating the owned key
-    /// only on first sight. The hot-path twin of [`intern`](Interner::intern):
-    /// probing with `&[u8]` against a `Vec<u8>`-keyed arena (or `&str`
-    /// against `String`) costs nothing on a hit, which is the common case
-    /// once a feed's name universe has been seen. Id assignment is
-    /// identical to `intern` — first come, first served.
-    pub fn intern_ref<Q>(&mut self, value: &Q) -> u32
-    where
-        T: std::borrow::Borrow<Q>,
-        Q: Eq + Hash + ToOwned<Owned = T> + ?Sized,
-    {
-        if let Some(&id) = self.ids.get(value) {
-            return id;
-        }
-        let id = u32::try_from(self.values.len()).expect("interner overflow: > u32::MAX values");
-        let owned = value.to_owned();
-        self.ids.insert(owned.clone(), id);
-        self.values.push(owned);
-        id
-    }
-
     /// The value behind `id`.
     pub fn resolve(&self, id: u32) -> &T {
         &self.values[id as usize]
@@ -151,35 +130,9 @@ mod tests {
         assert_eq!(global.resolve(2), &"z");
     }
 
-    #[test]
-    fn intern_ref_probes_without_owning() {
-        let mut arena: Interner<Vec<u8>> = Interner::new();
-        let a = arena.intern_ref(b"mil.ru".as_slice());
-        let b = arena.intern_ref(b"transip.nl".as_slice());
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(arena.intern_ref(b"mil.ru".as_slice()), 0, "hit keeps first-come id");
-        assert_eq!(arena.intern(b"mil.ru".to_vec()), 0, "interchangeable with intern");
-        assert_eq!(arena.len(), 2);
-        let mut strs: Interner<String> = Interner::new();
-        assert_eq!(strs.intern_ref("alpha"), 0);
-        assert_eq!(strs.intern("alpha".to_string()), 0);
-    }
-
     use proptest::prelude::*;
 
     proptest! {
-        /// `intern_ref` over borrowed keys assigns exactly the ids
-        /// `intern` over owned keys would.
-        #[test]
-        fn intern_ref_matches_intern(xs in prop::collection::vec("[a-c]{0,3}", 0..60)) {
-            let mut owned = Interner::new();
-            let mut borrowed: Interner<String> = Interner::new();
-            for x in &xs {
-                prop_assert_eq!(owned.intern(x.clone()), borrowed.intern_ref(x.as_str()));
-            }
-            prop_assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"));
-        }
-
         /// Sequential interning ≡ shard-local interning + ordered merge,
         /// for any input sequence and any shard cut points. This is the
         /// deterministic-id-assignment property the `--jobs` sweep relies

@@ -1,7 +1,6 @@
 //! The darknet: the telescope's announced address space.
 
 use netbase::{Ipv4Net, PrefixTrie, Slash16};
-use rand::Rng;
 use std::net::Ipv4Addr;
 
 /// The telescope's announced prefixes and derived coverage constants.
@@ -110,18 +109,6 @@ impl Darknet {
         &self.slash16s
     }
 
-    /// A uniformly random dark address (for synthesizing packet captures).
-    pub fn random_addr<R: Rng + ?Sized>(&self, rng: &mut R) -> Ipv4Addr {
-        let mut i = rng.random_range(0..self.total_addrs);
-        for p in &self.prefixes {
-            if i < p.size() {
-                return p.nth(i);
-            }
-            i -= p.size();
-        }
-        unreachable!("index within total_addrs");
-    }
-
     /// Expected number of distinct /16s hit by `packets` uniform packets:
     /// `n · (1 − (1 − 1/n)^k)`.
     pub fn expected_distinct_slash16s(&self, packets: u64) -> f64 {
@@ -150,8 +137,6 @@ impl Darknet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn ucsd_coverage_is_one_in_341() {
@@ -178,21 +163,6 @@ mod tests {
         let d = Darknet::ucsd_like();
         // /9 spans 128 /16s, /10 spans 64.
         assert_eq!(d.slash16s().len(), 192);
-    }
-
-    #[test]
-    fn random_addrs_inside() {
-        let d = Darknet::ucsd_like();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut seen_second = false;
-        for _ in 0..2_000 {
-            let a = d.random_addr(&mut rng);
-            assert!(d.covers(a), "{a} escaped the darknet");
-            if a.octets()[0] == 45 {
-                seen_second = true;
-            }
-        }
-        assert!(seen_second, "both prefixes get sampled");
     }
 
     #[test]

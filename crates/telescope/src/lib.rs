@@ -21,13 +21,11 @@
 //!   refcount instead of boxing each record.
 //! - [`columns`]: the feed's episodes as a columnar (struct-of-arrays)
 //!   table with interned victims — the scale-sweep hot path's input form.
-//! - [`export`]: pcap export of sampled backscatter packets.
 
 pub mod backscatter;
 pub mod block;
 pub mod columns;
 pub mod darknet;
-pub mod export;
 pub mod feed;
 pub mod outage;
 pub mod rsdos;

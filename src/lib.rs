@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`simcore`] | virtual time, seeded RNG fan-out, distributions, stats |
 //! | [`netbase`] | IPv4 prefixes, LPM trie, ASN/org registries, prefix2as |
-//! | [`dnswire`] | DNS wire format (names, compression, records, messages) |
+//! | [`dnswire`] | domain names (validated, case-normalised labels) |
 //! | [`pcap`] | pcap files + Ethernet/IPv4/UDP/TCP/ICMP frames |
 //! | [`dnssim`] | authoritative-DNS world: NSSets, capacity model, resolver |
 //! | [`attack`] | calibrated DDoS workload generation |
@@ -52,7 +52,7 @@ pub mod prelude {
         Deployment, DomainId, Infra, LoadBook, NsId, NsSetId, QueryOutcome, QueryStatus, Resolver,
         Uplink,
     };
-    pub use dnswire::{Message, Name, RData, Rcode, Record, RrType};
+    pub use dnswire::Name;
     pub use netbase::{Asn, Ipv4Net, Prefix2As, Slash16, Slash24};
     pub use openintel::{MeasurementStore, SweepSchedule};
     pub use reactive::{

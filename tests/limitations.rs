@@ -3,7 +3,6 @@
 //! existing in our pipeline too.
 
 use dnsimpact::prelude::*;
-use dnswire::Record;
 use std::sync::Arc;
 
 fn trio_world() -> (Infra, DomainId, Vec<std::net::Ipv4Addr>) {
@@ -149,48 +148,6 @@ fn agnostic_resolution_cannot_attribute() {
     let probe = reactive::probe_all_ns(&infra, domain, w.start(), &loads, &mut rng);
     let dead: Vec<_> = probe.outcomes.iter().filter(|o| o.status != QueryStatus::Ok).collect();
     assert_eq!(dead.len(), 1, "exactly the attacked server is unresponsive");
-}
-
-/// Footnote 1 of §3.2: cached NS records let additional queries succeed
-/// during an attack, *reducing* visibility of the real impact.
-#[test]
-fn caching_masks_attacks() {
-    use dnssim::cache::{CacheKey, TtlCache};
-    let (infra, domain, addrs) = trio_world();
-    let name = infra.domain(domain).name.clone();
-
-    // Before the attack: resolve and cache the NS RRset (TTL 3600).
-    let mut cache = TtlCache::new();
-    let t0 = SimTime::from_days(1);
-    let records: Vec<Record> = infra
-        .nsset(infra.domain(domain).nsset)
-        .members()
-        .iter()
-        .map(|&ns| Record::new(name.clone(), 3_600, RData::Ns(infra.nameserver(ns).name.clone())))
-        .collect();
-    cache.put(CacheKey { name: name.clone(), rtype: RrType::Ns }, records, t0);
-
-    // Attack starts 10 minutes later and kills everything.
-    let mut loads = LoadBook::new();
-    let t_attack = t0 + SimDuration::from_mins(10);
-    for &a in &addrs {
-        loads.add(a, t_attack.window(), 50_000_000.0);
-    }
-    // Fresh (uncached) resolution fails...
-    let resolver = Resolver::default();
-    let rngs = RngFactory::new(4);
-    let mut rng = rngs.stream("cache-mask");
-    let fresh = resolver.resolve(&infra, domain, t_attack.window(), &loads, &mut rng);
-    assert_ne!(fresh.status, QueryStatus::Ok, "empty-cache resolution fails");
-    // ...while the cached RRset still "answers" — the attack is invisible
-    // to any measurement that consults the cache.
-    let hit = cache.get(&CacheKey { name, rtype: RrType::Ns }, t_attack);
-    assert!(hit.is_some(), "cache masks the outage until TTL expiry");
-    // After TTL expiry the mask falls away.
-    let later = t0 + SimDuration::from_hours(2);
-    assert!(cache
-        .get(&CacheKey { name: infra.domain(domain).name.clone(), rtype: RrType::Ns }, later)
-        .is_none());
 }
 
 /// Limitation 2: the telescope only sees IPv4. During an IPv4 attack, a
