@@ -2,9 +2,9 @@
 # Offline CI gates. Default run order:
 #
 #   lint         cargo fmt --check + cargo clippy -D warnings + sh -n ci.sh,
-#                and every name the lib.rs of `streamproc`, `dnswire` or
-#                `dnssim` re-exports must be used outside its crate
-#                (crates/*/src, src/, benchmark/src)
+#                and every name the lib.rs of `streamproc`, `dnswire`,
+#                `dnssim` or `obs` re-exports must be used outside its
+#                crate (crates/*/src, src/, benchmark/src)
 #   build        cargo build --release (workspace)
 #   tests        cargo test --workspace
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
@@ -21,12 +21,8 @@
 #   sweep        repro bench --scale-sweep smoke (1.5k + 15k cells):
 #                cross-jobs artifact fingerprints enforced in-run, the
 #                emitted dnsimpact-sweep/v1 report schema-validated
-#                (heavy 150k/1.5M cells stay local: DNSIMPACT_SCALE_HEAVY)
-#   suite        repro bench --suite: the process-based Suite A
-#                orchestrator — six release binaries spawned as OS
-#                processes, cross-process fingerprints exact — every
-#                verdict must pass and the dnsimpact-suite/v2 report
-#                must schema-validate
+#                (heavy 150k/1.5M cells stay local: DNSIMPACT_SCALE_HEAVY);
+#                on failure the sweep's stderr (the failing ratio) is shown
 #   daemon       dnsimpactd on the pinned feed: query a known-impacted
 #                domain mid-ingest (only after /statz proves ingest
 #                progress), kill -9, restart from the checkpoint, diff the
@@ -67,7 +63,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-ALL_GATES="lint build tests determinism chaos metrics wirebench trace sweep suite daemon live results benchmark"
+ALL_GATES="lint build tests determinism chaos metrics wirebench trace sweep daemon live results benchmark"
 
 REPRO=target/release/repro
 DAEMON=target/release/dnsimpactd
@@ -75,7 +71,7 @@ DAEMON=target/release/dnsimpactd
 list_gates() {
     cat << 'EOF'
 lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh, no
-             streamproc/dnswire/dnssim re-export without a caller outside its crate
+             streamproc/dnswire/dnssim/obs re-export without a caller outside its crate
 build        cargo build --release (workspace)
 tests        cargo test --workspace
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
@@ -84,7 +80,6 @@ metrics      repro bench: report schema + counter invariants + BENCH baseline di
 wirebench    criterion smoke: every feed-block/telescope/trace bench runs and reports
 trace        trace export schema + causality; repro explain deterministic
 sweep        bench --scale-sweep smoke: cross-jobs fingerprints + sweep schema
-suite        bench --suite: cross-process fingerprint verdicts all PASS + suite schema
 daemon       dnsimpactd kill -9 crash recovery fingerprint-identical to clean replay
 live         /metricsz parses mid-ingest, SLO verdicts surface, repro watch renders,
              deterministic /seriesz + /sloz byte-identical across chaos seed and jobs
@@ -151,7 +146,7 @@ BUILDS=0
 for G in $SELECTED; do
     case "$G" in
         build) BUILDS=1 ;;
-        determinism | chaos | metrics | trace | sweep | suite | daemon | live | results)
+        determinism | chaos | metrics | trace | sweep | daemon | live | results)
             NEEDS_BINARIES=1
             ;;
     esac
@@ -224,7 +219,7 @@ gate_lint() {
     echo "==> lint gate: cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
     UNUSED=0
-    for C in streamproc dnswire dnssim; do
+    for C in streamproc dnswire dnssim obs; do
         echo "==> lint gate: every $C re-export has a caller outside the crate"
         # The names of lib.rs's `pub use` items (single- or multi-line).
         EXPORTS=$(awk '/^pub use/ { on = 1 } on { print } /;/ { on = 0 }' "crates/$C/src/lib.rs" |
@@ -362,31 +357,16 @@ gate_sweep() {
     # on a single-CPU host the speedup gate auto-skips but the 8-thread
     # determinism cell still runs. validate-metrics then re-reads the
     # report through the sweep-v1 schema: sorted cells, finite rates,
-    # consistent record accounting.
-    "$REPRO" bench --scale-sweep --seed 42 --out "$SMOKE/sweep" 2> /dev/null
+    # consistent record accounting. The sweep's progress lines go to a
+    # file, shown only when it fails, so a failed check shows its ratio.
+    "$REPRO" bench --scale-sweep --seed 42 --out "$SMOKE/sweep" 2> "$SMOKE/sweep.stderr" || {
+        rc=$?
+        cat "$SMOKE/sweep.stderr" >&2
+        exit "$rc"
+    }
     SWEEP_JSON=$(ls "$SMOKE"/sweep/SWEEP_*.json)
     "$REPRO" validate-metrics "$SWEEP_JSON"
     echo "==> sweep gate passed (cross-jobs fingerprints equal, report schema valid)"
-}
-
-gate_suite() {
-    echo "==> suite gate: repro bench --suite (process-based Suite A)"
-    # The orchestrator spawns the release binaries as OS processes — the
-    # pinned catalog across a scale x jobs grid plus clean/chaos daemon
-    # ingests — and demands exact cross-process fingerprint agreement.
-    # Exit is non-zero on any failed verdict; the verdict table on stderr
-    # names the offending cell. validate-metrics then re-reads the
-    # emitted report through the suite-v2 schema.
-    "$REPRO" bench --suite --out "$SMOKE/suite" > "$SMOKE/suite.stdout"
-    # Suite mode reports on stderr only: stdout stays empty like bench.
-    if [ -s "$SMOKE/suite.stdout" ]; then
-        echo "bench --suite wrote to stdout:" >&2
-        cat "$SMOKE/suite.stdout" >&2
-        exit 1
-    fi
-    SUITE_JSON=$(ls "$SMOKE"/suite/SUITE_*.json)
-    "$REPRO" validate-metrics "$SUITE_JSON"
-    echo "==> suite gate passed (all verdicts PASS, report schema valid)"
 }
 
 gate_daemon() {
@@ -606,7 +586,6 @@ gate_results() {
             INDEX.md) continue ;;
             BENCH_*.json) PAT='BENCH_<date>' ;;
             SWEEP_*.json) PAT='SWEEP_<date>' ;;
-            SUITE_*.json) PAT='SUITE_<date>' ;;
             LIVE_*.json) PAT='LIVE_<date>' ;;
             *) PAT="$B" ;;
         esac

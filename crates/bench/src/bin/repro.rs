@@ -9,7 +9,6 @@
 //!       [--trace-json PATH] [EXPERIMENT...]
 //! repro bench [--compare [BASELINE.json]] [same flags]
 //! repro bench --scale-sweep [--out DIR] [same flags]
-//! repro bench --suite [--out DIR] [--seed N]
 //! repro bench --trajectory [--out DIR]
 //! repro explain EPISODE-ID [same flags]
 //! repro watch HOST:PORT [--interval-ms N] [--frames N]
@@ -90,14 +89,6 @@
 //! timeline is built from the trace's deterministic fields only, so it is
 //! byte-identical for any `--jobs` value.
 //!
-//! `repro bench --suite` spawns the release binaries as OS processes —
-//! the pinned catalog across a scale × jobs grid plus a clean and a
-//! chaos-seeded `dnsimpactd --bench-oneshot` ingest — compares their
-//! deterministic fingerprints exactly, and writes a `dnsimpact-suite/v2`
-//! report to `SUITE_<date>[_runN].json` under `--out` (default
-//! `results/`). It takes no operand and no experiment ids. Exit 1 when a
-//! verdict fails.
-//!
 //! `repro watch HOST:PORT` renders a polling stderr dashboard against a
 //! live `dnsimpactd`: sparkline trajectories of the tick-clock series,
 //! the SLO verdict table, and the staleness/ingest header. An
@@ -109,10 +100,9 @@
 //! `dnsimpact-metrics/v2` run report additionally gets the cross-counter
 //! invariant checks (fault accounting balances; reactive latency and
 //! probe budgets hold), a `dnsimpact-sweep/v1` sweep report gets the
-//! cell-grid checks (sorted, duplicate-free cells; finite floats), a
-//! `dnsimpact-suite/v2` suite report gets the cell/process accounting,
-//! and a `dnsimpactd-live/v2` telemetry report gets the delta
-//! conservation check across its tick ring.
+//! cell-grid checks (sorted, duplicate-free cells; finite floats), and a
+//! `dnsimpactd-live/v2` telemetry report gets the delta conservation
+//! check across its tick ring.
 //! An unknown or missing schema id is rejected outright, naming the id
 //! and the known schemas. Exit 1 on any violation — this is the CI
 //! metrics gate.
@@ -168,13 +158,10 @@ struct Options {
     /// `bench --scale-sweep`: run the scale×jobs grid instead of the
     /// experiment catalog and emit a `dnsimpact-sweep/v1` report.
     scale_sweep: bool,
-    /// `bench --trajectory`: print the committed `BENCH_`/`SWEEP_`/`SUITE_`
+    /// `bench --trajectory`: print the committed `BENCH_`/`SWEEP_`
     /// report series as a wall/RSS/throughput time series instead of
     /// running.
     trajectory: bool,
-    /// `bench --suite`: run the process-based Suite A orchestrator and
-    /// emit a `dnsimpact-suite/v2` report.
-    suite: bool,
     /// Same-day bench run counter (1 for the first run of a date).
     run: u64,
     /// `bench --compare`: `Some(None)` = auto-pick the newest baseline,
@@ -219,7 +206,6 @@ fn parse_args() -> Options {
         bench: false,
         scale_sweep: false,
         trajectory: false,
-        suite: false,
         run: 1,
         compare: None,
         explain: None,
@@ -274,7 +260,6 @@ fn parse_args() -> Options {
             "bench" => opts.bench = true,
             "--scale-sweep" => opts.scale_sweep = true,
             "--trajectory" => opts.trajectory = true,
-            "--suite" => opts.suite = true,
             "explain" => opts.explain = Some(operand(&mut args, "explain", "EPISODE-ID")),
             "watch" => {
                 let rest: Vec<String> = args.collect();
@@ -305,15 +290,7 @@ fn parse_args() -> Options {
                 println!(
                     "                              (DNSIMPACT_SCALE_HEAVY=1|2 adds 150k/1.5M)"
                 );
-                println!("repro bench --suite           spawn the release binaries as processes:");
-                println!(
-                    "                              the catalog across scale x jobs plus a clean"
-                );
-                println!("                              and a chaos daemon ingest, cross-process");
-                println!("                              fingerprints exact; write");
-                println!("                              SUITE_<date>[_runN].json under --out");
-                println!("                              (default results/)");
-                println!("repro bench --trajectory      print the committed BENCH_/SWEEP_/SUITE_");
+                println!("repro bench --trajectory      print the committed BENCH_/SWEEP_");
                 println!(
                     "                              report series under --out (default results/)"
                 );
@@ -338,15 +315,13 @@ fn parse_args() -> Options {
                 }
                 std::process::exit(0);
             }
+            // A retired or misspelled flag must not read as an experiment
+            // id: `bench` would run nothing and still write a report.
+            other if other.starts_with('-') => {
+                die(&format!("unknown flag {other:?} (run `repro --help`)"))
+            }
             other => opts.experiments.push(other.to_string()),
         }
-    }
-    if opts.suite && !opts.experiments.is_empty() {
-        // A stale `--suite B` must not run the one suite under another name.
-        die(&format!(
-            "--suite takes no operand and no experiment ids (got {:?})",
-            opts.experiments
-        ));
     }
     if opts.bench {
         // Pin the bench configuration; explicit flags still win.
@@ -356,14 +331,14 @@ fn parse_args() -> Options {
         if opts.chaos_seed.is_none() {
             opts.chaos_seed = Some(BENCH_CHAOS_SEED);
         }
-        if !out_set && !opts.scale_sweep && !opts.trajectory && !opts.suite {
+        if !out_set && !opts.scale_sweep && !opts.trajectory {
             // Bench CSVs are throwaway — keep them out of the committed
             // `results/` series. (Sweep mode instead writes its report
             // under `--out`, default `results/`; trajectory mode reads
             // the committed series from there.)
             opts.out = PathBuf::from("target/bench-out");
         }
-        if opts.metrics_json.is_none() && !opts.scale_sweep && !opts.trajectory && !opts.suite {
+        if opts.metrics_json.is_none() && !opts.scale_sweep && !opts.trajectory {
             // Same-day runs never clobber: the first run of a date owns
             // BENCH_<date>.json, later runs get a _runN suffix, and the
             // report's meta.run records which slot this was.
@@ -632,9 +607,6 @@ fn main() {
     if opts.scale_sweep {
         std::process::exit(run_scale_sweep_cmd(&opts));
     }
-    if opts.suite {
-        std::process::exit(run_suite_cmd(&opts));
-    }
     let known: Vec<String> = opts
         .experiments
         .iter()
@@ -842,9 +814,6 @@ fn heavy_level() -> u64 {
     }
 }
 
-/// `bench --scale-sweep`: run the scale×jobs grid, check the cross-jobs
-/// fingerprints and the largest-scale speedup, and emit the validated
-/// `dnsimpact-sweep/v1` report. Returns the process exit code.
 /// One report in a committed `BENCH_`/`SWEEP_` series: the slot filename
 /// plus the parsed document.
 struct SeriesReport {
@@ -912,7 +881,7 @@ fn pct_change(cur: f64, prev: f64) -> String {
 }
 
 /// `bench --trajectory`: the committed report series as a time series.
-/// Reads every `BENCH_*.json`, `SWEEP_*.json`, and `SUITE_*.json` under
+/// Reads every `BENCH_*.json` and `SWEEP_*.json` under
 /// `--out` (default `results/`), orders them by `(date, same-day run)`
 /// parsed from the slot filename, and prints wall-clock, peak RSS, and
 /// records-per-second across runs — how the harness's performance moved
@@ -925,14 +894,10 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
     let dir = &opts.out;
     let benches = collect_report_series(dir, "BENCH");
     let sweeps = collect_report_series(dir, "SWEEP");
-    let suites = collect_report_series(dir, "SUITE");
-    if benches.is_empty() && sweeps.is_empty() && suites.is_empty() {
+    if benches.is_empty() && sweeps.is_empty() {
         obs::progress(
             "repro",
-            &format!(
-                "no BENCH_*.json, SWEEP_*.json, or SUITE_*.json reports under {}",
-                dir.display()
-            ),
+            &format!("no BENCH_*.json or SWEEP_*.json reports under {}", dir.display()),
         );
         return 2;
     }
@@ -944,23 +909,15 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
         );
         let mut prev: Option<(f64, f64)> = None;
         for r in &benches {
-            // Either run-report revision: v2, or the legacy v1 baseline.
-            let point = obs::RunReport::from_json(&r.doc)
-                .map(|b| (b.meta.scale, b.meta.jobs, b.total_wall_ms, b.peak_rss_kb))
-                .or_else(|v2_errors| {
-                    obs::report::LegacyRunReport::from_json(&r.doc)
-                        .map(|b| (b.meta.scale, b.meta.jobs, b.total_wall_ms, b.peak_rss_kb))
-                        .map_err(|_| v2_errors)
-                });
-            let Some((scale, jobs, wall, rss)) = r.decoded(point) else { continue };
-            let (wall, rss) = (wall as f64, rss as f64);
+            let Some(b) = r.decoded(obs::RunReport::from_json(&r.doc)) else { continue };
+            let (wall, rss) = (b.total_wall_ms as f64, b.peak_rss_kb as f64);
             let (dwall, drss) = match prev {
                 Some((pw, pr)) => (pct_change(wall, pw), pct_change(rss, pr)),
                 None => ("-".to_string(), "-".to_string()),
             };
             println!(
                 "  {:<28} {:>7} {:>5} {:>10.1} {:>8} {:>12.0} {:>8}",
-                r.name, scale, jobs, wall, dwall, rss, drss,
+                r.name, b.meta.scale, b.meta.jobs, wall, dwall, rss, drss,
             );
             prev = Some((wall, rss));
         }
@@ -1001,44 +958,12 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
             }
         }
     }
-    if !suites.is_empty() {
-        if !benches.is_empty() || !sweeps.is_empty() {
-            println!();
-        }
-        println!(
-            "suite trajectory ({} report(s) under {}; one row per Suite A cell):",
-            suites.len(),
-            dir.display()
-        );
-        println!(
-            "  {:<28} {:<24} {:>10} {:>12} {:>13} {:>8}",
-            "report", "cell", "wall_ms", "peak_rss_kb", "records/s", "dthru"
-        );
-        // Throughput deltas compare each cell against the same-labelled
-        // cell of the previous suite report that had one.
-        let mut prev: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-        for r in &suites {
-            let Some(report) = r.decoded(obs::SuiteReport::from_json(&r.doc)) else { continue };
-            for c in report.suite_a {
-                let dthru = prev
-                    .get(&c.cell)
-                    .map_or("-".to_string(), |p| pct_change(c.records_per_sec, *p));
-                println!(
-                    "  {:<28} {:<24} {:>10.1} {:>12.0} {:>13.0} {:>8}",
-                    r.name,
-                    c.cell,
-                    c.wall_ms as f64,
-                    c.peak_rss_kb as f64,
-                    c.records_per_sec,
-                    dthru
-                );
-                prev.insert(c.cell, c.records_per_sec);
-            }
-        }
-    }
     0
 }
 
+/// `bench --scale-sweep`: run the scale×jobs grid, check the cross-jobs
+/// fingerprints and the largest-scale speedup, and emit the validated
+/// `dnsimpact-sweep/v1` report. Returns the process exit code.
 fn run_scale_sweep_cmd(opts: &Options) -> i32 {
     if !opts.bench {
         obs::progress("repro", "--scale-sweep is a bench mode: run `repro bench --scale-sweep`");
@@ -1104,45 +1029,6 @@ fn run_scale_sweep_cmd(opts: &Options) -> i32 {
     }
     eprint!("{}", report.summary_table());
     0
-}
-
-/// `bench --suite`: run the process-based Suite A orchestrator
-/// (`bench_support::run_suite`), validate the resulting
-/// `dnsimpact-suite/v2` document, commit it to
-/// `SUITE_<date>[_runN].json` under `--out`, and print the per-cell
-/// summary + verdict table to stderr. Exit 0 only when every verdict
-/// passed; 1 on a failed verdict or an orchestration error. Returns the
-/// process exit code.
-fn run_suite_cmd(opts: &Options) -> i32 {
-    if !opts.bench {
-        obs::progress("repro", "--suite is a bench mode: run `repro bench --suite`");
-        return 2;
-    }
-    let scratch = std::env::temp_dir().join(format!("repro-suite-{}", std::process::id()));
-    obs::progress("repro", &format!("suite (seed {}, scratch {})", opts.seed, scratch.display()));
-    let cfg = bench_support::SuiteRunConfig { seed: opts.seed, scratch: scratch.clone() };
-    let result = bench_support::run_suite(&cfg);
-    // The scratch dir only holds child reports/CSVs already folded into
-    // the suite report (or abandoned by a failure) — always clean it.
-    let _ = std::fs::remove_dir_all(&scratch);
-    let report = match result {
-        Ok(r) => r,
-        Err(e) => {
-            obs::progress("repro", &format!("suite failed: {e}"));
-            return 1;
-        }
-    };
-    let (_, path) = next_slot(&opts.out, "SUITE", &obs::report::today_utc());
-    if !emit_report("suite", &report.to_json(), &path) {
-        return 1;
-    }
-    eprint!("{}", report.summary_table());
-    if report.all_pass() {
-        0
-    } else {
-        obs::progress("repro", "suite verdicts include failures");
-        1
-    }
 }
 
 /// `bench --compare`: diff the fresh report against a baseline (explicit,
@@ -1237,11 +1123,11 @@ mod tests {
         assert_eq!(parse_slot_name("BENCH_2026-08-05.json.bak", "BENCH"), None);
         assert_eq!(parse_slot_name("BENCHMARK_2026-08-05.json", "BENCH"), None);
         assert_eq!(
-            parse_slot_name("SUITE_2026-08-08.json", "SUITE"),
+            parse_slot_name("SWEEP_2026-08-08.json", "SWEEP"),
             Some(("2026-08-08".to_string(), 1))
         );
         assert_eq!(
-            parse_slot_name("SUITE_2026-08-08_run2.json", "SUITE"),
+            parse_slot_name("SWEEP_2026-08-08_run2.json", "SWEEP"),
             Some(("2026-08-08".to_string(), 2))
         );
     }
@@ -1250,17 +1136,17 @@ mod tests {
     fn slot_name_parser_survives_hostile_names() {
         // No underscore after the prefix, no .json suffix, empty stem,
         // prefix alone — all rejected rather than panicking.
-        assert_eq!(parse_slot_name("SUITE", "SUITE"), None);
-        assert_eq!(parse_slot_name("SUITE_", "SUITE"), None);
-        assert_eq!(parse_slot_name("SUITE.json", "SUITE"), None);
-        assert_eq!(parse_slot_name("SUITE2026-08-08.json", "SUITE"), None);
-        assert_eq!(parse_slot_name("", "SUITE"), None);
+        assert_eq!(parse_slot_name("SWEEP", "SWEEP"), None);
+        assert_eq!(parse_slot_name("SWEEP_", "SWEEP"), None);
+        assert_eq!(parse_slot_name("SWEEP.json", "SWEEP"), None);
+        assert_eq!(parse_slot_name("SWEEP2026-08-08.json", "SWEEP"), None);
+        assert_eq!(parse_slot_name("", "SWEEP"), None);
         // An empty date stem parses (the series collector just orders
         // it first); a malformed run counter falls back to 0 so the file
         // still sorts ahead of the real run-1 slot instead of vanishing.
-        assert_eq!(parse_slot_name("SUITE_.json", "SUITE"), Some((String::new(), 1)));
+        assert_eq!(parse_slot_name("SWEEP_.json", "SWEEP"), Some((String::new(), 1)));
         assert_eq!(
-            parse_slot_name("SUITE_2026-08-08_runX.json", "SUITE"),
+            parse_slot_name("SWEEP_2026-08-08_runX.json", "SWEEP"),
             Some(("2026-08-08".to_string(), 0))
         );
     }

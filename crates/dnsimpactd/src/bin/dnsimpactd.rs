@@ -4,10 +4,6 @@
 //!   checkpoint, run the supervised ingest to completion, then keep
 //!   serving until killed. `--port-file` publishes the bound address
 //!   atomically so a harness can find a port-0 listener.
-//!   `--bench-oneshot` instead exits after ingest completes, printing one
-//!   compact JSON line (records, ingest wall, full fingerprint, peak RSS)
-//!   to stdout — the serving cell of the `repro bench --suite`
-//!   orchestrator, which reads exactly that line per spawned process.
 //!   `--live-report PATH` writes the `dnsimpactd-live/v2` telemetry
 //!   report (tick-clock series + SLO transitions) after ingest;
 //!   `--tick-cap` bounds the telemetry ring.
@@ -68,7 +64,6 @@ struct Opts {
     checkpoint_dir: Option<PathBuf>,
     bind: String,
     port_file: Option<PathBuf>,
-    bench_oneshot: bool,
     impacted: bool,
     limit: usize,
     scale_target: u64,
@@ -86,7 +81,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         checkpoint_dir: None,
         bind: "127.0.0.1:0".into(),
         port_file: None,
-        bench_oneshot: false,
         impacted: false,
         limit: usize::MAX,
         scale_target: 1_500,
@@ -122,7 +116,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--checkpoint-dir" => o.checkpoint_dir = Some(PathBuf::from(val(flag)?)),
             "--bind" => o.bind = val(flag)?.clone(),
             "--port-file" => o.port_file = Some(PathBuf::from(val(flag)?)),
-            "--bench-oneshot" => o.bench_oneshot = true,
             "--impacted" => o.impacted = true,
             "-n" | "--limit" => o.limit = num(flag, val(flag)?)?,
             "--tick-cap" => o.tick_cap = num::<usize>(flag, val(flag)?)?.max(1),
@@ -174,11 +167,9 @@ fn serve(args: &[String]) -> Result<(), String> {
         dnsimpact_core::report::write_atomic(pf, &format!("{addr}\n"))
             .map_err(|e| format!("write port file {}: {e}", pf.display()))?;
     }
-    let ingest_start = std::time::Instant::now();
     let mut ingestor = Ingestor::new(&source, ingest_cfg(&o), Arc::clone(&cell))
         .with_telemetry(Arc::clone(&telemetry));
     let stats = ingestor.recover_and_run();
-    let ingest_wall_ms = ingest_start.elapsed().as_millis() as u64;
     obs::progress(
         "daemon",
         &format!(
@@ -215,22 +206,6 @@ fn serve(args: &[String]) -> Result<(), String> {
         dnsimpact_core::report::write_report(path, &telemetry.live_report(&meta, &fin))
             .map_err(|e| format!("write live report {}: {e}", path.display()))?;
         obs::progress("daemon", &format!("live report written to {}", path.display()));
-    }
-    if o.bench_oneshot {
-        // The suite orchestrator's stdout protocol: exactly one compact
-        // JSON line, then exit. Everything above went to stderr.
-        let mut line = Json::obj();
-        line.set("schema", Json::Str("dnsimpactd-oneshot/v1".into()));
-        line.set("records", Json::U64(source.total_records));
-        line.set("batches", Json::U64(source.batches.len() as u64));
-        line.set("episodes", Json::U64(source.episodes_emitted));
-        line.set("applied_seq", Json::U64(ingestor.state.applied_seq));
-        line.set("ingest_wall_ms", Json::U64(ingest_wall_ms));
-        line.set("full_fp", Json::Str(format!("{:#018x}", ingestor.state.full_fingerprint())));
-        line.set("peak_rss_kb", Json::U64(obs::rss::peak_rss_kb()));
-        println!("{}", line.compact());
-        server.shutdown();
-        return Ok(());
     }
     // Keep serving until killed; the harness owns our lifetime.
     loop {
@@ -358,5 +333,17 @@ fn get(args: &[String]) -> ExitCode {
             eprintln!("dnsimpactd: GET {url}: {e}");
             ExitCode::from(3)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_opts;
+
+    #[test]
+    fn retired_bench_oneshot_flag_is_an_unknown_flag() {
+        let args = ["--seed".to_string(), "7".to_string(), "--bench-oneshot".to_string()];
+        let err = parse_opts(&args).err().expect("--bench-oneshot was accepted");
+        assert_eq!(err, r#"unknown flag "--bench-oneshot""#);
     }
 }

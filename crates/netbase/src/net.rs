@@ -67,12 +67,6 @@ impl Ipv4Net {
         Ipv4Addr::from(self.addr | !mask(self.len))
     }
 
-    /// The `i`-th address inside the prefix. Panics if out of range.
-    pub fn nth(&self, i: u64) -> Ipv4Addr {
-        assert!(i < self.size(), "index {i} out of prefix {self}");
-        Ipv4Addr::from(self.addr + i as u32)
-    }
-
     /// Split into the two child prefixes of length `len + 1`.
     /// Panics on a /32.
     pub fn children(&self) -> (Ipv4Net, Ipv4Net) {
@@ -161,11 +155,6 @@ impl Slash24 {
     /// The /16 this /24 sits inside.
     pub fn slash16(&self) -> Slash16 {
         Slash16(self.0 >> 8)
-    }
-    /// The `i`-th host (0..256).
-    pub fn nth(&self, i: u32) -> Ipv4Addr {
-        assert!(i < 256);
-        Ipv4Addr::from((self.0 << 8) | i)
     }
 }
 
@@ -279,12 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn slash24_of_and_nth() {
+    fn slash24_of() {
         let s = Slash24::of(ip("203.0.113.77"));
         assert_eq!(format!("{s}"), "203.0.113.0/24");
         assert!(s.contains(ip("203.0.113.0")));
         assert!(!s.contains(ip("203.0.114.0")));
-        assert_eq!(s.nth(5), ip("203.0.113.5"));
         assert_eq!(s.slash16(), Slash16::of(ip("203.0.200.1")));
     }
 
@@ -303,19 +291,5 @@ mod tests {
         assert_eq!(subs.len(), 4);
         assert_eq!(format!("{}", subs[0]), "10.1.0.0/24");
         assert_eq!(format!("{}", subs[3]), "10.1.3.0/24");
-    }
-
-    #[test]
-    fn nth_in_prefix() {
-        let n: Ipv4Net = "172.16.0.0/30".parse().unwrap();
-        assert_eq!(n.nth(0), ip("172.16.0.0"));
-        assert_eq!(n.nth(3), ip("172.16.0.3"));
-    }
-
-    #[test]
-    #[should_panic]
-    fn nth_out_of_range_panics() {
-        let n: Ipv4Net = "172.16.0.0/30".parse().unwrap();
-        n.nth(4);
     }
 }

@@ -103,9 +103,9 @@ impl Json {
         out
     }
 
-    /// One-line form with no whitespace at all — the stdout protocol of
-    /// subprocess bench agents (`dnsimpactd serve --bench-oneshot`), where
-    /// the orchestrator reads exactly one line per process.
+    /// One-line form with no whitespace at all — the driver benchmark's
+    /// last stdout line and report file (`benchmark/src/main.rs`), and the
+    /// unknown-schema message of [`crate::schema::validate`].
     pub fn compact(&self) -> String {
         let mut out = String::new();
         self.write_compact(&mut out);

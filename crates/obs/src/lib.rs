@@ -52,15 +52,11 @@
 //!   validate; per-record cross-field `rules`), and the
 //!   [`schema::REPORT_SCHEMAS`] table of [`schema::Report`] roots that
 //!   `validate-metrics` and the report writer dispatch on (DESIGN §17);
-//! - [`report`]: the machine-readable run report (`dnsimpact-metrics/v2`,
-//!   and the frozen `v1` as `LegacyRunReport`), the counter-invariant
-//!   checks, and the bench-regression comparator;
+//! - [`report`]: the machine-readable run report (`dnsimpact-metrics/v2`),
+//!   the counter-invariant checks, and the bench-regression comparator;
 //! - [`sweep`]: the scale-sweep report (`dnsimpact-sweep/v1`) emitted by
 //!   `repro bench --scale-sweep` — per-(scale, jobs) throughput, wall, and
 //!   peak-RSS cells, strictly sorted, floats finite;
-//! - [`suite`]: the process-suite report (`dnsimpact-suite/v2`) emitted by
-//!   `repro bench --suite` — Suite A's deterministic per-process cells and
-//!   the per-cell verdict table;
 //! - [`timeseries`]: the live plane's bounded tick ring ([`TsStore`]) —
 //!   per-tick counter deltas and gauge levels on a feed-sequence tick
 //!   clock, with eviction accounting that makes "no sample lost or
@@ -89,19 +85,17 @@ pub mod rss;
 pub mod schema;
 pub mod slo;
 pub mod span;
-pub mod suite;
 pub mod sweep;
 pub mod timeseries;
 pub mod trace;
 
 pub use json::Json;
-pub use live::{LiveFinal, LiveMeta, LIVE_SCHEMA_ID};
+pub use live::{LiveFinal, LiveMeta};
 pub use metrics::{counter, gauge, histogram, registry, Counter, Gauge, Histogram, Snapshot};
 pub use progress::progress;
-pub use report::{RunMeta, RunReport, StageWall, SCHEMA_ID};
-pub use slo::{SloKind, SloSet, SloSpec, SloStatus, Transition};
+pub use report::{RunMeta, RunReport, StageWall};
+pub use slo::{SloKind, SloSet, SloSpec, SloStatus};
 pub use span::span;
-pub use suite::{SuiteMeta, SuiteReport, SUITE_SCHEMA_ID};
-pub use sweep::{SweepCell, SweepMeta, SweepReport, SWEEP_SCHEMA_ID};
-pub use timeseries::{SeriesKind, SeriesWindow, TsStore};
-pub use trace::{EventKind, TraceEvent, TraceSummary};
+pub use sweep::{SweepCell, SweepMeta, SweepReport};
+pub use timeseries::TsStore;
+pub use trace::EventKind;

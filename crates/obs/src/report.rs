@@ -37,7 +37,7 @@
 //! do.
 //!
 //! v1 → v2: added `meta.run`, histogram `p95`, and the `trace` block;
-//! v1 is frozen as [`LegacyRunReport`]. Histogram `buckets` (raw log2
+//! v1 is retired and no longer validates. Histogram `buckets` (raw log2
 //! bucket counts, trailing zeros trimmed) were added within v2 as an
 //! *optional-absent* field — older committed reports without it stay
 //! valid and re-serialize without it; where it is carried, the count and
@@ -48,15 +48,9 @@ use crate::json::Json;
 use crate::metrics::Snapshot;
 use crate::schema::{self, record, Report};
 use crate::trace::TraceSummary;
-use std::collections::BTreeMap;
 
 /// Schema identifier carried in every report.
 pub const SCHEMA_ID: &str = "dnsimpact-metrics/v2";
-
-/// The pre-trace schema id. Reports committed under `results/` before the
-/// v2 bump still read and validate — as [`LegacyRunReport`], under the
-/// rules of their day.
-pub const LEGACY_SCHEMA_ID: &str = "dnsimpact-metrics/v1";
 
 record! {
     /// Run identity: the inputs that determine the deterministic metrics.
@@ -94,45 +88,6 @@ record! {
         pub trace: TraceSummary,
     }
     pub fn validate;
-
-    /// [`RunMeta`] as v1 wrote it: no same-day `run` counter.
-    #[derive(Eq)]
-    pub struct LegacyRunMeta {
-        pub seed: u64,
-        pub scale: u64,
-        pub jobs: u64,
-        pub chaos_seed: Option<u64>,
-        pub bench: bool,
-        pub date: String [is schema::date],
-        pub experiments: Vec<String>,
-    }
-
-    /// [`crate::metrics::HistogramSnapshot`] as v1 wrote it: no `p95`, no `buckets`.
-    #[derive(Eq)]
-    pub struct LegacyHistogram {
-        pub count: u64,
-        pub sum: u64,
-        pub min: u64,
-        pub max: u64,
-        pub p50: u64,
-        pub p90: u64,
-        pub p99: u64,
-    }
-
-    /// A `dnsimpact-metrics/v1` run report — [`RunReport`] before
-    /// `meta.run`, histogram `p95` and the `trace` block. A frozen schema
-    /// with its own declaration: nothing writes it any more, and the one
-    /// committed v1 baseline re-serializes byte-for-byte.
-    #[derive(Eq)]
-    pub struct LegacyRunReport: Report {
-        pub meta: LegacyRunMeta,
-        pub total_wall_ms: u64,
-        pub peak_rss_kb: u64,
-        pub stages: Vec<StageWall>,
-        pub counters: BTreeMap<String, u64>,
-        pub gauges: BTreeMap<String, u64>,
-        pub histograms: BTreeMap<String, LegacyHistogram>,
-    }
 }
 
 impl RunReport {
@@ -197,31 +152,13 @@ impl RunReport {
     }
 }
 
-fn metric_counts(counters: usize, gauges: usize, histograms: usize) -> String {
-    format!("{counters} counters, {gauges} gauges, {histograms} histograms; invariants hold")
-}
-
 impl Report for RunReport {
     const SCHEMA_ID: &'static str = SCHEMA_ID;
 
     fn headline(&self) -> String {
         let m = &self.metrics;
-        metric_counts(m.counters.len(), m.gauges.len(), m.histograms.len())
-    }
-
-    fn invariants(doc: &Json) -> Vec<String> {
-        check_invariants(doc).err().unwrap_or_default()
-    }
-}
-
-/// Held to the same counter invariants as v2, so committed history stays
-/// checkable.
-impl Report for LegacyRunReport {
-    const SCHEMA_ID: &'static str = LEGACY_SCHEMA_ID;
-
-    fn headline(&self) -> String {
-        let counts = metric_counts(self.counters.len(), self.gauges.len(), self.histograms.len());
-        format!("legacy; {counts}")
+        let (counters, gauges, histograms) = (m.counters.len(), m.gauges.len(), m.histograms.len());
+        format!("{counters} counters, {gauges} gauges, {histograms} histograms; invariants hold")
     }
 
     fn invariants(doc: &Json) -> Vec<String> {
@@ -291,9 +228,7 @@ pub fn check_invariants(doc: &Json) -> Result<(), Vec<String>> {
 ///
 /// Wall clock and peak RSS are not compared: a ~150 ms run on a shared
 /// machine cannot carry a regression bound (`benchmark/` holds the perf
-/// contract). Reads both documents leniently through raw JSON, so a
-/// schema-`v1` baseline (no `meta.run`, no `p95`, no `trace` block)
-/// remains usable.
+/// contract). Reads both documents leniently through raw JSON.
 pub fn compare_reports(current: &Json, baseline: &Json) -> (Vec<String>, Vec<String>) {
     let mut failures = Vec::new();
     let mut warnings = Vec::new();
@@ -339,7 +274,7 @@ pub fn compare_reports(current: &Json, baseline: &Json) -> (Vec<String>, Vec<Str
         }
     }
     // Deterministic histograms compare field-by-field over the fields both
-    // documents carry (a v1 baseline lacks p95).
+    // documents carry.
     if let (Some(cur), Some(base)) = (
         current.get("histograms").and_then(|s| s.as_object()),
         baseline.get("histograms").and_then(|s| s.as_object()),

@@ -413,9 +413,7 @@ impl ReportSchema {
 /// Every report schema, in the order `validate-metrics` lists them.
 pub const REPORT_SCHEMAS: &[ReportSchema] = &[
     ReportSchema::of::<crate::report::RunReport>(),
-    ReportSchema::of::<crate::report::LegacyRunReport>(),
     ReportSchema::of::<crate::sweep::SweepReport>(),
-    ReportSchema::of::<crate::suite::SuiteReport>(),
     ReportSchema::of::<crate::live::LiveReport>(),
 ];
 

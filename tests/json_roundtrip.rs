@@ -5,8 +5,7 @@
 //! baseline written by one run diffs clean against a re-serialization by
 //! another.
 
-use obs::suite::{SuiteACell, Verdict};
-use obs::{Json, SuiteMeta, SuiteReport};
+use obs::Json;
 use proptest::prelude::*;
 use proptest::{Strategy, TestRng};
 
@@ -106,104 +105,19 @@ fn number_edge_cases() {
     assert_eq!(Json::parse(spaced).unwrap(), want);
 }
 
-/// A minimal valid `dnsimpact-suite/v2` report: two Suite A cells,
-/// accounting consistent.
-fn tiny_suite_report() -> SuiteReport {
-    let cell = |jobs: u64, wall: u64| SuiteACell {
-        cell: format!("A/repro/scale750/jobs{jobs}"),
-        kind: "repro".into(),
-        scale: 750,
-        jobs,
-        wall_ms: wall,
-        peak_rss_kb: 4_096,
-        records: 1_000,
-        records_per_sec: 1_000.0 * 1_000.0 / wall as f64,
-        fingerprint: "0x00c5330b6d65f1a2".into(),
-    };
-    SuiteReport {
-        meta: SuiteMeta { seed: 1, date: "2026-08-08".into(), processes: 2 },
-        suite_a: vec![cell(1, 200), cell(2, 100)],
-        verdicts: vec![Verdict {
-            cell: "A/repro/scale750".into(),
-            pass: true,
-            detail: "fingerprints agree".into(),
-        }],
-    }
+/// The sweep schema's own sample document, the golden `obs::sweep` pins.
+fn sweep_sample() -> Json {
+    Json::parse(include_str!("../crates/obs/src/golden/sweep.json")).expect("sample parses")
 }
 
 #[test]
-fn suite_report_round_trips_byte_stable() {
-    // The suite summary is a fixed point of parse ∘ pretty, and the
-    // parsed structs match the originals — same contract as the BENCH
-    // baseline files.
-    let report = tiny_suite_report();
-    let text = report.to_json().pretty();
-    let doc = Json::parse(&text).expect("suite report parses");
-    obs::suite::validate(&doc).expect("suite report validates");
-    let back = SuiteReport::from_json(&doc).expect("suite report deserializes");
-    assert_eq!(back, report);
-    assert_eq!(back.to_json().pretty(), text);
-}
-
-#[test]
-fn truncated_suite_report_is_rejected() {
-    // Every proper prefix of the on-disk form must fail to parse — a
-    // torn SUITE_*.json write can never validate as a smaller report.
-    let text = report_text_trimmed();
-    for cut in (0..text.len()).step_by(7) {
-        if !text.is_char_boundary(cut) {
-            continue;
-        }
-        assert!(
-            Json::parse(&text[..cut]).is_err(),
-            "prefix of {cut} bytes parsed as a complete suite report"
-        );
-    }
-}
-
-fn report_text_trimmed() -> String {
-    let text = tiny_suite_report().to_json().pretty();
-    text.trim_end().to_string()
-}
-
-#[test]
-fn malformed_suite_reports_name_their_defects() {
-    // Structurally valid JSON with broken semantics is rejected with an
-    // error that names the offending field, never accepted quietly.
-    type Mutation = fn(&mut SuiteReport);
-    let mutations: &[(&str, Mutation)] = &[
-        ("meta.processes", |r| r.meta.processes = 99),
-        ("suite_a duplicate cells", |r| {
-            let dup = r.suite_a[1].cell.clone();
-            r.suite_a[0].cell = dup;
-        }),
-        // NaN serializes as null, so the document is valid JSON with a
-        // non-numeric rate.
-        ("records_per_sec", |r| r.suite_a[0].records_per_sec = f64::NAN),
-        ("suite_a empty", |r| {
-            r.suite_a.clear();
-            r.meta.processes = 0;
-        }),
-        ("kind vocabulary", |r| r.suite_a[0].kind = "everything".into()),
-    ];
-    for (what, mutate) in mutations {
-        let mut report = tiny_suite_report();
-        mutate(&mut report);
-        let doc = report.to_json();
-        let errors = obs::suite::validate(&doc).expect_err(&format!("{what} accepted"));
-        assert!(!errors.is_empty(), "{what}: no error reported");
-        assert!(SuiteReport::from_json(&doc).is_err(), "{what}: from_json accepted it");
-    }
-}
-
-#[test]
-fn unknown_schema_suite_report_is_rejected() {
+fn unknown_schema_sweep_report_is_rejected() {
     // A retired, future or typo'd schema id must fail validation outright
-    // — the validator owns exactly `dnsimpact-suite/v2`.
-    for bad in ["dnsimpact-suite/v1", "dnsimpact-sweep/v1", ""] {
-        let mut doc = tiny_suite_report().to_json();
+    // — the validator owns exactly `dnsimpact-sweep/v1`.
+    for bad in ["dnsimpact-sweep/v2", "dnsimpact-metrics/v2", ""] {
+        let mut doc = sweep_sample();
         doc.set("schema", Json::Str(bad.into()));
-        let errors = obs::suite::validate(&doc).unwrap_err();
+        let errors = obs::sweep::validate(&doc).unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("schema")),
             "schema {bad:?}: errors do not mention the schema field: {errors:?}"
@@ -211,8 +125,15 @@ fn unknown_schema_suite_report_is_rejected() {
     }
     // The schema table rejects a retired id by name, listing what it does
     // know — it never hands the document to a neighbour's validator.
-    for retired in ["dnsimpactd-report/v1", "dnsimpact-suite/v1", "dnsimpactd-live/v1"] {
-        let mut doc = tiny_suite_report().to_json();
+    assert_eq!(obs::schema::REPORT_SCHEMAS.len(), 3);
+    for retired in [
+        "dnsimpactd-report/v1",
+        "dnsimpact-suite/v1",
+        "dnsimpact-suite/v2",
+        "dnsimpact-metrics/v1",
+        "dnsimpactd-live/v1",
+    ] {
+        let mut doc = sweep_sample();
         doc.set("schema", Json::Str(retired.into()));
         assert!(obs::schema::lookup(&doc).is_none(), "{retired} still has a table row");
         let errors = obs::schema::validate(&doc).unwrap_err();
@@ -222,10 +143,9 @@ fn unknown_schema_suite_report_is_rejected() {
             assert!(errors[0].contains(known.id), "{} not listed: {errors:?}", known.id);
         }
     }
-    let mut doc = tiny_suite_report().to_json();
-    let Json::Object(pairs) = std::mem::replace(&mut doc, Json::Null) else { unreachable!() };
+    let Json::Object(pairs) = sweep_sample() else { unreachable!() };
     let doc = Json::Object(pairs.into_iter().filter(|(k, _)| k != "schema").collect());
-    assert!(obs::suite::validate(&doc).is_err(), "schema-less report accepted");
+    assert!(obs::sweep::validate(&doc).is_err(), "schema-less report accepted");
 }
 
 /// Generator for arbitrary `Json` trees, depth-bounded so generation
@@ -287,14 +207,13 @@ proptest! {
 /// Re-serialize a report document through the typed decoder of the
 /// schema it names: `from_json(doc).to_json()`.
 fn reencode(doc: &Json) -> Result<Json, Vec<String>> {
-    use obs::live::LiveReport;
-    use obs::report::{LegacyRunReport, LEGACY_SCHEMA_ID};
+    use obs::live::{LiveReport, LIVE_SCHEMA_ID};
+    use obs::report::SCHEMA_ID;
+    use obs::sweep::SWEEP_SCHEMA_ID;
     match doc.get("schema").and_then(Json::as_str) {
-        Some(obs::SCHEMA_ID) => obs::RunReport::from_json(doc).map(|r| r.to_json()),
-        Some(LEGACY_SCHEMA_ID) => LegacyRunReport::from_json(doc).map(|r| r.to_json()),
-        Some(obs::SWEEP_SCHEMA_ID) => obs::SweepReport::from_json(doc).map(|r| r.to_json()),
-        Some(obs::SUITE_SCHEMA_ID) => SuiteReport::from_json(doc).map(|r| r.to_json()),
-        Some(obs::LIVE_SCHEMA_ID) => LiveReport::from_json(doc).map(|r| r.to_json()),
+        Some(SCHEMA_ID) => obs::RunReport::from_json(doc).map(|r| r.to_json()),
+        Some(SWEEP_SCHEMA_ID) => obs::SweepReport::from_json(doc).map(|r| r.to_json()),
+        Some(LIVE_SCHEMA_ID) => LiveReport::from_json(doc).map(|r| r.to_json()),
         other => panic!("no typed decoder listed for schema {other:?}"),
     }
 }
@@ -403,7 +322,7 @@ proptest! {
         // or a non-empty list of `$.`-pathed violations, and validate
         // agrees with from_json — they are one walk.
         type Check = fn(&Json) -> Result<(), Vec<String>>;
-        let schemas: [(&str, Check, Check); 4] = [
+        let schemas: [(&str, Check, Check); 3] = [
             (
                 include_str!("../crates/obs/src/golden/report.json"),
                 obs::report::validate,
@@ -413,11 +332,6 @@ proptest! {
                 include_str!("../crates/obs/src/golden/sweep.json"),
                 obs::sweep::validate,
                 |d| obs::SweepReport::from_json(d).map(drop),
-            ),
-            (
-                include_str!("../crates/obs/src/golden/suite.json"),
-                obs::suite::validate,
-                |d| SuiteReport::from_json(d).map(drop),
             ),
             (
                 include_str!("../crates/obs/src/golden/live.json"),

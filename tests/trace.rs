@@ -26,7 +26,7 @@ const IDS: &[&str] = &["table1", "fig7", "russia"];
 
 /// Reset the registries, run the pipeline + catalog at the given worker
 /// count and chaos seed, and return the trace snapshot.
-fn run_and_trace(jobs: usize, chaos_seed: Option<u64>) -> Vec<obs::TraceEvent> {
+fn run_and_trace(jobs: usize, chaos_seed: Option<u64>) -> Vec<obs::trace::TraceEvent> {
     obs::registry().reset();
     obs::trace::reset();
     let cfg = WorldConfig { providers: 20, domains: 6_000, ..WorldConfig::default() };
@@ -43,11 +43,11 @@ fn run_and_trace(jobs: usize, chaos_seed: Option<u64>) -> Vec<obs::TraceEvent> {
     obs::trace::snapshot()
 }
 
-fn deterministic_lines(events: &[obs::TraceEvent]) -> Vec<String> {
+fn deterministic_lines(events: &[obs::trace::TraceEvent]) -> Vec<String> {
     events.iter().map(|e| e.deterministic_line()).collect()
 }
 
-fn non_fault_lines(events: &[obs::TraceEvent]) -> Vec<String> {
+fn non_fault_lines(events: &[obs::trace::TraceEvent]) -> Vec<String> {
     events.iter().filter(|e| !e.kind.is_fault()).map(|e| e.deterministic_line()).collect()
 }
 
