@@ -3,8 +3,9 @@
 #
 #   lint         cargo fmt --check + cargo clippy -D warnings + sh -n ci.sh,
 #                and every name the lib.rs of `streamproc`, `dnswire`,
-#                `dnssim` or `obs` re-exports must be used outside its
-#                crate (crates/*/src, src/, benchmark/src)
+#                `dnssim`, `obs`, `telescope`, `openintel` or `simcore`
+#                re-exports must be used outside its crate (crates/*/src,
+#                src/, benchmark/src)
 #   build        cargo build --release (workspace)
 #   tests        cargo test --workspace
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
@@ -71,7 +72,8 @@ DAEMON=target/release/dnsimpactd
 list_gates() {
     cat << 'EOF'
 lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh, no
-             streamproc/dnswire/dnssim/obs re-export without a caller outside its crate
+             streamproc/dnswire/dnssim/obs/telescope/openintel/simcore re-export
+             without a caller outside its crate
 build        cargo build --release (workspace)
 tests        cargo test --workspace
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
@@ -219,7 +221,7 @@ gate_lint() {
     echo "==> lint gate: cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
     UNUSED=0
-    for C in streamproc dnswire dnssim obs; do
+    for C in streamproc dnswire dnssim obs telescope openintel simcore; do
         echo "==> lint gate: every $C re-export has a caller outside the crate"
         # The names of lib.rs's `pub use` items (single- or multi-line).
         EXPORTS=$(awk '/^pub use/ { on = 1 } on { print } /;/ { on = 0 }' "crates/$C/src/lib.rs" |

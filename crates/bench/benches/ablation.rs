@@ -9,7 +9,7 @@ use census::AnycastCensus;
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnsimpact_core::impact::{compute_impacts, ImpactConfig};
 use dnsimpact_core::join::join_episodes;
-use dnssim::{LoadBook, Resolver};
+use dnssim::Resolver;
 use openintel::SweepSchedule;
 use scenarios::{PaperScale, WorldConfig};
 use simcore::rng::RngFactory;
@@ -24,10 +24,7 @@ fn bench_ablation(c: &mut Criterion) {
     let rngs = RngFactory::new(11);
     let schedule = SweepSchedule::new(rngs.seed());
     let resolver = Resolver::default();
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in attack::accumulate_windows(&ex.attacks) {
-        loads.add(addr, w, pps);
-    }
+    let loads = dnsimpact_core::front::load_book(&ex.attacks);
     let census = AnycastCensus::from_ground_truth(
         &ex.world.infra,
         AnycastCensus::paper_snapshot_dates(),

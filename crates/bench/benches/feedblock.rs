@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use telescope::{BackscatterObs, RecordBlock, RsdosClassifier, RsdosRecord, RsdosThresholds};
+use telescope::backscatter::BackscatterObs;
+use telescope::{RecordBlock, RsdosClassifier, RsdosRecord, RsdosThresholds};
 
 const OBS: usize = 10_000;
 

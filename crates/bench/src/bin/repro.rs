@@ -363,6 +363,11 @@ fn parse_args() -> Options {
     if opts.experiments.is_empty() || opts.experiments.iter().any(|e| e == "all") {
         opts.experiments = CATALOG.iter().map(|(id, _)| id.to_string()).collect();
     }
+    // A retired or misspelled id must not run an empty catalog that still
+    // writes a report.
+    if let Some(e) = opts.experiments.iter().find(|e| !CATALOG.iter().any(|(id, _)| id == e)) {
+        die(&format!("unknown experiment {e:?} (run `repro --list`)"));
+    }
     opts
 }
 
@@ -569,7 +574,6 @@ fn rebuild_index(out: &std::path::Path, ours: &[String]) {
 /// timings, the global metrics registry, and the trace summary.
 fn build_report(
     opts: &Options,
-    known: &[String],
     jobs: usize,
     timings: &[(String, Duration)],
     total_wall: Duration,
@@ -583,7 +587,7 @@ fn build_report(
             chaos_seed: opts.chaos_seed,
             bench: opts.bench,
             date: obs::report::today_utc(),
-            experiments: known.to_vec(),
+            experiments: opts.experiments.clone(),
         },
         total_wall_ms: total_wall.as_millis() as u64,
         peak_rss_kb: obs::rss::peak_rss_kb(),
@@ -607,18 +611,7 @@ fn main() {
     if opts.scale_sweep {
         std::process::exit(run_scale_sweep_cmd(&opts));
     }
-    let known: Vec<String> = opts
-        .experiments
-        .iter()
-        .filter(|e| {
-            let ok = CATALOG.iter().any(|(id, _)| id == e);
-            if !ok {
-                obs::progress("repro", &format!("unknown experiment '{e}' (skipped)"));
-            }
-            ok
-        })
-        .cloned()
-        .collect();
+    let experiments = &opts.experiments;
     let jobs = streamproc::effective_jobs(opts.jobs);
     let total = Instant::now();
     let ckpt = opts.checkpoint_dir.as_ref().map(|d| {
@@ -629,7 +622,7 @@ fn main() {
     // Stage 1: the shared longitudinal pipeline, if any requested
     // experiment renders from it.
     let mut timings: Vec<(String, Duration)> = Vec::new();
-    let ex: Option<Experiments> = known.iter().any(|e| needs_longitudinal(e)).then(|| {
+    let ex: Option<Experiments> = experiments.iter().any(|e| needs_longitudinal(e)).then(|| {
         obs::progress(
             "repro",
             &format!(
@@ -693,7 +686,7 @@ fn main() {
         run_catalog_checkpointed(
             ex.as_ref(),
             opts.seed,
-            &known,
+            experiments,
             opts.jobs,
             fault.as_ref(),
             ckpt_ref,
@@ -770,7 +763,7 @@ fn main() {
     // validated, then written/printed. Strictly read-only with respect to
     // the pipeline — artifacts and stdout above are already final.
     if opts.metrics_json.is_some() || opts.metrics_summary || opts.compare.is_some() {
-        let report = build_report(&opts, &known, jobs, &timings, total.elapsed());
+        let report = build_report(&opts, jobs, &timings, total.elapsed());
         if let Some(path) = &opts.metrics_json {
             if !emit_report("metrics", &report.to_json(), path) {
                 std::process::exit(1);

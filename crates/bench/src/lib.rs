@@ -513,7 +513,6 @@ pub fn fig13(ex: &Experiments) -> Artifact {
 /// similar results". Recompute each impact event against a
 /// one-week-before baseline and compare with the day-before metric.
 pub fn ablate_baseline(ex: &Experiments) -> Artifact {
-    use dnssim::LoadBook;
     use openintel::measure::measure_baseline;
     use openintel::MeasurementStore;
     use openintel::SweepSchedule;
@@ -521,10 +520,7 @@ pub fn ablate_baseline(ex: &Experiments) -> Artifact {
     let infra = &ex.world.infra;
     let schedule = SweepSchedule::new(ex.rngs.seed());
     let resolver = dnssim::Resolver::default();
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in attack::accumulate_windows(&ex.attacks) {
-        loads.add(addr, w, pps);
-    }
+    let loads = dnsimpact_core::front::load_book(&ex.attacks);
     let mut day1 = Vec::new();
     let mut week1 = Vec::new();
     let mut store = MeasurementStore::new();

@@ -11,7 +11,9 @@
 //! 4. Join with per-NSSet 5-minute RTT aggregates → `Impact_on_RTT`,
 //!    failure rates ([`impact`]).
 //!
-//! The [`longitudinal`] module orchestrates all of it over a 17-month
+//! [`front`] is the one spelling of steps 1–2 (offered load, the
+//! telescope's episodes, the filtered join). The [`longitudinal`] module
+//! orchestrates all of it over a 17-month
 //! attack population and produces every table/figure series of the paper's
 //! evaluation; [`ports`], [`failures`], [`correlate`] and [`resilience`]
 //! hold the per-figure analyses; [`casestudy`] computes the TransIP-style
@@ -22,6 +24,7 @@ pub mod casestudy;
 pub mod columnar;
 pub mod correlate;
 pub mod failures;
+pub mod front;
 pub mod impact;
 pub mod join;
 pub mod longitudinal;

@@ -28,19 +28,16 @@
 //! staleness the serving layer must report instead of hiding.
 
 use attack::AttackScheduler;
-use dnsimpact_core::columnar::JoinTable;
-use dnssim::{Infra, LoadBook, NsSetId, Resolver};
-use openintel::{expected_outcome, OutageModel, SweepSchedule};
+use dnsimpact_core::front;
+use dnssim::{NsSetId, Resolver};
+use openintel::{expected_span_rtt, OutageModel, SweepSchedule};
 use scenarios::{
     divisor_for_target, paper_longitudinal_config, world, BuiltWorld, PaperScale, WorldConfig,
 };
 use simcore::rng::RngFactory;
 use simcore::time::{SimTime, Window, WINDOWS_PER_DAY, WINDOW_SECS};
-use std::collections::{BTreeMap, BTreeSet};
-use telescope::{
-    AttackEpisode, BackscatterSampler, Darknet, EpisodeColumns, FeedGapModel, RsdosClassifier,
-    RsdosRecord,
-};
+use std::collections::BTreeSet;
+use telescope::{AttackEpisode, Darknet, EpisodeColumns, FeedGapModel, RsdosRecord};
 
 /// Identity and shape of the daemon's feed. Every field participates in
 /// the determinism contract: two sources built from equal configs emit
@@ -130,7 +127,6 @@ pub struct FeedSource {
     pub world: BuiltWorld,
     pub batches: Vec<FeedBatch>,
     pub total_records: u64,
-    pub episodes_emitted: u64,
     pub episodes_lost: u64,
     pub baselines_suppressed: u64,
 }
@@ -157,47 +153,6 @@ struct Ev {
     rec: Option<FeedRecord>,
 }
 
-/// Expected-RTT aggregate for `nsset` over `[first, last]`, weighted by
-/// how many of its domains the daily sweep schedules into each window —
-/// the same weighting the batch pipeline's Equation 1 uses. Returns
-/// `(avg_rtt_ms, domains_measured)`; `domains_measured == 0` means the
-/// sweep never touched the span.
-fn span_aggregate(
-    infra: &Infra,
-    schedule: &SweepSchedule,
-    resolver: &Resolver,
-    nsset: NsSetId,
-    first: Window,
-    last: Window,
-    loads: &LoadBook,
-) -> (f64, u64) {
-    let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
-    for &d in infra.domains_of_nsset(nsset) {
-        let wod = schedule.window_of_day(d);
-        let base = first.0 - first.0 % WINDOWS_PER_DAY;
-        let mut w = base + wod;
-        if w < first.0 {
-            w += WINDOWS_PER_DAY;
-        }
-        while w <= last.0 {
-            *counts.entry(w).or_default() += 1;
-            w += WINDOWS_PER_DAY;
-        }
-    }
-    let mut num = 0.0;
-    let mut n = 0u64;
-    for (&w, &c) in &counts {
-        let e = expected_outcome(infra, resolver, nsset, Window(w), loads);
-        num += e.expected_rtt_ms * c as f64;
-        n += c;
-    }
-    if n == 0 {
-        (0.0, 0)
-    } else {
-        (num / n as f64, n)
-    }
-}
-
 /// Build the feed. `jobs` parallelizes the build-time join that decides
 /// which aggregates OpenINTEL would have produced; the emitted batch
 /// stream is byte-identical for any value.
@@ -212,43 +167,27 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
         schedule_cfg.dns_share_per_month.truncate(cfg.months);
     }
     let attacks = AttackScheduler::new(schedule_cfg).generate(&built.target_pool(), &rngs);
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in attack::accumulate_windows(&attacks) {
-        loads.add(addr, w, pps);
-    }
+    let loads = front::load_book(&attacks);
 
-    // Telescope view → episode stream (same chain as the batch pipeline).
-    let darknet = Darknet::ucsd_like();
-    let sampler = BackscatterSampler::new(&darknet);
-    let observations = sampler.sample(&attacks, &rngs);
-    let classifier = RsdosClassifier::new(telescope::RsdosThresholds::default());
-    // Arena-block feed path: qualifying records pack into one shared
-    // buffer and episodes decode straight out of it (held identical to
-    // the row path by telescope's differential tests).
-    let record_block = classifier.classify_into_block(&observations);
-    let episodes = classifier.episodes_from_block(&record_block);
-    // Both are consumed: free them before the load book's index is built
-    // (at the first `span_aggregate`), not after the feed is.
-    drop((observations, record_block));
+    // Telescope view → episode stream. The record block is consumed here:
+    // it is freed before the load book's index is built (at the first
+    // span aggregate), not after the feed is.
+    let episodes = front::observe(
+        &Darknet::ucsd_like(),
+        telescope::RsdosThresholds::default(),
+        &attacks,
+        &rngs,
+    )
+    .episodes;
 
     let gap =
         FeedGapModel::from_seed(cfg.gap_seed, cfg.gap_prob, cfg.max_gap_windows, cfg.loss_frac);
     let outage = OutageModel::from_seed(cfg.outage_seed, cfg.outage_prob);
 
     // Build-time join: which episodes touch the DNS decides which
-    // OpenINTEL aggregates exist. Sharded across `jobs`, byte-identical
-    // to sequential for any worker count.
+    // OpenINTEL aggregates exist.
     let columns = EpisodeColumns::from_episodes(&episodes);
-    let join = JoinTable::build(
-        &built.infra,
-        &built.infra,
-        &columns,
-        &built.meta.open_resolvers,
-        false,
-        1,
-        jobs,
-        None,
-    );
+    let join = front::join(&built.infra, &columns, &built.meta.open_resolvers, false, jobs, None);
 
     let resolver = Resolver::default();
     let sweep = SweepSchedule::new(rngs.seed());
@@ -263,7 +202,6 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
     // Episodes, gap-delayed; a deterministic fraction of in-gap episodes
     // is lost with the collector.
     let mut episodes_lost = 0u64;
-    let mut episodes_emitted = 0u64;
     for e in &episodes {
         let probe = RsdosRecord {
             window: e.last_window,
@@ -279,7 +217,6 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
             episodes_lost += 1;
             continue;
         }
-        episodes_emitted += 1;
         push(
             &mut events,
             gap.arrival_of(e.last_window),
@@ -298,7 +235,7 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
         let (first, last) = (columns.first_windows[ei], columns.last_windows[ei]);
         for &nsset in join.nssets.row(row) {
             let (avg, n) =
-                span_aggregate(&built.infra, &sweep, &resolver, nsset, first, last, &loads);
+                expected_span_rtt(&built.infra, &sweep, &resolver, nsset, first, last, &loads);
             if n > 0 {
                 push(
                     &mut events,
@@ -329,7 +266,8 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
         }
         let first = Window(day * WINDOWS_PER_DAY);
         let last = Window((day + 1) * WINDOWS_PER_DAY - 1);
-        let (avg, n) = span_aggregate(&built.infra, &sweep, &resolver, nsset, first, last, &loads);
+        let (avg, n) =
+            expected_span_rtt(&built.infra, &sweep, &resolver, nsset, first, last, &loads);
         if n > 0 {
             push(
                 &mut events,
@@ -401,14 +339,7 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
     obs::counter("daemon.feed.episodes_lost").add(episodes_lost);
     obs::counter("daemon.feed.baselines_suppressed").add(baselines_suppressed);
 
-    FeedSource {
-        world: built,
-        batches,
-        total_records,
-        episodes_emitted,
-        episodes_lost,
-        baselines_suppressed,
-    }
+    FeedSource { world: built, batches, total_records, episodes_lost, baselines_suppressed }
 }
 
 #[cfg(test)]

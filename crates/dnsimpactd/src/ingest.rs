@@ -190,47 +190,6 @@ impl<'a> Ingestor<'a> {
 mod tests {
     use super::*;
     use crate::feed::{self, FeedConfig};
-    use attack::Protocol;
-    use simcore::time::Window;
-    use telescope::{AttackEpisode, EpisodeBlock, EpisodeColumns};
-
-    fn episode(victim: &str, w0: u64, w1: u64) -> AttackEpisode {
-        AttackEpisode {
-            victim: victim.parse().unwrap(),
-            first_window: Window(w0),
-            last_window: Window(w1),
-            packets: 4_000,
-            peak_ppm: 123.5,
-            protocol: Protocol::Udp,
-            first_port: 53,
-            unique_ports: 3,
-            slash16s: 40,
-        }
-    }
-
-    /// Blocks are the feed's transport form: handing one to N consumers
-    /// clones a refcount, not the rows. Every consumer sees the same arena
-    /// and ingests to exactly the columns the row path builds.
-    #[test]
-    fn episode_block_fans_out_by_refcount_not_copy() {
-        let rows = vec![
-            episode("203.0.113.5", 3, 7),
-            episode("203.0.113.9", 4, 4),
-            episode("203.0.113.5", 40, 44),
-        ];
-        let block = EpisodeBlock::from_episodes(&rows);
-
-        let (got_a, got_b) = (block.clone(), block.clone());
-        assert!(EpisodeBlock::same_arena(&got_a, &block), "fan-out must share the arena");
-        assert!(EpisodeBlock::same_arena(&got_b, &block), "fan-out must share the arena");
-
-        let reference = EpisodeColumns::from_episodes(&rows);
-        for got in [got_a, got_b] {
-            let mut cols = EpisodeColumns::default();
-            cols.push_block(&got);
-            assert_eq!(format!("{cols:?}"), format!("{reference:?}"), "block ingest diverged");
-        }
-    }
 
     /// A chaos-seeded ingest does real repair work, and the index it
     /// builds is the clean run's, state fingerprint for state fingerprint.

@@ -380,14 +380,6 @@ fn pack(id: u32, slot: u64) -> u64 {
     ((id as u64) << 32) | (slot & 0xFFFF_FFFF)
 }
 
-/// Attack load on one address in one window, in packets per second.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AttackLoad {
-    pub addr: Ipv4Addr,
-    pub window: Window,
-    pub pps: f64,
-}
-
 impl LoadBook {
     pub fn new() -> LoadBook {
         LoadBook::default()

@@ -59,10 +59,6 @@ pub struct ServiceState {
 }
 
 impl ServiceState {
-    /// A healthy, unloaded server.
-    pub const IDLE: ServiceState =
-        ServiceState { answer_prob: 1.0, rtt_mult: 1.0, servfail_prob: 0.0 };
-
     pub fn timeout_prob(&self) -> f64 {
         (1.0 - self.answer_prob) - self.servfail_prob
     }

@@ -13,7 +13,7 @@
 
 use crate::sweep::SweepSchedule;
 use dnssim::{Infra, LoadBook, NsSetId, Resolver};
-use simcore::time::{Window, WINDOWS_PER_DAY};
+use simcore::time::Window;
 
 /// Expected outcome distribution of one resolution attempt sequence.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,13 +100,14 @@ pub fn expected_outcome(
     ExpectedStats { p_ok, p_timeout, p_servfail, expected_rtt_ms: e_rtt }
 }
 
-/// Analytic Equation 1: expected `Impact_on_RTT` for an attack spanning
-/// `[first, last]`, with the previous day as baseline — no sampling, no
-/// measurement noise. Weights each window by the number of domains the
-/// sweep schedule measures in it, exactly as the sampled pipeline's
-/// aggregation does in expectation.
-#[allow(clippy::too_many_arguments)]
-pub fn expected_impact_on_rtt(
+/// Expected RTT of `nsset` over the window span `[first, last]`, each
+/// window weighted by how many of the NSSet's domains the daily sweep
+/// measures in it: Equation 1's aggregation in expectation, with no
+/// sampling and no measurement noise. Returns `(avg_rtt_ms,
+/// domains_measured)`; `domains_measured == 0` means the sweep never
+/// touches the span. Windows are summed in ascending order, so the result
+/// is a pure function of its inputs down to the last bit.
+pub fn expected_span_rtt(
     infra: &Infra,
     schedule: &SweepSchedule,
     resolver: &Resolver,
@@ -114,31 +115,25 @@ pub fn expected_impact_on_rtt(
     first: Window,
     last: Window,
     loads: &LoadBook,
-) -> Option<f64> {
-    let weighted = |w0: u64, w1: u64| -> (f64, f64) {
-        let mut num = 0.0;
-        let mut n = 0.0;
-        for w in w0..=w1 {
-            let d = schedule.domains_in_window(infra, nsset, Window(w)).len() as f64;
-            if d > 0.0 {
-                let e = expected_outcome(infra, resolver, nsset, Window(w), loads);
-                num += e.expected_rtt_ms * d;
-                n += d;
-            }
+) -> (f64, u64) {
+    let mut counts = vec![0u64; (last.0 - first.0 + 1) as usize];
+    schedule.for_each_in_window_range(infra, nsset, first, last, |_, w| {
+        counts[(w.0 - first.0) as usize] += 1;
+    });
+    let mut num = 0.0;
+    let mut n = 0u64;
+    for (w, &c) in (first.0..).zip(&counts) {
+        if c > 0 {
+            let e = expected_outcome(infra, resolver, nsset, Window(w), loads);
+            num += e.expected_rtt_ms * c as f64;
+            n += c;
         }
-        (num, n)
-    };
-    let (during_sum, during_n) = weighted(first.0, last.0);
-    if during_n == 0.0 {
-        return None;
     }
-    let day_before = first.day().checked_sub(1)?;
-    let (base_sum, base_n) =
-        weighted(day_before * WINDOWS_PER_DAY, (day_before + 1) * WINDOWS_PER_DAY - 1);
-    if base_n == 0.0 || base_sum <= 0.0 {
-        return None;
+    if n == 0 {
+        (0.0, 0)
+    } else {
+        (num / n as f64, n)
     }
-    Some((during_sum / during_n) / (base_sum / base_n))
 }
 
 #[cfg(test)]
@@ -147,6 +142,7 @@ mod tests {
     use dnssim::{Deployment, QueryStatus};
     use netbase::Asn;
     use simcore::rng::RngFactory;
+    use simcore::time::WINDOWS_PER_DAY;
     use std::net::Ipv4Addr;
 
     fn world(k: usize, capacity: f64) -> (Infra, dnssim::DomainId, Vec<Ipv4Addr>) {
@@ -322,9 +318,19 @@ mod tests {
                 loads.add(a, Window(w), 44_000.0);
             }
         }
-        let analytic =
-            expected_impact_on_rtt(&infra, &schedule, &resolver, set, first, last, &loads)
-                .expect("baseline exists");
+        let (during, _) = expected_span_rtt(&infra, &schedule, &resolver, set, first, last, &loads);
+        let day_before = first.day() - 1;
+        let (base, n) = expected_span_rtt(
+            &infra,
+            &schedule,
+            &resolver,
+            set,
+            Window(day_before * WINDOWS_PER_DAY),
+            Window((day_before + 1) * WINDOWS_PER_DAY - 1),
+            &loads,
+        );
+        assert!(n > 0 && base > 0.0, "baseline exists");
+        let analytic = during / base;
         assert!(analytic > 5.0, "attack inflates expected impact: {analytic:.2}");
 
         // Sampled pipeline on the same cells.
@@ -334,7 +340,6 @@ mod tests {
             let ds = schedule.domains_in_window(&infra, set, Window(w));
             store.ingest(&measure_domains(&infra, &resolver, &ds, set, Window(w), &loads, &rngs));
         }
-        let day_before = first.day() - 1;
         for w in (day_before * WINDOWS_PER_DAY)..((day_before + 1) * WINDOWS_PER_DAY) {
             let ds = schedule.domains_in_window(&infra, set, Window(w));
             store.ingest(&measure_domains(&infra, &resolver, &ds, set, Window(w), &loads, &rngs));

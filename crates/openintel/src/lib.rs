@@ -28,8 +28,8 @@ pub mod outage;
 pub mod store;
 pub mod sweep;
 
-pub use aggregate::{expected_impact_on_rtt, expected_outcome, ExpectedStats};
+pub use aggregate::expected_span_rtt;
 pub use measure::{measure_window, MeasurementRec};
 pub use outage::OutageModel;
-pub use store::{MeasurementStore, NsSetWindowStats};
+pub use store::MeasurementStore;
 pub use sweep::SweepSchedule;

@@ -15,8 +15,7 @@
 //! - [`probe`]: the NS-exhaustive prober.
 //! - [`plan`]: trigger logic and probe scheduling.
 //! - [`platform`]: the pipeline (a trigger fold over the feed in arrival
-//!   order → probe executor), with both sequential and discrete-event
-//!   (chronologically interleaved) executors.
+//!   order → probe executor).
 //! - [`vantage`]: multi-vantage probing (the paper's §9 future work) that
 //!   pierces anycast catchment masking.
 

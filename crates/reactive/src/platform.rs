@@ -206,56 +206,6 @@ impl ReactivePlatform {
         })
     }
 
-    /// Execute plans *chronologically interleaved* on a discrete-event
-    /// queue: probes from all plans fire in global time order, exactly as
-    /// the real platform's single prober would emit them (and as its
-    /// ethics budget is accounted). Produces the same per-plan summaries
-    /// as [`ReactivePlatform::execute`].
-    pub fn execute_chronological(
-        &self,
-        infra: &Infra,
-        plans: &[ProbePlan],
-        loads: &LoadBook,
-        rngs: &RngFactory,
-        max_rounds: u64,
-    ) -> Vec<ReactiveReport> {
-        use simcore::events::EventQueue;
-        // Event = (plan index, round index); rounds re-arm themselves.
-        let mut q: EventQueue<(usize, u64)> = EventQueue::new();
-        for (i, plan) in plans.iter().enumerate() {
-            if plan.rounds().min(max_rounds) > 0 {
-                q.schedule(plan.start, (i, 0));
-            }
-        }
-        let mut rngs_per_plan: Vec<_> = plans
-            .iter()
-            .map(|p| rngs.stream_indexed("reactive-probe", u32::from(p.victim) as u64))
-            .collect();
-        let mut rounds_per_plan: Vec<Vec<RoundSummary>> =
-            plans.iter().map(|_| Vec::new()).collect();
-        while let Some((at, (i, k))) = q.pop() {
-            let plan = &plans[i];
-            let probes: Vec<DomainProbe> = plan
-                .round_times(k)
-                .into_iter()
-                .map(|(d, t)| probe_all_ns(infra, d, t, loads, &mut rngs_per_plan[i]))
-                .collect();
-            rounds_per_plan[i].push(summarize_round(k, plan, &probes, self.plan_trace(plan)));
-            let next = k + 1;
-            if next < plan.rounds().min(max_rounds) {
-                q.schedule(
-                    at + simcore::time::SimDuration::from_secs(simcore::time::WINDOW_SECS),
-                    (i, next),
-                );
-            }
-        }
-        plans
-            .iter()
-            .zip(rounds_per_plan)
-            .map(|(plan, rounds)| ReactiveReport { plan: plan.clone(), rounds })
-            .collect()
-    }
-
     /// Convenience: trigger + execute in one call.
     pub fn run(
         &self,
@@ -427,24 +377,6 @@ mod tests {
             assert_eq!(round.resolvable, round.probes);
             assert!(round.responsive_ns_share > 0.99);
             assert!(round.avg_best_rtt_ms.unwrap() < 100.0);
-        }
-    }
-
-    #[test]
-    fn chronological_execution_matches_sequential() {
-        // Same plans, same RNG streams → the event-queue executor and the
-        // plain per-plan loop must produce identical reports.
-        let (infra, addrs) = world();
-        let platform = ReactivePlatform::default();
-        let records: Vec<RsdosRecord> = addrs.iter().map(|&a| record(a, 10)).collect();
-        let plans = platform.build_plans(&infra, &records);
-        let rngs = RngFactory::new(12);
-        let seq = platform.execute(&infra, &plans, &LoadBook::new(), &rngs, 4);
-        let chrono = platform.execute_chronological(&infra, &plans, &LoadBook::new(), &rngs, 4);
-        assert_eq!(seq.len(), chrono.len());
-        for (a, b) in seq.iter().zip(&chrono) {
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(a.rounds, b.rounds);
         }
     }
 

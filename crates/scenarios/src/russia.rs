@@ -16,13 +16,14 @@
 
 use attack::{Attack, AttackId, Protocol, VectorKind, VectorSpec};
 use census::{AnycastCensus, OpenResolverList};
+use dnsimpact_core::front;
 use dnsimpact_core::longitudinal::MetaTables;
 use dnssim::{Deployment, DomainId, Infra, LoadBook, NsSetId, Uplink};
 use netbase::{As2Org, Asn, Ipv4Net, OrgRegistry, Prefix2As, Slash24};
 use simcore::rng::RngFactory;
-use simcore::time::{CivilDate, SimTime, Window};
+use simcore::time::{CivilDate, SimTime};
 use std::net::Ipv4Addr;
-use telescope::{BackscatterSampler, Darknet, RsdosClassifier, RsdosFeed};
+use telescope::RsdosFeed;
 
 /// The mil.ru scenario.
 pub struct MilRuScenario {
@@ -157,20 +158,11 @@ impl MilRuScenario {
     }
 
     pub fn load_book(&self) -> LoadBook {
-        let mut book = LoadBook::new();
-        for (addr, w, pps) in attack::accumulate_windows(&self.attacks) {
-            book.add(addr, w, pps);
-        }
-        book
+        front::load_book(&self.attacks)
     }
 
     pub fn feed(&self, rngs: &RngFactory) -> RsdosFeed {
-        let darknet = Darknet::ucsd_like();
-        let obs = BackscatterSampler::new(&darknet).sample(&self.attacks, rngs);
-        let classifier = RsdosClassifier::default();
-        let records = classifier.classify(&obs);
-        let episodes = classifier.episodes(&records);
-        RsdosFeed::new(records, episodes)
+        front::feed(&self.attacks, rngs)
     }
 }
 
@@ -257,26 +249,11 @@ impl RdzScenario {
     }
 
     pub fn load_book(&self) -> LoadBook {
-        let mut book = LoadBook::new();
-        for (addr, w, pps) in attack::accumulate_windows(&self.attacks) {
-            book.add(addr, w, pps);
-        }
-        book
+        front::load_book(&self.attacks)
     }
 
     pub fn feed(&self, rngs: &RngFactory) -> RsdosFeed {
-        let darknet = Darknet::ucsd_like();
-        let obs = BackscatterSampler::new(&darknet).sample(&self.attacks, rngs);
-        let classifier = RsdosClassifier::default();
-        let records = classifier.classify(&obs);
-        let episodes = classifier.episodes(&records);
-        RsdosFeed::new(records, episodes)
-    }
-
-    /// Feed records restricted to the visible span (what triggers the
-    /// reactive platform).
-    pub fn window_span(&self) -> (Window, Window) {
-        (self.visible_span.0.window(), self.visible_span.1.window())
+        front::feed(&self.attacks, rngs)
     }
 }
 

@@ -23,6 +23,7 @@
 use attack::{Attack, AttackId, Protocol, VectorKind, VectorSpec};
 use census::{AnycastCensus, OpenResolverList};
 use dnsimpact_core::casestudy::{ns_attack_metrics, rtt_timeseries, NsAttackMetrics, TimePoint};
+use dnsimpact_core::front;
 use dnsimpact_core::longitudinal::MetaTables;
 use dnssim::{Deployment, Infra, LoadBook, NsSetId, Resolver};
 use netbase::{As2Org, Asn, Ipv4Net, OrgRegistry, Prefix2As};
@@ -30,7 +31,7 @@ use openintel::{measure::measure_window, MeasurementStore, SweepSchedule};
 use simcore::rng::RngFactory;
 use simcore::time::{CivilDate, SimDuration, SimTime, Window};
 use std::net::Ipv4Addr;
-use telescope::{BackscatterSampler, Darknet, RsdosClassifier, RsdosFeed};
+use telescope::{Darknet, RsdosFeed};
 
 /// The TransIP attack scenario.
 pub struct TransIpScenario {
@@ -212,13 +213,7 @@ impl TransIpScenario {
 
     /// Telescope view of the scenario.
     pub fn feed(&self, rngs: &RngFactory) -> RsdosFeed {
-        let darknet = Darknet::ucsd_like();
-        let sampler = BackscatterSampler::new(&darknet);
-        let obs = sampler.sample(&self.attacks, rngs);
-        let classifier = RsdosClassifier::default();
-        let records = classifier.classify(&obs);
-        let episodes = classifier.episodes(&records);
-        RsdosFeed::new(records, episodes)
+        front::feed(&self.attacks, rngs)
     }
 
     /// Measure the NSSet over `[first, last]` windows and return the

@@ -14,7 +14,6 @@
 //! - [`dist`]: the statistical distributions the workload models need
 //!   (exponential, log-normal, Pareto, Zipf, Poisson, binomial, categorical
 //!   alias tables) implemented from scratch on top of `rand`'s uniform source.
-//! - [`events`]: a monotonic discrete-event queue.
 //! - [`hash`]: a multiply-fold hasher for maps keyed by internal integer ids
 //!   (never for keys from a trust boundary), and the FNV-1a `Debug`
 //!   fingerprint writer.
@@ -24,14 +23,12 @@
 //!   (struct-of-arrays) hot path downstream.
 
 pub mod dist;
-pub mod events;
 pub mod hash;
 pub mod intern;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use events::EventQueue;
 pub use intern::Interner;
 pub use rng::RngFactory;
-pub use time::{CivilDate, Month, SimDuration, SimTime, Window, DAY, HOUR, MINUTE, WINDOW_SECS};
+pub use time::{CivilDate, Month, SimDuration, SimTime, Window, DAY, WINDOW_SECS};

@@ -66,9 +66,6 @@ impl Moments {
             self.m2 / self.n as f64
         }
     }
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             f64::NAN

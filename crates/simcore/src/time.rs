@@ -111,9 +111,6 @@ impl SimDuration {
     pub fn windows_ceil(self) -> u64 {
         self.0.div_ceil(WINDOW_SECS)
     }
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / MINUTE as f64
-    }
 }
 
 impl Window {
@@ -136,10 +133,6 @@ impl Window {
     }
     pub fn next(self) -> Window {
         Window(self.0 + 1)
-    }
-    /// Iterate windows in `[self, end)`.
-    pub fn range_to(self, end: Window) -> impl Iterator<Item = Window> {
-        (self.0..end.0).map(Window)
     }
 }
 

@@ -1,18 +1,15 @@
 //! Arena-backed feed-record blocks.
 //!
-//! The row path moves `Vec<RsdosRecord>` / `Vec<AttackEpisode>` through
-//! the pipeline — one heap object per record, cloned per topic subscriber.
-//! A block packs many records into one contiguous, refcounted byte arena
-//! ([`bytes::Bytes`]): building appends fixed-width big-endian rows into a
-//! [`bytes::BytesMut`], freezing makes the block immutable, and every
-//! clone afterwards (topic fan-out, daemon ingest, columnar append) is a
-//! refcount bump on the same arena. Rows decode on the fly during
+//! The classifier packs the qualifying [`RsdosRecord`]s into one
+//! contiguous, refcounted byte arena ([`bytes::Bytes`]) instead of a `Vec`
+//! of row structs: building appends fixed-width big-endian rows into a
+//! [`bytes::BytesMut`], freezing makes the block immutable, and a clone is
+//! a refcount bump on the same arena. Rows decode on the fly during
 //! iteration; the row structs stay the differential reference — a block
 //! round-trips to exactly the rows it was built from, and the block-fed
-//! classifier/columnar paths are locked against the row-fed ones by the
-//! tests below and in `rsdos.rs`/`columns.rs`.
+//! classifier is locked against the row-fed one by the tests below and in
+//! `rsdos.rs`.
 
-use crate::rsdos::AttackEpisode;
 use crate::RsdosRecord;
 use attack::Protocol;
 use bytes::{Bytes, BytesMut};
@@ -21,8 +18,6 @@ use std::net::Ipv4Addr;
 
 /// Packed size of one [`RsdosRecord`] row.
 pub const RECORD_ROW_BYTES: usize = 37;
-/// Packed size of one [`AttackEpisode`] row.
-pub const EPISODE_ROW_BYTES: usize = 45;
 
 fn protocol_from_number(n: u8) -> Protocol {
     match n {
@@ -55,20 +50,6 @@ fn decode_record_row(row: &[u8]) -> RsdosRecord {
         unique_ports: u16_at(row, 19),
         max_ppm: f64::from_bits(u64_at(row, 21)),
         packets: u64_at(row, 29),
-    }
-}
-
-fn decode_episode_row(row: &[u8]) -> AttackEpisode {
-    AttackEpisode {
-        victim: Ipv4Addr::from(u32_at(row, 0)),
-        first_window: Window(u64_at(row, 4)),
-        last_window: Window(u64_at(row, 12)),
-        packets: u64_at(row, 20),
-        peak_ppm: f64::from_bits(u64_at(row, 28)),
-        protocol: protocol_from_number(row[36]),
-        first_port: u16_at(row, 37),
-        unique_ports: u16_at(row, 39),
-        slash16s: u32_at(row, 41),
     }
 }
 
@@ -173,104 +154,6 @@ impl std::fmt::Debug for RecordBlock {
     }
 }
 
-/// Builder accumulating [`AttackEpisode`]s into one arena.
-#[derive(Default)]
-pub struct EpisodeBlockBuilder {
-    arena: BytesMut,
-    len: usize,
-}
-
-impl EpisodeBlockBuilder {
-    pub fn new() -> EpisodeBlockBuilder {
-        EpisodeBlockBuilder::default()
-    }
-
-    pub fn with_capacity(episodes: usize) -> EpisodeBlockBuilder {
-        EpisodeBlockBuilder { arena: BytesMut::with_capacity(episodes * EPISODE_ROW_BYTES), len: 0 }
-    }
-
-    pub fn push(&mut self, e: &AttackEpisode) {
-        let mut row = [0u8; EPISODE_ROW_BYTES];
-        row[0..4].copy_from_slice(&u32::from(e.victim).to_be_bytes());
-        row[4..12].copy_from_slice(&e.first_window.0.to_be_bytes());
-        row[12..20].copy_from_slice(&e.last_window.0.to_be_bytes());
-        row[20..28].copy_from_slice(&e.packets.to_be_bytes());
-        row[28..36].copy_from_slice(&e.peak_ppm.to_bits().to_be_bytes());
-        row[36] = e.protocol.number();
-        row[37..39].copy_from_slice(&e.first_port.to_be_bytes());
-        row[39..41].copy_from_slice(&e.unique_ports.to_be_bytes());
-        row[41..45].copy_from_slice(&e.slash16s.to_be_bytes());
-        self.arena.extend_from_slice(&row);
-        self.len += 1;
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn finish(self) -> EpisodeBlock {
-        EpisodeBlock { arena: self.arena.freeze(), len: self.len }
-    }
-}
-
-/// An immutable batch of [`AttackEpisode`]s in one shared arena.
-#[derive(Clone, PartialEq)]
-pub struct EpisodeBlock {
-    arena: Bytes,
-    len: usize,
-}
-
-impl EpisodeBlock {
-    pub fn from_episodes<'a, I: IntoIterator<Item = &'a AttackEpisode>>(
-        episodes: I,
-    ) -> EpisodeBlock {
-        let mut b = EpisodeBlockBuilder::new();
-        for e in episodes {
-            b.push(e);
-        }
-        b.finish()
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Decode row `i`.
-    pub fn get(&self, i: usize) -> AttackEpisode {
-        assert!(i < self.len, "row {i} out of bounds (len {})", self.len);
-        decode_episode_row(&self.arena[i * EPISODE_ROW_BYTES..(i + 1) * EPISODE_ROW_BYTES])
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = AttackEpisode> + '_ {
-        self.arena.chunks_exact(EPISODE_ROW_BYTES).map(decode_episode_row)
-    }
-
-    pub fn same_arena(a: &EpisodeBlock, b: &EpisodeBlock) -> bool {
-        Bytes::same_storage(&a.arena, &b.arena)
-    }
-}
-
-impl std::fmt::Debug for EpisodeBlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpisodeBlock")
-            .field("len", &self.len)
-            .field("arena_bytes", &self.arena.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,20 +171,6 @@ mod tests {
         }
     }
 
-    fn episode(victim: &str, w0: u64, w1: u64) -> AttackEpisode {
-        AttackEpisode {
-            victim: victim.parse().unwrap(),
-            first_window: Window(w0),
-            last_window: Window(w1),
-            packets: 10_000,
-            peak_ppm: 987.25,
-            protocol: Protocol::Udp,
-            first_port: 53,
-            unique_ports: 2,
-            slash16s: 19,
-        }
-    }
-
     #[test]
     fn record_block_round_trips_rows() {
         let rows = vec![
@@ -315,16 +184,6 @@ mod tests {
         let back: Vec<RsdosRecord> = block.iter().collect();
         assert_eq!(back, rows);
         assert_eq!(block.get(1), rows[1]);
-    }
-
-    #[test]
-    fn episode_block_round_trips_rows() {
-        let rows = vec![episode("10.0.0.1", 0, 4), episode("10.9.8.7", 11, 11)];
-        let block = EpisodeBlock::from_episodes(&rows);
-        assert_eq!(block.len(), 2);
-        assert_eq!(block.arena_bytes(), 2 * EPISODE_ROW_BYTES);
-        let back: Vec<AttackEpisode> = block.iter().collect();
-        assert_eq!(back, rows);
     }
 
     #[test]
@@ -345,8 +204,6 @@ mod tests {
         let rb = RecordBlockBuilder::new().finish();
         assert!(rb.is_empty());
         assert_eq!(rb.iter().count(), 0);
-        let eb = EpisodeBlockBuilder::with_capacity(0).finish();
-        assert!(eb.is_empty());
     }
 
     #[test]
@@ -356,11 +213,6 @@ mod tests {
         b.push(&record("10.0.0.1", 1, 5, Protocol::Tcp));
         b.push(&record("10.0.0.2", 2, 6, Protocol::Udp));
         assert_eq!(b.len(), 2);
-        let mut e = EpisodeBlockBuilder::new();
-        e.push(&episode("10.0.0.1", 0, 1));
-        assert_eq!(e.len(), 1);
-        assert!(!e.is_empty());
-        assert_eq!(e.finish().len(), 1);
     }
 
     #[test]

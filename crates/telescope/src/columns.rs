@@ -66,16 +66,6 @@ impl EpisodeColumns {
         self.slash16s.push(e.slash16s);
     }
 
-    /// Append a whole arena-backed block of episodes. Equivalent to
-    /// pushing each decoded row through
-    /// [`push_episode`](EpisodeColumns::push_episode) — the block is the
-    /// transport form, the columns stay the analysis form.
-    pub fn push_block(&mut self, block: &crate::block::EpisodeBlock) {
-        for e in block.iter() {
-            self.push_episode(&e);
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.victim_ids.len()
     }
@@ -151,21 +141,6 @@ mod tests {
             inc.push_episode(r);
         }
         assert_eq!(format!("{inc:?}"), format!("{bulk:?}"), "push path is byte-identical");
-    }
-
-    #[test]
-    fn block_ingest_matches_row_ingest() {
-        let rows =
-            vec![episode("10.0.0.1", 0, 2), episode("10.0.0.2", 5, 6), episode("10.0.0.1", 50, 51)];
-        let mut block_builder = crate::block::EpisodeBlockBuilder::new();
-        for r in &rows {
-            block_builder.push(r);
-        }
-        let block = block_builder.finish();
-        let mut via_block = EpisodeColumns::default();
-        via_block.push_block(&block);
-        let via_rows = EpisodeColumns::from_episodes(&rows);
-        assert_eq!(format!("{via_block:?}"), format!("{via_rows:?}"), "block ingest diverged");
     }
 
     #[test]

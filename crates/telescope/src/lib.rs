@@ -16,9 +16,8 @@
 //! - [`rsdos`]: the threshold classifier and episode (attack) extraction.
 //! - [`feed`]: the feed record schema, summary statistics (Table 1), and
 //!   CSV export.
-//! - [`block`]: arena-backed record/episode blocks — many rows packed in
-//!   one refcounted buffer, so topic fan-out and daemon ingest clone a
-//!   refcount instead of boxing each record.
+//! - [`block`]: arena-backed record blocks — the classifier's qualifying
+//!   rows packed in one refcounted buffer instead of one heap object each.
 //! - [`columns`]: the feed's episodes as a columnar (struct-of-arrays)
 //!   table with interned victims — the scale-sweep hot path's input form.
 
@@ -30,11 +29,11 @@ pub mod feed;
 pub mod outage;
 pub mod rsdos;
 
-pub use backscatter::{BackscatterObs, BackscatterSampler};
-pub use block::{EpisodeBlock, EpisodeBlockBuilder, RecordBlock, RecordBlockBuilder};
+pub use backscatter::BackscatterSampler;
+pub use block::RecordBlock;
 pub use columns::EpisodeColumns;
 pub use darknet::Darknet;
-pub use feed::{EpisodeIndex, FeedSummary, RsdosFeed, RsdosRecord};
+pub use feed::{EpisodeIndex, RsdosFeed, RsdosRecord};
 pub use outage::FeedGapModel;
 pub use rsdos::{AttackEpisode, RsdosClassifier, RsdosThresholds};
 

@@ -48,6 +48,9 @@ fn tiny() -> FeedConfig {
     }
 }
 
+/// `clean_fingerprint` of the `tiny()` feed.
+const TINY_FEED_FINGERPRINT: u64 = 0x9f57_901d_602a_585f;
+
 /// Clean single-pass ingest (no chaos, no checkpoint) → full fingerprint.
 fn clean_fingerprint(src: &feed::FeedSource) -> u64 {
     let cell = Arc::new(SwapCell::new(Default::default()));
@@ -110,7 +113,11 @@ fn feed_build_is_jobs_invariant() {
     let b = feed::build(&tiny(), 4);
     assert_eq!(a.batches.len(), b.batches.len());
     assert_eq!(a.total_records, b.total_records);
-    assert_eq!(clean_fingerprint(&a), clean_fingerprint(&b));
+    let got = clean_fingerprint(&a);
+    assert_eq!(got, clean_fingerprint(&b));
+    // Across commits too: recorded on the commit before `feed::build`
+    // moved onto `core::front`.
+    assert_eq!(got, TINY_FEED_FINGERPRINT, "got {got:#018x}");
 }
 
 #[test]

@@ -67,3 +67,24 @@ fn two_worker_run_matches_the_recorded_fingerprint() {
     let got = fingerprint(2);
     assert_eq!(got, GOLDEN, "got {got:#018x}");
 }
+
+/// The telescope feeds of the three case studies at seed 42. Recorded on
+/// the commit before `core::front` took over the scenarios' feed chain
+/// (which moved them from the row classifier to the block one).
+const SCENARIO_FEEDS: u64 = 0xdeaa_bb03_7ceb_ba58;
+
+#[test]
+fn scenario_feeds_match_the_recorded_fingerprint() {
+    use scenarios::{MilRuScenario, RdzScenario, TransIpScenario};
+    let rngs = RngFactory::new(42);
+    let mil_ru = MilRuScenario::build(&rngs).feed(&rngs);
+    let rdz = RdzScenario::build(&rngs).feed(&rngs);
+    let transip = TransIpScenario::build(&rngs).feed(&rngs);
+    for feed in [&mil_ru, &rdz, &transip] {
+        assert!(!feed.episodes.is_empty(), "every case study is visible to the telescope");
+    }
+    let mut w = FnvWriter::new();
+    let _ = write!(w, "{mil_ru:?}{rdz:?}{transip:?}");
+    let got = w.finish();
+    assert_eq!(got, SCENARIO_FEEDS, "got {got:#018x}");
+}
