@@ -2,10 +2,13 @@
 # Offline CI gates. Default run order:
 #
 #   lint         cargo fmt --check + cargo clippy -D warnings + sh -n ci.sh,
-#                and every name the lib.rs of `streamproc`, `dnswire`,
+#                every name the lib.rs of `streamproc`, `dnswire`,
 #                `dnssim`, `obs`, `telescope`, `openintel` or `simcore`
 #                re-exports must be used outside its crate (crates/*/src,
-#                src/, benchmark/src)
+#                src/, benchmark/src), and every `name.rs:N` cited in
+#                DESIGN.md, README.md, EXPERIMENTS.md or ROADMAP.md must
+#                name a file under crates/ src/ tests/ examples/
+#                benchmark/src/ with at least N lines
 #   build        cargo build --release (workspace)
 #   tests        cargo test --workspace
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
@@ -13,9 +16,9 @@
 #   metrics      repro bench: schema-validated run report, counter
 #                invariants, exact deterministic-counter diff against the
 #                committed BENCH baseline
-#   wirebench    criterion smoke over the arena feed-block,
-#                telescope/load-book and trace-emit benches: every expected
-#                benchmark must run to completion and report a number
+#   wirebench    criterion smoke over the telescope/load-book and
+#                trace-emit benches: every expected benchmark must run to
+#                completion and report a number
 #   trace        pinned scenario with --trace-json: schema + causality
 #                validation, and `repro explain` byte-identical across
 #                worker counts
@@ -73,13 +76,14 @@ list_gates() {
     cat << 'EOF'
 lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh, no
              streamproc/dnswire/dnssim/obs/telescope/openintel/simcore re-export
-             without a caller outside its crate
+             without a caller outside its crate, no docs citation name.rs:N
+             past the end of its file
 build        cargo build --release (workspace)
 tests        cargo test --workspace
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
 chaos        kill -9 mid-run + resume must equal a clean, fault-free run
 metrics      repro bench: report schema + counter invariants + BENCH baseline diff
-wirebench    criterion smoke: every feed-block/telescope/trace bench runs and reports
+wirebench    criterion smoke: every telescope/load-book/trace bench runs and reports
 trace        trace export schema + causality; repro explain deterministic
 sweep        bench --scale-sweep smoke: cross-jobs fingerprints + sweep schema
 daemon       dnsimpactd kill -9 crash recovery fingerprint-identical to clean replay
@@ -134,7 +138,7 @@ done
 # --- preflight: name everything missing up front, so a mid-pipeline ----
 # --- failure can't masquerade as a perf regression ---------------------
 MISSING=""
-for T in cargo date diff git grep mktemp seq basename sort ls cat sh bash; do
+for T in cargo date diff git grep mktemp seq basename sort ls cat sh bash find wc; do
     command -v "$T" > /dev/null 2>&1 || MISSING="$MISSING $T"
 done
 [ -z "$MISSING" ] || {
@@ -234,6 +238,28 @@ gate_lint() {
         done
     done
     [ "$UNUSED" -eq 0 ]
+    echo "==> lint gate: every name.rs:N cited in the docs names a file of >= N lines"
+    # A bare `name.rs:N` passes if any file of that name is long enough; a
+    # cited path must also match the file's path.
+    STALE=0
+    for CITE in $(grep -ohE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.rs:[0-9]+' \
+        DESIGN.md README.md EXPERIMENTS.md ROADMAP.md | sort -u); do
+        F=${CITE%:*}
+        N=${CITE##*:}
+        FOUND=0
+        for C in $(find crates src tests examples benchmark/src -name "$(basename "$F")" -type f); do
+            case "/$C" in
+                */"$F")
+                    if [ "$(wc -l < "$C")" -ge "$N" ]; then FOUND=1; fi
+                    ;;
+            esac
+        done
+        [ "$FOUND" -eq 1 ] || {
+            echo "docs cite $CITE but no such file has $N lines" >&2
+            STALE=$((STALE + 1))
+        }
+    done
+    [ "$STALE" -eq 0 ]
 }
 
 gate_build() {
@@ -303,23 +329,20 @@ gate_metrics() {
 }
 
 gate_wirebench() {
-    echo "==> wire gate: criterion smoke over feed-block + telescope + trace benches"
-    # The arena-block benches, the batch hot path's sorted-run and
-    # packed-key kernels (cell merge inside the sampler, episode
-    # extraction, the load book filled and indexed), and the
-    # trace's price per event (onset payload vs formatted text, ring empty
-    # and full) must run to completion and report every expected
-    # benchmark — a panicking or silently-dropped bench fails here. The
-    # feedblock bench's own post-run assert re-proves block rows ==
-    # row-path records on the bench input.
-    cargo bench -p dnsimpact-bench --bench feedblock --bench telescope --bench trace \
+    echo "==> wire gate: criterion smoke over telescope + trace benches"
+    # The batch hot path's sorted-run and packed-key kernels (cell merge
+    # inside the sampler, classification, episode extraction, the load
+    # book filled and indexed), and the trace's price per event (onset
+    # payload vs formatted text, ring empty and full) must run to
+    # completion and report every expected benchmark — a panicking or
+    # silently-dropped bench fails here.
+    cargo bench -p dnsimpact-bench --bench telescope --bench trace \
         > "$SMOKE/wirebench.txt" 2>&1 || {
         cat "$SMOKE/wirebench.txt" >&2
         exit 1
     }
-    for B in feedblock/classify_into_block feedblock/episodes_from_block \
-        feedblock/fanout_block_clone telescope/backscatter_sample telescope/classify \
-        telescope/episodes loadbook/fill_and_index_585k_cells trace/emit_onset/empty_ring \
+    for B in telescope/backscatter_sample telescope/classify telescope/episodes \
+        loadbook/fill_and_index_585k_cells trace/emit_onset/empty_ring \
         trace/emit_onset/full_ring trace/emit_text/empty_ring trace/emit_text/full_ring; do
         grep -q "$B" "$SMOKE/wirebench.txt" || {
             echo "benchmark $B missing from criterion smoke output" >&2
@@ -327,7 +350,7 @@ gate_wirebench() {
             exit 1
         }
     done
-    echo "==> wire gate passed (all feed-block/telescope/trace benches ran and reported)"
+    echo "==> wire gate passed (all telescope/load-book/trace benches ran and reported)"
 }
 
 gate_trace() {

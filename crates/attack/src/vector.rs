@@ -11,15 +11,6 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// IANA protocol number (matches `pcap::IpProto`).
-    pub fn number(self) -> u8 {
-        match self {
-            Protocol::Icmp => 1,
-            Protocol::Tcp => 6,
-            Protocol::Udp => 17,
-        }
-    }
-
     /// The variant's name, as `Debug` prints it (`Tcp`, `Udp`, `Icmp`).
     pub fn name(self) -> &'static str {
         match self {
@@ -117,13 +108,6 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(99)
-    }
-
-    #[test]
-    fn protocol_numbers() {
-        assert_eq!(Protocol::Tcp.number(), 6);
-        assert_eq!(Protocol::Udp.number(), 17);
-        assert_eq!(Protocol::Icmp.number(), 1);
     }
 
     #[test]

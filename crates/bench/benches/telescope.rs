@@ -27,7 +27,7 @@ fn bench_telescope(c: &mut Criterion) {
     let sampler = BackscatterSampler::new(&darknet);
     let obs = sampler.sample(&attacks, &rngs);
     let classifier = RsdosClassifier::default();
-    let records = classifier.classify(&obs);
+    let records = classifier.classify_into_block(&obs);
 
     let mut g = c.benchmark_group("telescope");
     g.throughput(Throughput::Elements(attacks.len() as u64));
@@ -36,11 +36,11 @@ fn bench_telescope(c: &mut Criterion) {
     });
     g.throughput(Throughput::Elements(obs.len() as u64));
     g.bench_function("classify", |b| {
-        b.iter(|| black_box(classifier.classify(black_box(&obs))));
+        b.iter(|| black_box(classifier.classify_into_block(black_box(&obs))));
     });
     g.throughput(Throughput::Elements(records.len() as u64));
     g.bench_function("episodes", |b| {
-        b.iter(|| black_box(classifier.episodes(black_box(&records))));
+        b.iter(|| black_box(classifier.episodes_from_block(black_box(&records))));
     });
     g.finish();
 

@@ -138,9 +138,9 @@ pub fn run(
 ) -> LongitudinalReport {
     let loads = front::load_book(attacks);
 
-    // Telescope view → feed. The record block lives until `run` returns,
-    // as it does in the benchmark's traced replica of this function:
-    // freeing it here made `run` ~10 % faster than the replica on
+    // Telescope view → feed. The view's records live until `run` returns,
+    // as they do in the benchmark's traced replica of this function:
+    // freeing them here made `run` ~10 % faster than the replica on
     // `batch_sparse` and parted the two timings the replica is checked by.
     let mut telescope = front::observe(darknet, config.thresholds, attacks, rngs);
     let feed = telescope.take_feed();

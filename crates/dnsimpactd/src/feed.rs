@@ -169,8 +169,8 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
     let attacks = AttackScheduler::new(schedule_cfg).generate(&built.target_pool(), &rngs);
     let loads = front::load_book(&attacks);
 
-    // Telescope view → episode stream. The record block is consumed here:
-    // it is freed before the load book's index is built (at the first
+    // Telescope view → episode stream. The view's records are dropped
+    // here: they are freed before the load book's index is built (at the first
     // span aggregate), not after the feed is.
     let episodes = front::observe(
         &Darknet::ucsd_like(),

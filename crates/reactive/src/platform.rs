@@ -78,7 +78,7 @@ impl ReactivePlatform {
     /// window closes.
     pub fn build_plans(&self, infra: &Infra, records: &[RsdosRecord]) -> Vec<ProbePlan> {
         let arrivals: Vec<(RsdosRecord, SimTime)> =
-            records.iter().map(|r| (r.clone(), r.window.end())).collect();
+            records.iter().map(|r| (*r, r.window.end())).collect();
         self.build_plans_with_arrivals(infra, &arrivals)
     }
 

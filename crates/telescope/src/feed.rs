@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 
 /// One feed entry: aggregated backscatter statistics for one victim in one
 /// 5-minute window (the schema of §3.1).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RsdosRecord {
     pub window: Window,
     pub victim: Ipv4Addr,

@@ -16,8 +16,8 @@
 //! - [`rsdos`]: the threshold classifier and episode (attack) extraction.
 //! - [`feed`]: the feed record schema, summary statistics (Table 1), and
 //!   CSV export.
-//! - [`block`]: arena-backed record blocks — the classifier's qualifying
-//!   rows packed in one refcounted buffer instead of one heap object each.
+//! - [`block`]: the classifier's output, the qualifying feed records as
+//!   plain rows.
 //! - [`columns`]: the feed's episodes as a columnar (struct-of-arrays)
 //!   table with interned victims — the scale-sweep hot path's input form.
 

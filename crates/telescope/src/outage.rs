@@ -120,7 +120,7 @@ impl FeedGapModel {
                 // 5-minute windows.
                 gap_windows += (arrival.secs() - r.window.end().secs()) / 300;
             }
-            out.push((r.clone(), arrival));
+            out.push((*r, arrival));
         }
         // Out-of-band accounting (see `obs`): pure function of (seed, feed),
         // so these are deterministic for a fixed experiment.

@@ -9,7 +9,7 @@
 //! count.
 
 use crate::backscatter::BackscatterObs;
-use crate::block::{RecordBlock, RecordBlockBuilder};
+use crate::block::RecordBlock;
 use crate::feed::RsdosRecord;
 use attack::Protocol;
 use simcore::time::{SimDuration, Window};
@@ -77,56 +77,29 @@ impl RsdosClassifier {
         RsdosClassifier { thresholds }
     }
 
-    /// Filter observations into qualifying feed records.
-    pub fn classify(&self, obs: &[BackscatterObs]) -> Vec<RsdosRecord> {
-        obs.iter()
-            .filter(|o| {
-                o.packets >= self.thresholds.min_packets
-                    && o.slash16s >= self.thresholds.min_slash16s
-            })
-            .map(RsdosRecord::from_obs)
-            .collect()
-    }
-
-    /// Classify observations straight into an arena-backed block: the
-    /// same filter as [`classify`](RsdosClassifier::classify), but
-    /// qualifying records are packed into one shared buffer instead of a
-    /// `Vec` of row structs. Block-fed and row-fed paths are held
-    /// identical by the differential tests below.
+    /// Filter observations into the qualifying feed records.
     pub fn classify_into_block(&self, obs: &[BackscatterObs]) -> RecordBlock {
-        // Nearly every observation of a real feed qualifies: one arena,
-        // sized once, instead of a doubling that copies it as it grows.
-        let mut b = RecordBlockBuilder::with_capacity(obs.len());
-        for o in obs {
-            if o.packets >= self.thresholds.min_packets
-                && o.slash16s >= self.thresholds.min_slash16s
-            {
-                b.push(&RsdosRecord::from_obs(o));
-            }
-        }
-        b.finish()
+        let qualifies = |o: &&BackscatterObs| {
+            o.packets >= self.thresholds.min_packets && o.slash16s >= self.thresholds.min_slash16s
+        };
+        // Sized once, to the qualifying count: a vector grown by doubling is
+        // copied as it grows, and the row feed copied out of this one
+        // (`TelescopeView::take_feed`) then has the same size, so each
+        // run's copy fits the space the last run's rows freed.
+        let mut rows = Vec::with_capacity(obs.iter().filter(qualifies).count());
+        rows.extend(obs.iter().filter(qualifies).map(RsdosRecord::from_obs));
+        RecordBlock::new(rows)
     }
 
-    /// Group qualifying records into per-victim episodes.
-    pub fn episodes(&self, records: &[RsdosRecord]) -> Vec<AttackEpisode> {
-        self.episodes_from_rows(records.iter().cloned())
-    }
-
-    /// Episode extraction over an arena-backed block — rows decode on the
-    /// fly out of the shared buffer; output is identical to
-    /// [`episodes`](RsdosClassifier::episodes) over the same rows.
+    /// Group the qualifying records into per-victim episodes.
     pub fn episodes_from_block(&self, block: &RecordBlock) -> Vec<AttackEpisode> {
-        self.episodes_from_rows(block.iter())
-    }
-
-    fn episodes_from_rows<I: Iterator<Item = RsdosRecord>>(&self, rows: I) -> Vec<AttackEpisode> {
-        let recs: Vec<RsdosRecord> = rows.collect();
+        let recs = block.rows();
         // One victim's records in a row, windows ascending. A feed holds
         // one record per (victim, window); rows sharing a cell, which only
         // a hand-built input has, fold in input order.
         let cell = |r: &RsdosRecord| (u32::from(r.victim) as u128) << 64 | r.window.0 as u128;
         let mut out: Vec<AttackEpisode> = Vec::new();
-        for row in crate::rows_in_key_order(&recs, cell) {
+        for row in crate::rows_in_key_order(recs, cell) {
             let r = &recs[row];
             match out.last_mut() {
                 Some(ep)
@@ -177,25 +150,25 @@ mod tests {
     #[test]
     fn thresholds_filter_noise() {
         let c = RsdosClassifier::default();
-        let records = c.classify(&[
+        let records = c.classify_into_block(&[
             obs("1.1.1.1", 0, 24, 10), // too few packets
             obs("2.2.2.2", 0, 25, 1),  // too concentrated
             obs("3.3.3.3", 0, 25, 2),  // qualifies exactly
             obs("4.4.4.4", 0, 10_000, 150),
         ]);
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].victim, "3.3.3.3".parse::<Ipv4Addr>().unwrap());
+        assert_eq!(records.rows()[0].victim, "3.3.3.3".parse::<Ipv4Addr>().unwrap());
     }
 
     #[test]
     fn consecutive_windows_form_one_episode() {
         let c = RsdosClassifier::default();
-        let records = c.classify(&[
+        let records = c.classify_into_block(&[
             obs("9.9.9.9", 10, 100, 5),
             obs("9.9.9.9", 11, 200, 8),
             obs("9.9.9.9", 12, 150, 6),
         ]);
-        let eps = c.episodes(&records);
+        let eps = c.episodes_from_block(&records);
         assert_eq!(eps.len(), 1);
         let e = &eps[0];
         assert_eq!(e.first_window, Window(10));
@@ -210,12 +183,12 @@ mod tests {
     #[test]
     fn single_gap_bridged_double_gap_splits() {
         let c = RsdosClassifier::default();
-        let records = c.classify(&[
+        let records = c.classify_into_block(&[
             obs("9.9.9.9", 10, 100, 5),
             obs("9.9.9.9", 12, 100, 5), // one silent window bridged
             obs("9.9.9.9", 15, 100, 5), // two silent windows: new episode
         ]);
-        let eps = c.episodes(&records);
+        let eps = c.episodes_from_block(&records);
         assert_eq!(eps.len(), 2);
         assert_eq!(eps[0].last_window, Window(12));
         assert_eq!(eps[1].first_window, Window(15));
@@ -224,8 +197,9 @@ mod tests {
     #[test]
     fn distinct_victims_distinct_episodes() {
         let c = RsdosClassifier::default();
-        let records = c.classify(&[obs("1.1.1.1", 5, 100, 5), obs("2.2.2.2", 5, 100, 5)]);
-        let eps = c.episodes(&records);
+        let records =
+            c.classify_into_block(&[obs("1.1.1.1", 5, 100, 5), obs("2.2.2.2", 5, 100, 5)]);
+        let eps = c.episodes_from_block(&records);
         assert_eq!(eps.len(), 2);
     }
 
@@ -236,35 +210,19 @@ mod tests {
             min_slash16s: 1,
             max_gap_windows: 0,
         });
-        let records = c.classify(&[obs("1.1.1.1", 0, 1, 1)]);
+        let records = c.classify_into_block(&[obs("1.1.1.1", 0, 1, 1)]);
         assert_eq!(records.len(), 1);
         // Zero gap tolerance: windows 0 and 2 split.
-        let recs = c.classify(&[obs("1.1.1.1", 0, 5, 1), obs("1.1.1.1", 2, 5, 1)]);
-        assert_eq!(c.episodes(&recs).len(), 2);
+        let recs = c.classify_into_block(&[obs("1.1.1.1", 0, 5, 1), obs("1.1.1.1", 2, 5, 1)]);
+        assert_eq!(c.episodes_from_block(&recs).len(), 2);
     }
 
     #[test]
     fn episode_duration_single_window() {
         let c = RsdosClassifier::default();
-        let recs = c.classify(&[obs("1.1.1.1", 7, 100, 5)]);
-        let eps = c.episodes(&recs);
+        let recs = c.classify_into_block(&[obs("1.1.1.1", 7, 100, 5)]);
+        let eps = c.episodes_from_block(&recs);
         assert_eq!(eps[0].duration(), SimDuration::from_mins(5));
-    }
-
-    #[test]
-    fn block_path_matches_row_path() {
-        let c = RsdosClassifier::default();
-        let observations = vec![
-            obs("1.1.1.1", 0, 24, 10), // filtered
-            obs("9.9.9.9", 10, 100, 5),
-            obs("9.9.9.9", 11, 200, 8),
-            obs("9.9.9.9", 14, 150, 6), // gap splits
-            obs("2.2.2.2", 10, 500, 9),
-        ];
-        let records = c.classify(&observations);
-        let block = c.classify_into_block(&observations);
-        assert_eq!(block.iter().collect::<Vec<_>>(), records, "classification differs");
-        assert_eq!(c.episodes_from_block(&block), c.episodes(&records), "episodes differ");
     }
 }
 
@@ -296,7 +254,7 @@ mod proptests {
         let mut per_victim: std::collections::HashMap<Ipv4Addr, Vec<RsdosRecord>> =
             std::collections::HashMap::new();
         for r in rows {
-            per_victim.entry(r.victim).or_default().push(r.clone());
+            per_victim.entry(r.victim).or_default().push(*r);
         }
         let mut out = Vec::new();
         for (victim, mut recs) in per_victim {
@@ -334,9 +292,9 @@ mod proptests {
     }
 
     proptest! {
-        /// Sorted-run extraction ≡ the per-victim `HashMap` it replaced, on
-        /// row and block input, at every gap tolerance the window pool can
-        /// bridge or split (rows sharing a cell included).
+        /// Sorted-run extraction ≡ the per-victim `HashMap` it replaced, at
+        /// every gap tolerance the window pool can bridge or split (rows
+        /// sharing a cell included).
         #[test]
         fn sorted_episodes_equal_hashmap_episodes(
             observations in prop::collection::vec(arb_obs(), 0..60),
@@ -347,26 +305,9 @@ mod proptests {
                 min_slash16s: 2,
                 max_gap_windows,
             });
-            let records = c.classify(&observations);
-            let want = episodes_hashmap(max_gap_windows, &records);
-            prop_assert_eq!(c.episodes(&records), want.clone());
-            prop_assert_eq!(c.episodes_from_block(&c.classify_into_block(&observations)), want);
-        }
-
-        /// classify→block→episodes ≡ classify→rows→episodes on arbitrary
-        /// observation mixes: the arena path may never change the feed.
-        #[test]
-        fn block_and_row_paths_agree(observations in prop::collection::vec(arb_obs(), 0..60)) {
-            let c = RsdosClassifier::new(RsdosThresholds {
-                min_packets: 10,
-                min_slash16s: 2,
-                max_gap_windows: 1,
-            });
-            let records = c.classify(&observations);
-            let block = c.classify_into_block(&observations);
-            prop_assert_eq!(block.len(), records.len());
-            prop_assert_eq!(block.iter().collect::<Vec<_>>(), records.clone());
-            prop_assert_eq!(c.episodes_from_block(&block), c.episodes(&records));
+            let records = c.classify_into_block(&observations);
+            let want = episodes_hashmap(max_gap_windows, records.rows());
+            prop_assert_eq!(c.episodes_from_block(&records), want);
         }
     }
 }

@@ -6,6 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use dnsimpact::core::front;
 use dnsimpact::prelude::*;
 
 fn main() {
@@ -54,11 +55,9 @@ fn main() {
     };
 
     // 3. The telescope's view: backscatter thinning + RSDoS inference.
+    let attacks = [attack];
     let darknet = Darknet::ucsd_like();
-    let obs = BackscatterSampler::new(&darknet).sample(std::slice::from_ref(&attack), &rngs);
-    let classifier = RsdosClassifier::default();
-    let records = classifier.classify(&obs);
-    let episodes = classifier.episodes(&records);
+    let episodes = front::observe(&darknet, RsdosThresholds::default(), &attacks, &rngs).episodes;
     println!("telescope inferred {} attack episode(s):", episodes.len());
     for e in &episodes {
         println!(
@@ -72,10 +71,7 @@ fn main() {
     }
 
     // 4. Offered load + the unbound-like resolver: what an end user sees.
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in accumulate_windows(&[attack]) {
-        loads.add(addr, w, pps);
-    }
+    let loads = front::load_book(&attacks);
     let resolver = Resolver::default();
     let mut rng = rngs.stream("demo-queries");
     let avg = |window: Window, rng: &mut rand::rngs::SmallRng, loads: &LoadBook| {

@@ -1,12 +1,14 @@
 //! Semantic ablations of the methodology's design choices (§4.1–§4.2):
 //! what changes when the knobs move.
 
+use dnsimpact::core::front;
 use dnsimpact::core::impact::compute_impacts;
 use dnsimpact::prelude::*;
 use scenarios::{paper_longitudinal_config, world, PaperScale, WorldConfig};
 
 struct Fixture {
     built: world::BuiltWorld,
+    attacks: Vec<Attack>,
     feed: RsdosFeed,
     loads: LoadBook,
     rngs: RngFactory,
@@ -24,16 +26,9 @@ fn fixture(seed: u64) -> Fixture {
     cfg.attacks_per_month.truncate(3);
     cfg.dns_share_per_month.truncate(3);
     let attacks = AttackScheduler::new(cfg).generate(&built.target_pool(), &rngs);
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in accumulate_windows(&attacks) {
-        loads.add(addr, w, pps);
-    }
-    let darknet = Darknet::ucsd_like();
-    let obs = BackscatterSampler::new(&darknet).sample(&attacks, &rngs);
-    let classifier = RsdosClassifier::default();
-    let records = classifier.classify(&obs);
-    let episodes = classifier.episodes(&records);
-    Fixture { built, feed: RsdosFeed::new(records, episodes), loads, rngs }
+    let loads = front::load_book(&attacks);
+    let feed = front::feed(&attacks, &rngs);
+    Fixture { built, attacks, feed, loads, rngs }
 }
 
 fn impacts_with(fx: &Fixture, config: &ImpactConfig) -> Vec<dnsimpact::core::impact::ImpactEvent> {
@@ -153,28 +148,10 @@ fn collateral_join_widens_monotonically() {
 #[test]
 fn classifier_thresholds_are_monotone() {
     let fx = fixture(24);
-    let default_classifier = RsdosClassifier::default();
-    let sensitive = RsdosClassifier::new(RsdosThresholds {
-        min_packets: 5,
-        min_slash16s: 1,
-        max_gap_windows: 1,
-    });
-    // Re-derive observations deterministically.
+    let sensitive = RsdosThresholds { min_packets: 5, min_slash16s: 1, max_gap_windows: 1 };
     let darknet = Darknet::ucsd_like();
-    let built = &fx.built;
-    let cfg = {
-        let mut c = paper_longitudinal_config(PaperScale { divisor: 400 });
-        c.months.truncate(3);
-        c.attacks_per_month.truncate(3);
-        c.dns_share_per_month.truncate(3);
-        c
-    };
-    let attacks = AttackScheduler::new(cfg).generate(&built.target_pool(), &fx.rngs);
-    let obs = BackscatterSampler::new(&darknet).sample(&attacks, &fx.rngs);
-    let strict_records = default_classifier.classify(&obs);
-    let loose_records = sensitive.classify(&obs);
-    assert!(loose_records.len() >= strict_records.len());
-    let strict_eps = default_classifier.episodes(&strict_records);
-    let loose_eps = sensitive.episodes(&loose_records);
-    assert!(loose_eps.len() >= strict_eps.len());
+    let strict = front::observe(&darknet, RsdosThresholds::default(), &fx.attacks, &fx.rngs);
+    let loose = front::observe(&darknet, sensitive, &fx.attacks, &fx.rngs);
+    assert!(loose.records.len() >= strict.records.len());
+    assert!(loose.episodes.len() >= strict.episodes.len());
 }

@@ -2,6 +2,7 @@
 //! the reproduction. Each test shows a blind spot of the methodology
 //! existing in our pipeline too.
 
+use dnsimpact::core::front;
 use dnsimpact::prelude::*;
 use std::sync::Arc;
 
@@ -56,10 +57,7 @@ fn multi_vector_blind_spot() {
     assert!(obs.is_empty(), "reflection produces no darknet backscatter");
 
     // But resolution through the attacked server fails.
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in accumulate_windows(&[attack]) {
-        loads.add(addr, w, pps);
-    }
+    let loads = front::load_book(&[attack]);
     let w = (SimTime::from_days(2) + SimDuration::from_mins(30)).window();
     let ns = infra.ns_by_addr(addrs[0]).unwrap();
     let state = infra.service_state(ns, w, &loads);
@@ -101,17 +99,13 @@ fn anycast_catchment_masks_impact() {
         }],
     };
     // Telescope: clearly visible, high intensity.
-    let darknet = Darknet::ucsd_like();
-    let obs = BackscatterSampler::new(&darknet).sample(std::slice::from_ref(&attack), &rngs);
-    let records = RsdosClassifier::default().classify(&obs);
-    assert!(!records.is_empty(), "the attack is loud in the feed");
+    let attacks = [attack];
+    let view = front::observe(&Darknet::ucsd_like(), RsdosThresholds::default(), &attacks, &rngs);
+    assert!(!view.records.is_empty(), "the attack is loud in the feed");
 
     // Vantage point: the answering site absorbs only 1/30 of the attack →
     // barely any impact.
-    let mut loads = LoadBook::new();
-    for (a, w, pps) in accumulate_windows(&[attack]) {
-        loads.add(a, w, pps);
-    }
+    let loads = front::load_book(&attacks);
     let w = (SimTime::from_days(1) + SimDuration::from_mins(30)).window();
     let state = infra.service_state(ns, w, &loads);
     assert_eq!(state.answer_prob, 1.0);

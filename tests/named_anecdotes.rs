@@ -7,6 +7,7 @@
 //! - **Euskaltel**: a Spanish ISP responsible for 1,405 domains that
 //!   failed to answer **83%** of queries during its attack.
 
+use dnsimpact::core::front;
 use dnsimpact::core::impact::{compute_impacts, ImpactConfig};
 use dnsimpact::prelude::*;
 
@@ -66,16 +67,10 @@ fn run_attack(
             }],
         })
         .collect();
-    let darknet = Darknet::ucsd_like();
-    let obs = BackscatterSampler::new(&darknet).sample(&attacks, &rngs);
-    let classifier = RsdosClassifier::default();
-    let records = classifier.classify(&obs);
-    let episodes = classifier.episodes(&records);
+    let episodes =
+        front::observe(&Darknet::ucsd_like(), RsdosThresholds::default(), &attacks, &rngs).episodes;
     assert_eq!(episodes.len(), addrs.len());
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in accumulate_windows(&attacks) {
-        loads.add(addr, w, pps);
-    }
+    let loads = front::load_book(&attacks);
     let events = join_episodes(infra, infra, &episodes, &OpenResolverList::new(), false);
     let census =
         AnycastCensus::from_ground_truth(infra, AnycastCensus::paper_snapshot_dates(), 1.0, &rngs);
