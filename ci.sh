@@ -3,8 +3,9 @@
 #
 #   lint         cargo fmt --check + cargo clippy -D warnings + sh -n ci.sh,
 #                every name the lib.rs of `streamproc`, `dnswire`,
-#                `dnssim`, `obs`, `telescope`, `openintel` or `simcore`
-#                re-exports must be used outside its crate (crates/*/src,
+#                `dnssim`, `obs`, `telescope`, `openintel`, `simcore`,
+#                `core`, `netbase`, `reactive`, `census`, `scenarios` or
+#                `attack` re-exports must be used outside its crate (crates/*/src,
 #                src/, benchmark/src), and every `name.rs:N` cited in
 #                DESIGN.md, README.md, EXPERIMENTS.md or ROADMAP.md must
 #                name a file under crates/ src/ tests/ examples/
@@ -14,8 +15,8 @@
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
 #   chaos        fault injection, kill -9 mid-run, resume, diff vs clean
 #   metrics      repro bench: schema-validated run report, counter
-#                invariants, exact deterministic-counter diff against the
-#                committed BENCH baseline
+#                invariants, nothing on stdout (the exact counter pin is
+#                tier-1: tests/metrics.rs)
 #   wirebench    criterion smoke over the telescope/load-book and
 #                trace-emit benches: every expected benchmark must run to
 #                completion and report a number
@@ -75,14 +76,15 @@ DAEMON=target/release/dnsimpactd
 list_gates() {
     cat << 'EOF'
 lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh, no
-             streamproc/dnswire/dnssim/obs/telescope/openintel/simcore re-export
-             without a caller outside its crate, no docs citation name.rs:N
-             past the end of its file
+             re-export of streamproc/dnswire/dnssim/obs/telescope/openintel/
+             simcore/core/netbase/reactive/census/scenarios/attack without a
+             caller outside its crate, no docs citation name.rs:N past the
+             end of its file
 build        cargo build --release (workspace)
 tests        cargo test --workspace
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
 chaos        kill -9 mid-run + resume must equal a clean, fault-free run
-metrics      repro bench: report schema + counter invariants + BENCH baseline diff
+metrics      repro bench: report schema + counter invariants + empty stdout
 wirebench    criterion smoke: every telescope/load-book/trace bench runs and reports
 trace        trace export schema + causality; repro explain deterministic
 sweep        bench --scale-sweep smoke: cross-jobs fingerprints + sweep schema
@@ -225,7 +227,8 @@ gate_lint() {
     echo "==> lint gate: cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
     UNUSED=0
-    for C in streamproc dnswire dnssim obs telescope openintel simcore; do
+    for C in streamproc dnswire dnssim obs telescope openintel simcore \
+        core netbase reactive census scenarios attack; do
         echo "==> lint gate: every $C re-export has a caller outside the crate"
         # The names of lib.rs's `pub use` items (single- or multi-line).
         EXPORTS=$(awk '/^pub use/ { on = 1 } on { print } /;/ { on = 0 }' "crates/$C/src/lib.rs" |
@@ -312,11 +315,7 @@ gate_metrics() {
     # run report; validate-metrics re-reads it and fails on any schema
     # violation or counter-invariant break.
     BENCH_JSON="$SMOKE/bench/BENCH.json"
-    # --compare with no path diffs against the newest committed BENCH
-    # report under results/: deterministic counters, gauges and histogram
-    # fields must match exactly, and a baseline from another bench
-    # configuration fails rather than comparing nothing.
-    "$REPRO" bench --compare --metrics-json "$BENCH_JSON" --out "$SMOKE/bench-out" \
+    "$REPRO" bench --metrics-json "$BENCH_JSON" --out "$SMOKE/bench-out" \
         > "$SMOKE/bench.stdout" 2> /dev/null
     # Bench suppresses artifact text: non-empty stdout means metrics leaked.
     if [ -s "$SMOKE/bench.stdout" ]; then
@@ -325,7 +324,7 @@ gate_metrics() {
         exit 1
     fi
     "$REPRO" validate-metrics "$BENCH_JSON"
-    echo "==> metrics gate passed (report valid, invariants hold, no deterministic drift)"
+    echo "==> metrics gate passed (report valid, invariants hold, stdout clean)"
 }
 
 gate_wirebench() {

@@ -7,7 +7,7 @@
 //!       [--chaos-seed N] [--checkpoint-dir DIR]
 //!       [--metrics-json PATH] [--metrics-summary]
 //!       [--trace-json PATH] [EXPERIMENT...]
-//! repro bench [--compare [BASELINE.json]] [same flags]
+//! repro bench [same flags]
 //! repro bench --scale-sweep [--out DIR] [same flags]
 //! repro bench --trajectory [--out DIR]
 //! repro explain EPISODE-ID [same flags]
@@ -58,16 +58,8 @@
 //! in the same schema (CSVs go to a scratch directory). A second bench run
 //! on the same date goes to `BENCH_<date>_run2.json` (and so on) instead
 //! of clobbering the first; the report's `meta.run` carries the counter.
-//! CI runs it and validates the report.
-//!
-//! `repro bench --compare [BASELINE.json]` additionally diffs the fresh
-//! report against a baseline (default: the newest other
-//! `results/BENCH_*.json`): any drift in the deterministic
-//! counters/gauges/histograms fails exactly, and so does a baseline taken
-//! under another seed/scale/chaos/experiment configuration, or no
-//! baseline at all (nothing would be compared). Wall clock and RSS are
-//! not judged here; `benchmark/` is the perf contract. Exit 1 on failure
-//! — this is the CI metrics gate's drift check.
+//! CI runs it and validates the report; `tests/metrics.rs` pins what this
+//! configuration counts.
 //!
 //! `repro bench --scale-sweep` runs the pinned longitudinal pipeline over
 //! the scale grid — target attack counts {1.5k, 15k}, plus 150k with
@@ -113,36 +105,13 @@
 //! violation — this is the CI trace gate.
 
 use bench_support::{
-    needs_longitudinal, run_catalog_checkpointed, run_experiments_chaos, Artifact, CheckpointDir,
-    ExperimentRun, Experiments, CATALOG,
+    needs_longitudinal, run_catalog_checkpointed, run_experiments, Artifact, CheckpointDir,
+    ExperimentRun, Experiments, BENCH_CHAOS_SEED, BENCH_EXPERIMENTS, BENCH_SCALE, CATALOG,
 };
 use dnsimpact_core::report::{write_atomic, write_output, write_report};
-use scenarios::{PaperScale, WorldConfig};
+use scenarios::{paper_longitudinal_config, PaperScale, WorldConfig};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// The fixed subset `repro bench` replays: every pipeline stage is
-/// exercised — longitudinal (tables/figures), the TransIP scenario
-/// (`table2`/`fig2`/`fig3`), the Russia scenario (reactive platform and
-/// telescope feed gaps), the §4.1 ablation, and the future-work probe.
-const BENCH_EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table5",
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig8",
-    "fig11",
-    "russia",
-    "ablate",
-    "futurework",
-];
-/// Pinned bench configuration: small fixed scale, chaos on so the fault
-/// accounting (and its CI invariant) is exercised every bench run.
-const BENCH_SCALE: u32 = 1500;
-const BENCH_CHAOS_SEED: u64 = 9;
 
 struct Options {
     seed: u64,
@@ -164,9 +133,6 @@ struct Options {
     trajectory: bool,
     /// Same-day bench run counter (1 for the first run of a date).
     run: u64,
-    /// `bench --compare`: `Some(None)` = auto-pick the newest baseline,
-    /// `Some(Some(path))` = explicit baseline file.
-    compare: Option<Option<PathBuf>>,
     /// `explain EPISODE-ID`: print the episode's causal timeline.
     explain: Option<String>,
     experiments: Vec<String>,
@@ -207,16 +173,12 @@ fn parse_args() -> Options {
         scale_sweep: false,
         trajectory: false,
         run: 1,
-        compare: None,
         explain: None,
         experiments: Vec::new(),
     };
     let (mut scale_set, mut out_set) = (false, false);
     let mut args = std::env::args().skip(1);
-    // `--compare`'s operand is optional: when the next argument is not a
-    // baseline path it is pushed back and re-processed here.
-    let mut pushback: Option<String> = None;
-    while let Some(a) = pushback.take().or_else(|| args.next()) {
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => opts.seed = num_operand("--seed", &operand(&mut args, "--seed", "N")),
             "--scale" => {
@@ -244,19 +206,6 @@ fn parse_args() -> Options {
             "--trace-json" => {
                 opts.trace_json = Some(PathBuf::from(operand(&mut args, "--trace-json", "PATH")))
             }
-            "--compare" => {
-                // Optional operand: a .json baseline path; otherwise the
-                // newest other results/BENCH_*.json is picked at run time.
-                opts.compare = Some(None);
-                if let Some(peeked) = args.next() {
-                    if peeked.ends_with(".json") {
-                        opts.compare = Some(Some(PathBuf::from(peeked)));
-                    } else {
-                        // Not a baseline: re-process as a normal argument.
-                        pushback = Some(peeked);
-                    }
-                }
-            }
             "bench" => opts.bench = true,
             "--scale-sweep" => opts.scale_sweep = true,
             "--trajectory" => opts.trajectory = true,
@@ -282,7 +231,6 @@ fn parse_args() -> Options {
                 );
                 println!("repro bench                   replay the fixed bench subset,");
                 println!("                              write results/BENCH_<date>[_runN].json");
-                println!("repro bench --compare [FILE]  also diff against a baseline report");
                 println!("repro bench --scale-sweep     scale x jobs throughput grid,");
                 println!(
                     "                              write SWEEP_<date>[_runN].json under --out"
@@ -634,9 +582,9 @@ fn main() {
         );
         let _span = obs::span("longitudinal");
         let start = Instant::now();
-        let ex = run_experiments_chaos(
+        let ex = run_experiments(
             opts.seed,
-            PaperScale { divisor: opts.scale },
+            paper_longitudinal_config(PaperScale { divisor: opts.scale }),
             &WorldConfig::default(),
             opts.jobs,
             opts.chaos_seed,
@@ -762,7 +710,7 @@ fn main() {
     // The run report: built from the registry snapshot after all stages,
     // validated, then written/printed. Strictly read-only with respect to
     // the pipeline — artifacts and stdout above are already final.
-    if opts.metrics_json.is_some() || opts.metrics_summary || opts.compare.is_some() {
+    if opts.metrics_json.is_some() || opts.metrics_summary {
         let report = build_report(&opts, jobs, &timings, total.elapsed());
         if let Some(path) = &opts.metrics_json {
             if !emit_report("metrics", &report.to_json(), path) {
@@ -771,9 +719,6 @@ fn main() {
         }
         if opts.metrics_summary {
             eprint!("{}", report.summary_table());
-        }
-        if let Some(baseline) = &opts.compare {
-            compare_with_baseline(&report, baseline.as_deref(), opts.metrics_json.as_deref());
         }
     }
 
@@ -794,16 +739,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-}
-
-/// The `DNSIMPACT_SCALE_HEAVY` level: 0 (unset) = smoke cells only,
-/// 1 adds the 150k-attack scale, 2 (or `full`) adds 1.5M too.
-fn heavy_level() -> u64 {
-    match std::env::var("DNSIMPACT_SCALE_HEAVY").ok().as_deref() {
-        None | Some("") | Some("0") => 0,
-        Some("1") => 1,
-        Some(_) => 2,
     }
 }
 
@@ -962,7 +897,7 @@ fn run_scale_sweep_cmd(opts: &Options) -> i32 {
         obs::progress("repro", "--scale-sweep is a bench mode: run `repro bench --scale-sweep`");
         return 2;
     }
-    let heavy = heavy_level();
+    let heavy = bench_support::sweep::heavy_level();
     let mut scales: Vec<u64> = vec![1_500, 15_000];
     if heavy >= 1 {
         scales.push(150_000);
@@ -1022,80 +957,6 @@ fn run_scale_sweep_cmd(opts: &Options) -> i32 {
     }
     eprint!("{}", report.summary_table());
     0
-}
-
-/// `bench --compare`: diff the fresh report against a baseline (explicit,
-/// or the newest other `results/BENCH_*.json`). Failures exit 1 — and so
-/// does having nothing to compare against.
-fn compare_with_baseline(report: &obs::RunReport, explicit: Option<&Path>, current: Option<&Path>) {
-    let baseline = match explicit {
-        Some(p) => p.to_path_buf(),
-        None => match latest_bench_report(Path::new("results"), current) {
-            Some(p) => p,
-            None => {
-                obs::progress(
-                    "repro",
-                    "no baseline BENCH_*.json found in results/; nothing was compared",
-                );
-                std::process::exit(1);
-            }
-        },
-    };
-    let doc = match std::fs::read_to_string(&baseline)
-        .map_err(|e| e.to_string())
-        .and_then(|t| obs::Json::parse(&t).map_err(|e| e.to_string()))
-    {
-        Ok(d) => d,
-        Err(e) => {
-            obs::progress("repro", &format!("cannot load baseline {}: {e}", baseline.display()));
-            std::process::exit(2);
-        }
-    };
-    let (failures, warnings) = obs::report::compare_reports(&report.to_json(), &doc);
-    for w in &warnings {
-        obs::progress("repro", &format!("bench compare: {w}"));
-    }
-    if failures.is_empty() {
-        obs::progress(
-            "repro",
-            &format!(
-                "no deterministic drift vs baseline {} ({} warning(s))",
-                baseline.display(),
-                warnings.len()
-            ),
-        );
-    } else {
-        for f in &failures {
-            obs::progress("repro", &format!("bench compare failure: {f}"));
-        }
-        obs::progress(
-            "repro",
-            &format!("{} failure(s) vs baseline {}", failures.len(), baseline.display()),
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The newest `BENCH_*.json` in `dir`, excluding `current` (the file this
-/// run is writing). "Newest" orders by `(date, same-day run counter)`
-/// parsed from the `BENCH_<date>[_run<N>].json` name.
-fn latest_bench_report(dir: &Path, current: Option<&Path>) -> Option<PathBuf> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    let mut best: Option<((String, u64), PathBuf)> = None;
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(key) = parse_slot_name(&name, "BENCH") else {
-            continue;
-        };
-        let path = entry.path();
-        if current.is_some_and(|c| c == path.as_path()) {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(k, _)| *k < key) {
-            best = Some((key, path));
-        }
-    }
-    best.map(|(_, p)| p)
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ mod tests {
     use super::*;
 
     fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("dnsimpact-ckpt-{name}"));
+        let d = std::env::temp_dir().join(format!("dnsimpact-ckpt-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }

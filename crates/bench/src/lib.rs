@@ -3,13 +3,13 @@
 //! longitudinal pipeline, and renders every table/figure series of the
 //! paper as text + CSV.
 
+use attack::ScheduleConfig;
 use dnsimpact_core::casestudy::TimePoint;
 use dnsimpact_core::longitudinal::{self, LongitudinalConfig, LongitudinalReport};
 use dnsimpact_core::report::{fmt_count, fmt_pct, render_csv, render_table};
 use reactive::ReactivePlatform;
 use scenarios::{
-    correlate_messages, osint, paper_longitudinal_config, world, MilRuScenario, PaperScale,
-    RdzScenario, TransIpScenario, WorldConfig,
+    correlate_messages, osint, world, MilRuScenario, RdzScenario, TransIpScenario, WorldConfig,
 };
 use simcore::rng::RngFactory;
 use simcore::stats::quantile;
@@ -24,64 +24,63 @@ pub use checkpoint::CheckpointDir;
 pub use sweep::{divisor_for_target, run_scale_sweep, SweepConfig, PAPER_TOTAL_ATTACKS};
 pub use watch::{sparkline, WatchConfig};
 
-/// A fully materialized longitudinal experiment.
-pub struct Experiments {
+/// The longitudinal pipeline's inputs: the world built for a seed and the
+/// attacks scheduled on it. Built once, they feed any number of runs.
+pub struct Inputs {
     pub world: world::BuiltWorld,
     pub attacks: Vec<attack::Attack>,
     pub months: Vec<Month>,
-    pub darknet: Darknet,
-    pub report: LongitudinalReport,
     pub rngs: RngFactory,
 }
 
-/// Build the standard world and run the full longitudinal pipeline with
-/// the machine's available parallelism.
-pub fn run_experiments(seed: u64, scale: PaperScale, world_cfg: &WorldConfig) -> Experiments {
-    run_experiments_with_jobs(seed, scale, world_cfg, 0)
+impl Inputs {
+    /// Build the world for `seed` and schedule `schedule`'s attacks on it —
+    /// `paper_longitudinal_config(scale)` for the paper's calibration.
+    pub fn build(seed: u64, schedule: ScheduleConfig, world_cfg: &WorldConfig) -> Inputs {
+        let _span = obs::span("world");
+        let rngs = RngFactory::new(seed);
+        let world = world::build(world_cfg, &rngs);
+        let months = schedule.months.clone();
+        let attacks = attack::AttackScheduler::new(schedule).generate(&world.target_pool(), &rngs);
+        Inputs { world, attacks, months, rngs }
+    }
 }
 
-/// [`run_experiments`] with an explicit worker count for the pipeline's
-/// parallel stages (`0` = available parallelism, `1` = sequential). The
-/// report — and every artifact rendered from it — is byte-identical for
-/// any `jobs` value.
-pub fn run_experiments_with_jobs(
-    seed: u64,
-    scale: PaperScale,
-    world_cfg: &WorldConfig,
-    jobs: usize,
-) -> Experiments {
-    run_experiments_chaos(seed, scale, world_cfg, jobs, None)
+/// A fully materialized longitudinal experiment.
+pub struct Experiments {
+    pub inputs: Arc<Inputs>,
+    pub report: LongitudinalReport,
 }
 
-/// [`run_experiments_with_jobs`] with an optional chaos seed: the impact
-/// pipeline's measurement phase then runs under fault injection (scheduled
-/// task crashes, supervised restarts). The report is byte-identical to a
-/// fault-free run for any chaos seed — the knob only exercises recovery.
-pub fn run_experiments_chaos(
+/// [`Inputs::build`], then [`run_on`] those inputs.
+pub fn run_experiments(
     seed: u64,
-    scale: PaperScale,
+    schedule: ScheduleConfig,
     world_cfg: &WorldConfig,
     jobs: usize,
     chaos_seed: Option<u64>,
 ) -> Experiments {
     let _span = obs::span("experiments");
-    let rngs = RngFactory::new(seed);
-    let (built, attacks, months, darknet) = {
-        let _span = obs::span("world");
-        let built = world::build(world_cfg, &rngs);
-        let schedule_cfg = paper_longitudinal_config(scale);
-        let months = schedule_cfg.months.clone();
-        let scheduler = attack::AttackScheduler::new(schedule_cfg);
-        let attacks = scheduler.generate(&built.target_pool(), &rngs);
-        (built, attacks, months, Darknet::ucsd_like())
-    };
+    run_on(Arc::new(Inputs::build(seed, schedule, world_cfg)), jobs, chaos_seed)
+}
+
+/// Run the full longitudinal pipeline over `inputs` with `jobs` workers
+/// for its parallel stages (`0` = available parallelism, `1` =
+/// sequential) and an optional chaos seed: the impact pipeline's
+/// measurement phase then runs under fault injection (scheduled task
+/// crashes, supervised restarts). The report — and every artifact rendered
+/// from it — is byte-identical for any `jobs` value and any chaos seed:
+/// the knobs only buy wall clock and exercise recovery.
+pub fn run_on(inputs: Arc<Inputs>, jobs: usize, chaos_seed: Option<u64>) -> Experiments {
     let mut config = LongitudinalConfig { jobs, ..LongitudinalConfig::default() };
     config.impact.chaos_seed = chaos_seed;
     let report = {
         let _span = obs::span("longitudinal-run");
-        longitudinal::run(&built.infra, &darknet, &attacks, &months, &built.meta, &config, &rngs)
+        let Inputs { world, attacks, months, rngs } = &*inputs;
+        let darknet = Darknet::ucsd_like();
+        longitudinal::run(&world.infra, &darknet, attacks, months, &world.meta, &config, rngs)
     };
-    Experiments { world: built, attacks, months, darknet, report, rngs }
+    Experiments { inputs, report }
 }
 
 /// A rendered experiment artifact: a text table for stdout and CSV rows
@@ -105,7 +104,7 @@ fn f(v: f64) -> String {
 
 /// Table 1: RSDoS dataset summary.
 pub fn table1(ex: &Experiments) -> Artifact {
-    let s = ex.report.feed.summary(&ex.world.meta.prefix2as);
+    let s = ex.report.feed.summary(&ex.inputs.world.meta.prefix2as);
     let headers = ["Metric", "Measured", "Paper (full scale)"];
     let rows = vec![
         vec!["#Attacks".into(), fmt_count(s.attacks as u64), "4,039,485".into()],
@@ -517,10 +516,11 @@ pub fn ablate_baseline(ex: &Experiments) -> Artifact {
     use openintel::MeasurementStore;
     use openintel::SweepSchedule;
 
-    let infra = &ex.world.infra;
-    let schedule = SweepSchedule::new(ex.rngs.seed());
+    let Inputs { world, attacks, rngs, .. } = &*ex.inputs;
+    let infra = &world.infra;
+    let schedule = SweepSchedule::new(rngs.seed());
     let resolver = dnssim::Resolver::default();
-    let loads = dnsimpact_core::front::load_book(&ex.attacks);
+    let loads = dnsimpact_core::front::load_book(attacks);
     let mut day1 = Vec::new();
     let mut week1 = Vec::new();
     let mut store = MeasurementStore::new();
@@ -533,7 +533,7 @@ pub fn ablate_baseline(ex: &Experiments) -> Artifact {
         let step = (all.len() / 200).max(1);
         let sampled: Vec<_> = all.iter().step_by(step).take(200).copied().collect();
         store.ingest(&measure_baseline(
-            infra, &schedule, &resolver, &sampled, e.nsset, day_w, &loads, &ex.rngs,
+            infra, &schedule, &resolver, &sampled, e.nsset, day_w, &loads, rngs,
         ));
         let Some(base) = store.day_stats(e.nsset, day_w) else { continue };
         if base.domains_measured == 0 || base.avg_rtt().is_nan() || base.avg_rtt() <= 0.0 {
@@ -866,6 +866,29 @@ pub const CATALOG: &[(&str, &str)] = &[
     ("ablate", "§4.1 day-before vs week-before baseline"),
 ];
 
+/// The fixed subset `repro bench` replays: every pipeline stage is
+/// exercised — longitudinal (tables/figures), the TransIP scenario
+/// (`table2`/`fig2`/`fig3`), the Russia scenario (reactive platform and
+/// telescope feed gaps), the §4.1 ablation, and the future-work probe.
+pub const BENCH_EXPERIMENTS: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table5",
+    "fig2",
+    "fig3",
+    "fig5",
+    "fig8",
+    "fig11",
+    "russia",
+    "ablate",
+    "futurework",
+];
+/// Pinned bench configuration: small fixed scale, chaos on so the fault
+/// accounting (and its CI invariant) is exercised every bench run.
+pub const BENCH_SCALE: u32 = 1500;
+pub const BENCH_CHAOS_SEED: u64 = 9;
+
 /// Does this experiment render from the shared longitudinal run?
 pub fn needs_longitudinal(id: &str) -> bool {
     matches!(
@@ -1047,12 +1070,15 @@ pub(crate) fn registry_test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scenarios::{paper_longitudinal_config, PaperScale};
 
     fn tiny() -> Experiments {
         run_experiments(
             1,
-            PaperScale { divisor: 1_500 },
+            paper_longitudinal_config(PaperScale { divisor: 1_500 }),
             &WorldConfig { providers: 20, domains: 6_000, ..WorldConfig::default() },
+            0,
+            None,
         )
     }
 

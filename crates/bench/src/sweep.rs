@@ -28,6 +28,17 @@ use telescope::Darknet;
 /// `scenarios`, re-exported here because the sweep named them first.
 pub use scenarios::{divisor_for_target, PAPER_TOTAL_ATTACKS};
 
+/// The `DNSIMPACT_SCALE_HEAVY` level: 0 (unset) = smoke cells only,
+/// 1 adds the 150k-attack scale, 2 (or `full`) adds 1.5M too. The sweep
+/// and the matrix's scale tests read it.
+pub fn heavy_level() -> u64 {
+    match std::env::var("DNSIMPACT_SCALE_HEAVY").ok().as_deref() {
+        None | Some("") | Some("0") => 0,
+        Some("1") => 1,
+        Some(_) => 2,
+    }
+}
+
 /// One sweep request: the grid plus the run identity.
 pub struct SweepConfig {
     pub seed: u64,

@@ -12,5 +12,5 @@
 pub mod anycast;
 pub mod resolvers;
 
-pub use anycast::{AnycastCensus, AnycastClass, CensusSnapshot};
+pub use anycast::{AnycastCensus, AnycastClass};
 pub use resolvers::OpenResolverList;

@@ -89,14 +89,6 @@ pub struct DnsAttackEvent {
 }
 
 impl DnsAttackEvent {
-    pub fn all_ns(&self) -> Vec<NsId> {
-        let mut v = self.ns_direct.clone();
-        v.extend(self.ns_collateral.iter().copied());
-        v.sort();
-        v.dedup();
-        v
-    }
-
     pub fn is_direct(&self) -> bool {
         !self.ns_direct.is_empty()
     }
@@ -397,7 +389,6 @@ mod tests {
         assert_eq!(with.len(), 1);
         assert_eq!(with[0].ns_collateral, vec![a]);
         assert!(!with[0].is_direct());
-        assert_eq!(with[0].all_ns(), vec![a]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod ports;
 pub mod report;
 pub mod resilience;
 
-pub use columnar::{ColList, Interner, JoinTable};
+pub use columnar::{Interner, JoinTable};
 pub use impact::{compute_impacts_columnar, BaselineSource, ImpactConfig, ImpactEvent};
-pub use join::{ChangingDirectory, DnsAttackEvent, NsDirectory};
+pub use join::{ChangingDirectory, DnsAttackEvent};
 pub use longitudinal::{LongitudinalConfig, LongitudinalReport, MonthlyRow};

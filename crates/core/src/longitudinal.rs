@@ -70,9 +70,6 @@ impl MonthlyRow {
             self.dns_attacks as f64 / self.total_attacks() as f64
         }
     }
-    pub fn total_ips(&self) -> u64 {
-        self.dns_ips + self.other_ips
-    }
 }
 
 /// Everything the evaluation section needs.
@@ -491,6 +488,5 @@ mod tests {
         };
         assert_eq!(row.total_attacks(), 1_000);
         assert!((row.dns_share() - 0.025).abs() < 1e-12);
-        assert_eq!(row.total_ips(), 410);
     }
 }

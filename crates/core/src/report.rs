@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn write_output_creates_dir() {
-        let dir = std::env::temp_dir().join("dnsimpact-report-test");
+        let dir = std::env::temp_dir().join(format!("dnsimpact-report-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         write_output(&dir, "x.csv", "a,b\n").unwrap();
         assert_eq!(std::fs::read_to_string(dir.join("x.csv")).unwrap(), "a,b\n");
@@ -182,7 +182,8 @@ mod tests {
 
     #[test]
     fn write_atomic_replaces_existing() {
-        let dir = std::env::temp_dir().join("dnsimpact-report-atomic-test");
+        let dir =
+            std::env::temp_dir().join(format!("dnsimpact-report-atomic-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("f.csv");

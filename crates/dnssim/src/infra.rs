@@ -37,10 +37,6 @@ impl DomainRec {
     pub fn query_nsset(&self) -> NsSetId {
         self.parent_nsset.unwrap_or(self.nsset)
     }
-
-    pub fn is_inconsistent(&self) -> bool {
-        self.parent_nsset.is_some_and(|p| p != self.nsset)
-    }
 }
 
 /// Default uplink capacity (pps) given to a /24 that was not configured

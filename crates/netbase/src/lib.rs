@@ -16,5 +16,5 @@ pub mod registry;
 pub mod trie;
 
 pub use net::{Ipv4Net, Slash16, Slash24};
-pub use registry::{As2Org, Asn, Org, OrgId, OrgRegistry, Prefix2As};
+pub use registry::{As2Org, Asn, OrgRegistry, Prefix2As};
 pub use trie::PrefixTrie;

@@ -152,10 +152,6 @@ impl Slash24 {
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
         u32::from(ip) >> 8 == self.0
     }
-    /// The /16 this /24 sits inside.
-    pub fn slash16(&self) -> Slash16 {
-        Slash16(self.0 >> 8)
-    }
 }
 
 impl fmt::Display for Slash24 {
@@ -273,7 +269,6 @@ mod tests {
         assert_eq!(format!("{s}"), "203.0.113.0/24");
         assert!(s.contains(ip("203.0.113.0")));
         assert!(!s.contains(ip("203.0.114.0")));
-        assert_eq!(s.slash16(), Slash16::of(ip("203.0.200.1")));
     }
 
     #[test]

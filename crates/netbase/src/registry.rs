@@ -125,11 +125,6 @@ impl Prefix2As {
         self.trie.lookup_value(ip).copied()
     }
 
-    /// The matched announcement itself.
-    pub fn route_of(&self, ip: Ipv4Addr) -> Option<(Ipv4Net, Asn)> {
-        self.trie.lookup(ip).map(|(n, a)| (n, *a))
-    }
-
     pub fn len(&self) -> usize {
         self.trie.len()
     }
@@ -230,9 +225,6 @@ mod tests {
         assert_eq!(p2a.asn_of(ip("8.8.8.8")), Some(Asn(15169)));
         assert_eq!(p2a.asn_of(ip("8.1.2.3")), Some(Asn(3356)));
         assert_eq!(p2a.asn_of(ip("9.9.9.9")), None);
-        let (route, asn) = p2a.route_of(ip("8.8.8.8")).unwrap();
-        assert_eq!(route, net("8.8.8.0/24"));
-        assert_eq!(asn, Asn(15169));
     }
 
     #[test]

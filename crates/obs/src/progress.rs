@@ -3,42 +3,11 @@
 //! The CI determinism gate diffs `repro`'s stdout byte-for-byte across
 //! `--jobs` counts and chaos seeds, so *no* timing, progress, or other
 //! wall-clock-dependent text may ever be printed to stdout. Every
-//! human-facing status line in the workspace goes through [`progress`]
-//! (or `progress_quiet`-gated call sites), which writes to stderr only.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static QUIET: AtomicBool = AtomicBool::new(false);
-
-/// Suppress progress output (used by `repro bench` CI runs where stderr
-/// noise would drown the summary table).
-pub fn set_quiet(quiet: bool) {
-    QUIET.store(quiet, Ordering::Relaxed);
-}
-
-/// Whether progress output is currently suppressed.
-pub fn is_quiet() -> bool {
-    QUIET.load(Ordering::Relaxed)
-}
+//! human-facing status line in the workspace goes through [`progress`],
+//! which writes to stderr only.
 
 /// Emit one status line on stderr, prefixed with the component tag:
 /// `[repro] catalog: 20 experiments done`.
 pub fn progress(component: &str, message: &str) {
-    if !is_quiet() {
-        eprintln!("[{component}] {message}");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quiet_flag_toggles() {
-        assert!(!is_quiet());
-        set_quiet(true);
-        assert!(is_quiet());
-        set_quiet(false);
-        assert!(!is_quiet());
-    }
+    eprintln!("[{component}] {message}");
 }

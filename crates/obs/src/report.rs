@@ -33,8 +33,7 @@
 //! its `by_kind` keys drawn from the event taxonomy. Wall times, RSS, and
 //! `time.`/`sched.`-prefixed metrics vary run to run by design — consumers
 //! comparing runs must restrict themselves to the deterministic namespace,
-//! as the CI metrics gate, [`compare_reports`], and the determinism tests
-//! do.
+//! as the determinism tests do.
 //!
 //! v1 → v2: added `meta.run`, histogram `p95`, and the `trace` block;
 //! v1 is retired and no longer validates. Histogram `buckets` (raw log2
@@ -212,95 +211,6 @@ pub fn check_invariants(doc: &Json) -> Result<(), Vec<String>> {
     } else {
         Err(errors)
     }
-}
-
-/// Diff a fresh bench report against a baseline report (`repro bench
-/// --compare`). Returns `(failures, warnings)`:
-///
-/// - a baseline taken under a different seed/scale/chaos/experiment
-///   configuration **fails**: its counters are incomparable, and a gate
-///   that compared nothing must not read as green — re-take the baseline;
-/// - deterministic counters, gauges, and histogram shapes (names not
-///   prefixed `time.`/`sched.`) present in *both* reports must match
-///   **exactly** — any drift fails, because for a pinned bench
-///   seed/scale/chaos configuration they are pure functions of the code;
-/// - names present in only one report (new or retired metrics) **warn**.
-///
-/// Wall clock and peak RSS are not compared: a ~150 ms run on a shared
-/// machine cannot carry a regression bound (`benchmark/` holds the perf
-/// contract). Reads both documents leniently through raw JSON.
-pub fn compare_reports(current: &Json, baseline: &Json) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut warnings = Vec::new();
-
-    // Drift is only meaningful for an identical run configuration.
-    let meta = |doc: &Json, key: &str| doc.get("meta").and_then(|m| m.get(key)).cloned();
-    for key in ["seed", "scale", "chaos_seed", "experiments"] {
-        if meta(current, key) != meta(baseline, key) {
-            failures.push(format!(
-                "baseline is not comparable — re-take it: meta.{key} differs from this run"
-            ));
-        }
-    }
-    if !failures.is_empty() {
-        return (failures, warnings);
-    }
-
-    let deterministic = |name: &str| !name.starts_with("time.") && !name.starts_with("sched.");
-    for section in ["counters", "gauges"] {
-        let (Some(cur), Some(base)) = (
-            current.get(section).and_then(|s| s.as_object()),
-            baseline.get(section).and_then(|s| s.as_object()),
-        ) else {
-            failures.push(format!("baseline is not comparable — re-take it: {section} missing"));
-            continue;
-        };
-        for (name, value) in cur {
-            if !deterministic(name) {
-                continue;
-            }
-            match base.iter().find(|(k, _)| k == name) {
-                Some((_, b)) if b == value => {}
-                Some((_, b)) => failures.push(format!(
-                    "deterministic drift: {section}.{name} = {value:?} vs baseline {b:?}"
-                )),
-                None => warnings.push(format!("{section}.{name} absent from baseline")),
-            }
-        }
-        for (name, _) in base {
-            if deterministic(name) && !cur.iter().any(|(k, _)| k == name) {
-                warnings.push(format!("{section}.{name} present in baseline only"));
-            }
-        }
-    }
-    // Deterministic histograms compare field-by-field over the fields both
-    // documents carry.
-    if let (Some(cur), Some(base)) = (
-        current.get("histograms").and_then(|s| s.as_object()),
-        baseline.get("histograms").and_then(|s| s.as_object()),
-    ) {
-        for (name, h) in cur {
-            if !deterministic(name) {
-                continue;
-            }
-            let Some((_, bh)) = base.iter().find(|(k, _)| k == name) else {
-                warnings.push(format!("histograms.{name} absent from baseline"));
-                continue;
-            };
-            for field in ["count", "sum", "min", "max", "p50", "p90", "p95", "p99"] {
-                if let (Some(a), Some(b)) =
-                    (h.get(field).and_then(|v| v.as_u64()), bh.get(field).and_then(|v| v.as_u64()))
-                {
-                    if a != b {
-                        failures.push(format!(
-                            "deterministic drift: histograms.{name}.{field} = {a} vs baseline {b}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    (failures, warnings)
 }
 
 /// Today's date in UTC as `YYYY-MM-DD`, from the system clock. Uses the
@@ -481,48 +391,6 @@ mod tests {
         let errors = validate(&doc).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("NotAKind")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("by_kind.AttackOnset")), "{errors:?}");
-    }
-
-    #[test]
-    fn compare_flags_deterministic_drift_only() {
-        let base = sample_report().to_json();
-        // Identical reports: clean.
-        let (failures, warnings) = compare_reports(&base, &base);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(warnings.is_empty(), "{warnings:?}");
-
-        // A new counter only warns; drift on a shared counter fails exactly.
-        let mut cur = sample_report();
-        cur.metrics.counters.insert("trace.events".into(), 400);
-        *cur.metrics.counters.get_mut("join.rows_joined").unwrap() = 346;
-        let (failures, warnings) = compare_reports(&cur.to_json(), &base);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("counters.join.rows_joined"), "{failures:?}");
-        assert!(warnings.iter().any(|w| w.contains("trace.events absent from baseline")));
-
-        // Wall clock, RSS and the nondeterministic namespaces are ignored.
-        let mut other_machine = sample_report();
-        other_machine.total_wall_ms *= 100;
-        other_machine.peak_rss_kb *= 100;
-        other_machine.metrics.histograms.get_mut("time.pool.task_ms").unwrap().sum = 999;
-        let (failures, _) = compare_reports(&other_machine.to_json(), &base);
-        assert!(failures.is_empty(), "{failures:?}");
-    }
-
-    #[test]
-    fn compare_fails_on_a_baseline_from_another_configuration() {
-        // Equal counters, so only the configuration can fail the gate: an
-        // edited bench scale or experiment list must not compare nothing
-        // and pass.
-        let cur = sample_report().to_json();
-        let mut other = sample_report();
-        other.meta.scale = 40;
-        other.meta.experiments.push("fig8".into());
-        let (failures, _) = compare_reports(&cur, &other.to_json());
-        assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures.iter().all(|f| f.contains("not comparable — re-take it")), "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("meta.scale")), "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("meta.experiments")), "{failures:?}");
     }
 
     #[test]

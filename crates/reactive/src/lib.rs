@@ -25,6 +25,5 @@ pub mod probe;
 pub mod vantage;
 
 pub use plan::{ProbePlan, TriggerConfig};
-pub use platform::{ReactivePlatform, ReactiveReport};
-pub use probe::{probe_all_ns, DomainProbe, NsProbeOutcome};
+pub use platform::ReactivePlatform;
 pub use vantage::{probe_from_fleet, MultiVantageProbe, VantagePoint};

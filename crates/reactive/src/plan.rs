@@ -139,12 +139,6 @@ impl ProbePlan {
         (self.until.secs().saturating_sub(self.start.secs())) / WINDOW_SECS
     }
 
-    /// Trigger delay relative to the record's window start (must satisfy
-    /// the ≤10-minute bound).
-    pub fn trigger_delay(&self, record_window: Window) -> SimDuration {
-        self.start - record_window.start()
-    }
-
     /// Trigger delay relative to when the triggering record actually
     /// *arrived*. This is the bound the platform controls: a record held
     /// back by a feed gap cannot trigger probing before it exists, but
@@ -211,7 +205,7 @@ mod tests {
         let w = Window(42);
         let plan =
             ProbePlan::from_first_record(&infra, addr, w, &TriggerConfig::default()).unwrap();
-        assert!(plan.trigger_delay(w) <= SimDuration::from_mins(10));
+        assert!(plan.trigger_delay_from_arrival(w.start()) <= SimDuration::from_mins(10));
         assert_eq!(plan.start, w.end());
     }
 

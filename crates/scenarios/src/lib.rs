@@ -23,7 +23,7 @@ pub mod world;
 pub use longitudinal::{
     divisor_for_target, paper_longitudinal_config, PaperScale, PAPER_TOTAL_ATTACKS,
 };
-pub use osint::{correlate_messages, ChannelMessage, OsintMatch};
+pub use osint::correlate_messages;
 pub use russia::{MilRuScenario, RdzScenario};
 pub use transip::TransIpScenario;
 pub use world::{BuiltWorld, WorldConfig};

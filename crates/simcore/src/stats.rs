@@ -1,12 +1,11 @@
 //! Streaming statistics used by the analysis pipeline: Welford moments,
 //! Pearson correlation, and exact quantiles over collected samples.
 
-/// Streaming mean/variance/min/max via Welford's algorithm.
+/// Streaming count/mean/min/max; the mean is Welford's running update.
 #[derive(Clone, Copy, Debug)]
 pub struct Moments {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -19,14 +18,12 @@ impl Default for Moments {
 
 impl Moments {
     pub fn new() -> Moments {
-        Moments { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+        Moments { n: 0, mean: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
     }
 
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -41,7 +38,6 @@ impl Moments {
         }
         let n = (self.n + other.n) as f64;
         let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n;
         self.mean += delta * other.n as f64 / n;
         self.n += other.n;
         self.min = self.min.min(other.min);
@@ -56,14 +52,6 @@ impl Moments {
             f64::NAN
         } else {
             self.mean
-        }
-    }
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.n as f64
         }
     }
     pub fn min(&self) -> f64 {
@@ -187,7 +175,6 @@ mod tests {
         }
         assert_eq!(m.count(), 8);
         assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 4.0).abs() < 1e-12);
         assert_eq!(m.min(), 2.0);
         assert_eq!(m.max(), 9.0);
         assert!((m.sum() - 40.0).abs() < 1e-9);
@@ -205,14 +192,14 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
+        assert_eq!((a.min(), a.max()), (whole.min(), whole.max()));
     }
 
     #[test]
     fn moments_empty_nan() {
         let m = Moments::new();
         assert!(m.mean().is_nan());
-        assert!(m.variance().is_nan());
+        assert!(m.min().is_nan() && m.max().is_nan());
     }
 
     #[test]

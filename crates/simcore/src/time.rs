@@ -126,11 +126,6 @@ impl Window {
     pub fn day(self) -> u64 {
         self.0 / WINDOWS_PER_DAY
     }
-    /// The same window index on the previous day (used for the paper's
-    /// previous-day RTT baseline). Saturates at the epoch.
-    pub fn previous_day(self) -> Window {
-        Window(self.0.saturating_sub(WINDOWS_PER_DAY))
-    }
     pub fn next(self) -> Window {
         Window(self.0 + 1)
     }
@@ -385,15 +380,6 @@ mod tests {
         let t = SimTime::from_civil(CivilDate::new(2020, 12, 1), 0, 0, 0);
         assert_eq!(t.window().start(), t);
         assert_eq!(t.window().day(), t.day());
-    }
-
-    #[test]
-    fn previous_day_window_shifts_288() {
-        let w = SimTime::from_civil(CivilDate::new(2021, 3, 15), 13, 7, 0).window();
-        let p = w.previous_day();
-        assert_eq!(w.0 - p.0, 288);
-        assert_eq!(p.start().second_of_day(), w.start().second_of_day());
-        assert_eq!(p.start().civil(), CivilDate::new(2021, 3, 14));
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl RsdosRecord {
             packets: o.packets,
         }
     }
-
-    /// Extrapolate the telescope rate to the whole IPv4 space:
-    /// `ppm × scale / 60` → victim-side pps (footnote 2 of the paper).
-    pub fn inferred_victim_pps(&self, scale_factor: f64) -> f64 {
-        self.max_ppm * scale_factor / 60.0
-    }
 }
 
 /// The assembled feed over an analysis interval.
@@ -84,14 +78,6 @@ impl RsdosFeed {
         }
     }
 
-    /// Episodes whose victim passes `pred` (e.g. "is a nameserver IP").
-    pub fn episodes_where<'a>(
-        &'a self,
-        mut pred: impl FnMut(Ipv4Addr) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a AttackEpisode> {
-        self.episodes.iter().filter(move |e| pred(e.victim))
-    }
-
     /// Emit one `AttackOnset` trace event per episode, attributed to the
     /// feed `scope` (`rsdos`, `milru`, …). The episode's index in this
     /// feed becomes its causal id (`scope/idx`) for the rest of the
@@ -119,29 +105,6 @@ impl RsdosFeed {
     /// events (feed arrivals, triggers, probes) back to episode ids.
     pub fn episode_index(&self) -> EpisodeIndex {
         EpisodeIndex::new(&self.episodes)
-    }
-
-    /// Render the per-window records as CSV.
-    pub fn records_csv(&self) -> String {
-        let mut s = String::from(
-            "window,start,victim,slash16s,protocol,first_port,unique_ports,max_ppm,packets\n",
-        );
-        for r in &self.records {
-            let _ = writeln!(
-                s,
-                "{},{},{},{},{:?},{},{},{:.1},{}",
-                r.window.0,
-                r.window.start(),
-                r.victim,
-                r.slash16s,
-                r.protocol,
-                r.first_port,
-                r.unique_ports,
-                r.max_ppm,
-                r.packets
-            );
-        }
-        s
     }
 
     /// Render the episodes as CSV.
@@ -257,28 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn extrapolation_matches_paper_footnote() {
-        // 21.8 kppm × 341.33 / 60 ≈ 124 kpps.
-        let r = RsdosRecord { max_ppm: 21_800.0, ..record("1.2.3.4", 0) };
-        let pps = r.inferred_victim_pps(341.33);
-        assert!((pps - 124_000.0).abs() < 1_000.0, "{pps}");
-    }
-
-    #[test]
-    fn filtering_by_predicate() {
-        let feed =
-            RsdosFeed::new(vec![], vec![episode("10.0.0.1", 0, 1), episode("99.0.0.1", 0, 1)]);
-        let dns: Vec<_> = feed.episodes_where(|ip| ip.octets()[0] == 10).collect();
-        assert_eq!(dns.len(), 1);
-    }
-
-    #[test]
     fn csv_exports_have_headers_and_rows() {
         let feed = RsdosFeed::new(vec![record("1.2.3.4", 3)], vec![episode("1.2.3.4", 3, 4)]);
-        let rc = feed.records_csv();
-        assert!(rc.starts_with("window,start,victim"));
-        assert_eq!(rc.lines().count(), 2);
-        assert!(rc.contains("1.2.3.4"));
         let ec = feed.episodes_csv();
         assert_eq!(ec.lines().count(), 2);
         assert!(ec.contains("duration_min"));

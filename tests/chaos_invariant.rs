@@ -1,152 +1,32 @@
 //! The chaos layer's headline invariant (ROADMAP robustness milestone):
 //! fault-free output ≡ faulted-and-recovered output ≡ killed-and-resumed
 //! output — byte for byte, for any chaos seed and any `--jobs` value.
+//! Cells of the contract matrix (`tests/common`).
 
-use bench_support::{
-    run_catalog, run_catalog_checkpointed, run_experiments_chaos, run_experiments_with_jobs,
-    CheckpointDir, ExperimentRun,
-};
-use scenarios::{PaperScale, WorldConfig};
-use std::collections::BTreeMap;
-use std::path::Path;
+mod common;
+use common::{assert_same_artifacts, cells, CATALOG, SCENARIOS};
 
 /// The longitudinal pipeline and every artifact rendered from it must be
 /// unchanged by fault injection, whatever the worker count.
 #[test]
 fn chaos_never_changes_artifacts() {
-    let cfg = WorldConfig { providers: 20, domains: 6_000, ..WorldConfig::default() };
-    let scale = PaperScale { divisor: 400 };
-    let clean_ex = run_experiments_with_jobs(42, scale, &cfg, 1);
-    let chaos_ex = run_experiments_chaos(42, scale, &cfg, 8, Some(1337));
-
-    // The measurement phase ran under injected crashes + restarts, yet the
-    // report agrees bit-for-bit.
-    assert_eq!(
-        clean_ex.report.feed.episodes_csv(),
-        chaos_ex.report.feed.episodes_csv(),
-        "feed layer untouched by chaos"
-    );
-    assert_eq!(clean_ex.report.impacts.len(), chaos_ex.report.impacts.len());
-    for (a, b) in clean_ex.report.impacts.iter().zip(&chaos_ex.report.impacts) {
-        assert_eq!(a.nsset, b.nsset);
-        assert_eq!(
-            a.impact_on_rtt.map(f64::to_bits),
-            b.impact_on_rtt.map(f64::to_bits),
-            "impact bits differ under chaos"
-        );
-        assert_eq!(a.failure_rate.to_bits(), b.failure_rate.to_bits());
-        assert_eq!(a.timeouts, b.timeouts);
-    }
-
-    // Catalog artifacts: fault-free sequential vs fault-injected runs at
-    // jobs 1 and 8, rendered from the chaos-run experiments.
-    let ids: Vec<String> =
-        ["table1", "table3", "table5", "fig5", "fig7", "fig8", "fig11", "ablate"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-    let clean = run_catalog(Some(&clean_ex), 42, &ids, 1);
-    let mut total_restarts = 0u64;
-    for jobs in [1usize, 8] {
-        let fault = streamproc::FaultPlan::from_seed(
-            7,
-            "experiment-catalog",
-            streamproc::ChaosConfig::CALIBRATED,
-        );
-        let (faulted, stats) =
-            run_catalog_checkpointed(Some(&chaos_ex), 42, &ids, jobs, Some(&fault), None, &|_| {});
-        total_restarts += stats.restarts;
-        assert_eq!(clean.len(), faulted.len(), "jobs={jobs}");
-        for (a, b) in clean.iter().zip(&faulted) {
-            assert_eq!(a.id, b.id, "canonical order survives faults");
-            assert!(!b.resumed);
-            assert_eq!(a.artifacts.len(), b.artifacts.len(), "{}", a.id);
-            for (x, y) in a.artifacts.iter().zip(&b.artifacts) {
-                assert_eq!(x.id, y.id);
-                assert_eq!(x.csv, y.csv, "{}: CSV bytes differ under chaos (jobs={jobs})", x.id);
-                assert_eq!(x.text, y.text, "{}: table differs under chaos (jobs={jobs})", x.id);
-            }
-        }
-    }
-    assert!(total_restarts > 0, "the calibrated plan injected no crashes at all");
-}
-
-fn slurp_csvs(dir: &Path) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let p = entry.unwrap().path();
-        let name = p.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(!name.ends_with(".tmp"), "atomic write left a temp file: {name}");
-        out.insert(name, std::fs::read_to_string(&p).unwrap());
-    }
-    out
+    let [clean, a, b] = cells([
+        (&CATALOG, 1, None, None),
+        (&CATALOG, 8, Some(1337), None),
+        (&CATALOG, 1, Some(4242), None),
+    ]);
+    assert_same_artifacts(&clean, &a, "chaos 1337, jobs 8");
+    assert_same_artifacts(&clean, &b, "chaos 4242, jobs 1");
+    assert!(a.restarts + b.restarts > 0, "the calibrated plan crashed no catalog job at all");
 }
 
 /// A run killed after completing only part of the catalog, then resumed
-/// with the same checkpoint dir, leaves the output directory byte-
-/// identical to an uninterrupted run.
+/// with the same checkpoint dir under chaos and parallelism, leaves the
+/// output directory byte-identical to an uninterrupted fault-free run.
 #[test]
 fn killed_and_resumed_run_is_byte_identical() {
-    let base = std::env::temp_dir().join("dnsimpact-chaos-resume");
-    let _ = std::fs::remove_dir_all(&base);
-    let clean_dir = base.join("clean");
-    let resumed_dir = base.join("resumed");
-    std::fs::create_dir_all(&clean_dir).unwrap();
-    std::fs::create_dir_all(&resumed_dir).unwrap();
-
-    // Scenario experiments only: self-contained, no longitudinal stage.
-    let all: Vec<String> =
-        ["table2", "fig2", "fig3", "russia", "futurework"].iter().map(|s| s.to_string()).collect();
-
-    // Reference: uninterrupted fault-free run.
-    for run in run_catalog(None, 42, &all, 1) {
-        for a in &run.artifacts {
-            dnsimpact_core::report::write_output(&clean_dir, &format!("{}.csv", a.id), &a.csv)
-                .unwrap();
-        }
-    }
-
-    let ckpt = CheckpointDir::new(&base.join("ckpt")).unwrap();
-    let persist = |run: &ExperimentRun| {
-        let mut lines = Vec::new();
-        for a in &run.artifacts {
-            dnsimpact_core::report::write_output(&resumed_dir, &format!("{}.csv", a.id), &a.csv)
-                .unwrap();
-            lines.push(format!("- `{}.csv` — {}\n", a.id, a.title));
-        }
-        ckpt.mark_done(&run.id, &lines).unwrap();
-    };
-
-    // "Killed" run: only the transip job completes before the kill.
-    let partial: Vec<String> = vec!["table2".into()];
-    let fault = streamproc::FaultPlan::from_seed(
-        9,
-        "experiment-catalog",
-        streamproc::ChaosConfig::CALIBRATED,
-    );
-    let (first, _) =
-        run_catalog_checkpointed(None, 42, &partial, 1, Some(&fault), Some(&ckpt), &persist);
-    assert_eq!(first.len(), 1);
-    assert!(!first[0].resumed);
-
-    // Resume with the full experiment list, same checkpoint dir, under
-    // chaos and parallelism: the completed job is skipped, the rest run.
-    let (second, _) =
-        run_catalog_checkpointed(None, 42, &all, 8, Some(&fault), Some(&ckpt), &persist);
-    let resumed: Vec<&str> = second.iter().filter(|r| r.resumed).map(|r| r.id.as_str()).collect();
-    assert_eq!(resumed, vec!["transip"], "only the pre-kill job is skipped");
-    assert!(second.iter().all(|r| ckpt.is_done(&r.id)), "every job checkpointed");
-
-    // The headline check: the two output directories agree byte for byte.
-    let clean = slurp_csvs(&clean_dir);
-    let restored = slurp_csvs(&resumed_dir);
-    assert_eq!(
-        clean.keys().collect::<Vec<_>>(),
-        restored.keys().collect::<Vec<_>>(),
-        "same artifact set"
-    );
-    for (name, bytes) in &clean {
-        assert_eq!(bytes, &restored[name], "{name}: killed-and-resumed bytes differ");
-    }
-    std::fs::remove_dir_all(&base).unwrap();
+    // Killed after the first requested id (`table2`, the transip job).
+    let [clean, resumed] = cells([(&SCENARIOS, 1, None, None), (&SCENARIOS, 8, Some(9), Some(1))]);
+    assert_eq!(resumed.resumed, vec!["transip"], "only the pre-kill job is skipped");
+    assert_eq!(clean.csv, resumed.csv, "killed-and-resumed bytes differ");
 }

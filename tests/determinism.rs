@@ -1,58 +1,23 @@
 //! Whole-pipeline determinism: one seed, one result — across every
-//! subsystem at once.
+//! subsystem at once. Cells of the contract matrix (`tests/common`).
 
-use dnsimpact::prelude::*;
-use scenarios::{paper_longitudinal_config, world, PaperScale, WorldConfig};
+mod common;
+use common::{assert_same_artifacts, cells, CATALOG, RESEEDED};
 
-fn fingerprint(seed: u64) -> (usize, usize, u64, Vec<(String, u64)>, String) {
-    let rngs = RngFactory::new(seed);
-    let built = world::build(
-        &WorldConfig { providers: 25, domains: 8_000, ..WorldConfig::default() },
-        &rngs,
-    );
-    let mut cfg = paper_longitudinal_config(PaperScale { divisor: 500 });
-    cfg.months.truncate(2);
-    cfg.attacks_per_month.truncate(2);
-    cfg.dns_share_per_month.truncate(2);
-    let months = cfg.months.clone();
-    let attacks = AttackScheduler::new(cfg).generate(&built.target_pool(), &rngs);
-    let report = run_longitudinal(
-        &built.infra,
-        &Darknet::ucsd_like(),
-        &attacks,
-        &months,
-        &built.meta,
-        &LongitudinalConfig::default(),
-        &rngs,
-    );
-    let monthly: Vec<(String, u64)> =
-        report.monthly.iter().map(|m| (m.month.to_string(), m.total_attacks())).collect();
-    let csv = report.feed.episodes_csv();
-    (
-        report.feed.episodes.len(),
-        report.impacts.len(),
-        report.feed.records.iter().map(|r| r.packets).sum(),
-        monthly,
-        csv,
-    )
-}
-
+/// Two independent runs of one seed agree on every layer: the longitudinal
+/// report and every artifact rendered from it.
 #[test]
 fn same_seed_same_everything() {
-    let a = fingerprint(77);
-    let b = fingerprint(77);
-    assert_eq!(a.0, b.0, "episode count");
-    assert_eq!(a.1, b.1, "impact event count");
-    assert_eq!(a.2, b.2, "total feed packets");
-    assert_eq!(a.3, b.3, "monthly table");
-    assert_eq!(a.4, b.4, "full episode CSV byte-identical");
+    let [a, b] = cells([(&CATALOG, 1, None, None), (&CATALOG, 8, None, None)]);
+    assert_eq!((a.episodes, a.impacts), (b.episodes, b.impacts), "episode and impact counts");
+    assert_same_artifacts(&a, &b, "seed 42 twice");
 }
 
 #[test]
 fn different_seed_different_world() {
-    let a = fingerprint(77);
-    let c = fingerprint(78);
-    assert_ne!(a.4, c.4, "different seeds must diverge");
+    let [a, c] = cells([(&CATALOG, 1, None, None), (&RESEEDED, 1, None, None)]);
+    assert!(c.episodes > 0, "the reseeded world has attacks");
+    assert_ne!(a.report, c.report, "different seeds must diverge");
 }
 
 /// The parallel scheduler's determinism lock: the whole experiment catalog
@@ -60,58 +25,7 @@ fn different_seed_different_world() {
 /// CSVs, same stdout tables, same order.
 #[test]
 fn thread_count_never_changes_artifacts() {
-    use bench_support::{run_catalog, run_experiments_with_jobs};
-
-    let cfg = WorldConfig { providers: 20, domains: 6_000, ..WorldConfig::default() };
-    let scale = PaperScale { divisor: 400 };
-    let seq = run_experiments_with_jobs(42, scale, &cfg, 1);
-    let par = run_experiments_with_jobs(42, scale, &cfg, 8);
-
-    // The raw feed and the joined/impact layers agree bit-for-bit.
-    assert_eq!(
-        seq.report.feed.episodes_csv(),
-        par.report.feed.episodes_csv(),
-        "episode CSV must not depend on the thread count"
-    );
-    assert_eq!(seq.report.dns_events.len(), par.report.dns_events.len());
-    assert_eq!(seq.report.impacts.len(), par.report.impacts.len());
-
-    // Every artifact the scheduler renders agrees byte-for-byte, in the
-    // same canonical order (the transip trio coalesces into one job).
-    let ids: Vec<String> = [
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "table5",
-        "table6",
-        "fig2",
-        "fig3",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "futurework",
-        "ablate",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let runs1 = run_catalog(Some(&seq), 42, &ids, 1);
-    let runs8 = run_catalog(Some(&par), 42, &ids, 8);
-    assert_eq!(runs1.len(), runs8.len(), "canonical job list is schedule-independent");
-    for (a, b) in runs1.iter().zip(&runs8) {
-        assert_eq!(a.id, b.id, "outcome order is canonical");
-        assert_eq!(a.artifacts.len(), b.artifacts.len(), "{}", a.id);
-        for (x, y) in a.artifacts.iter().zip(&b.artifacts) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.csv, y.csv, "{}: CSV bytes differ between jobs=1 and jobs=8", x.id);
-            assert_eq!(x.text, y.text, "{}: rendered table differs", x.id);
-        }
-    }
+    let [seq, par] = cells([(&CATALOG, 1, None, None), (&CATALOG, 8, None, None)]);
+    assert_eq!(seq.tables.len(), CATALOG.ids.len(), "every experiment rendered its table");
+    assert_same_artifacts(&seq, &par, "jobs 1 vs jobs 8");
 }

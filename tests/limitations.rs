@@ -139,7 +139,7 @@ fn agnostic_resolution_cannot_attribute() {
     // The *reactive* NS-exhaustive prober, by contrast, pinpoints it.
     let infra = Arc::new(infra);
     let mut rng = rngs.stream("exhaustive");
-    let probe = reactive::probe_all_ns(&infra, domain, w.start(), &loads, &mut rng);
+    let probe = reactive::probe::probe_all_ns(&infra, domain, w.start(), &loads, &mut rng);
     let dead: Vec<_> = probe.outcomes.iter().filter(|o| o.status != QueryStatus::Ok).collect();
     assert_eq!(dead.len(), 1, "exactly the attacked server is unresponsive");
 }

@@ -1,4 +1,5 @@
-//! The observability layer's headline invariants (DESIGN §9):
+//! The observability layer's headline invariants (DESIGN §9), as cells of
+//! the contract matrix (`tests/common`):
 //!
 //! - the deterministic metric namespace (everything not prefixed `time.`
 //!   or `sched.`) is identical across `--jobs` counts;
@@ -8,57 +9,32 @@
 //! - span timers and scheduling metrics exist, but are excluded from the
 //!   deterministic snapshot that comparisons run on;
 //! - a run report built from a live registry snapshot round-trips through
-//!   its JSON text byte-identically and passes schema validation.
-//!
-//! One `#[test]` only: the metrics registry is process-global, so the
-//! scenarios below run sequentially in a single function and reset the
-//! registry between runs.
+//!   its JSON text byte-identically and passes schema validation;
+//! - `repro bench`'s configuration counts exactly what it counted when the
+//!   counter pin was recorded.
 
-use bench_support::{run_catalog_checkpointed, run_experiments_chaos};
-use scenarios::{PaperScale, WorldConfig};
+mod common;
+use common::{counted_cell, digest, BENCH, CATALOG};
 
-const IDS: &[&str] = &["table1", "table3", "table5", "fig5", "fig8", "fig11", "ablate"];
-
-/// Reset the registry, run the longitudinal pipeline + catalog at the
-/// given worker count and chaos seed, and return the final snapshot.
-fn run_and_snapshot(jobs: usize, chaos_seed: Option<u64>) -> obs::Snapshot {
-    obs::registry().reset();
-    let cfg = WorldConfig { providers: 20, domains: 6_000, ..WorldConfig::default() };
-    let ex = run_experiments_chaos(42, PaperScale { divisor: 400 }, &cfg, jobs, chaos_seed);
-    let ids: Vec<String> = IDS.iter().map(|s| s.to_string()).collect();
-    let fault = chaos_seed.map(|cs| {
-        streamproc::FaultPlan::from_seed(
-            cs,
-            "experiment-catalog",
-            streamproc::ChaosConfig::CALIBRATED,
-        )
-    });
-    let (_, _) = run_catalog_checkpointed(Some(&ex), 42, &ids, jobs, fault.as_ref(), None, &|_| {});
-    obs::registry().snapshot()
-}
-
-/// The non-chaos deterministic counters: what must agree between a chaos
-/// run and a fault-free run (chaos accounting itself obviously differs).
-fn pipeline_counters(s: &obs::Snapshot) -> Vec<(String, u64)> {
-    s.deterministic().counters.into_iter().filter(|(k, _)| !k.starts_with("chaos.")).collect()
-}
+/// The `(jobs, chaos seed)` cells of [`CATALOG`] run under chaos.
+const CHAOS: [(usize, u64); 2] = [(8, 1337), (1, 4242)];
 
 #[test]
 fn metrics_are_out_of_band_and_deterministic() {
     // --- jobs 1 vs jobs 8, fault-free -----------------------------------
-    let seq = run_and_snapshot(1, None);
-    let par = run_and_snapshot(8, None);
+    let seq = counted_cell((&CATALOG, 1, None, None));
+    let par = counted_cell((&CATALOG, 8, None, None));
 
     // Wall-clock and scheduling metrics exist in the raw snapshot...
     assert!(
-        seq.histograms.keys().any(|k| k.starts_with("time.span.")),
+        seq.snapshot.as_ref().unwrap().histograms.keys().any(|k| k.starts_with("time.span.")),
         "span timers recorded: {:?}",
-        seq.histograms.keys().collect::<Vec<_>>()
+        seq.snapshot.as_ref().unwrap().histograms.keys().collect::<Vec<_>>()
     );
-    assert!(par.gauges.contains_key("sched.pool.jobs_max"));
+    assert!(par.snapshot.as_ref().unwrap().gauges.contains_key("sched.pool.jobs_max"));
 
     // ...and are exactly what the deterministic filter strips.
-    let (d_seq, d_par) = (seq.deterministic(), par.deterministic());
+    let (d_seq, d_par) = (seq.counted(), par.counted());
     for s in [&d_seq, &d_par] {
         let nondet = s
             .counters
@@ -71,27 +47,15 @@ fn metrics_are_out_of_band_and_deterministic() {
     }
 
     // The deterministic namespace is identical whatever the worker count.
-    for k in d_seq.counters.keys().chain(d_par.counters.keys()) {
-        let (a, b) = (d_seq.counters.get(k), d_par.counters.get(k));
-        if a != b {
-            eprintln!("DIFF {k}: jobs1={a:?} jobs8={b:?}");
-        }
-    }
-    assert_eq!(d_seq.counters, d_par.counters, "counters differ across --jobs");
-    assert_eq!(d_seq.gauges, d_par.gauges, "gauges differ across --jobs");
-    assert_eq!(d_seq.histograms, d_par.histograms, "histograms differ across --jobs");
-    assert!(
-        d_seq.counters.get("join.rows_joined").copied().unwrap_or(0) > 0,
-        "pipeline actually counted work"
-    );
+    assert_eq!(d_seq, d_par, "deterministic metrics differ across --jobs");
+    assert!(d_seq.counters.get("join.rows_joined").copied().unwrap_or(0) > 0);
 
     // --- chaos runs: exact recovery, balanced fault accounting ----------
-    let baseline = pipeline_counters(&seq);
     let mut total_injected = 0;
-    for chaos_seed in [1337, 4242] {
-        let snap = run_and_snapshot(8, Some(chaos_seed));
-        let injected = snap.counters.get("chaos.faults_injected").copied().unwrap_or(0);
-        let repaired = snap.counters.get("chaos.faults_repaired").copied().unwrap_or(0);
+    for (jobs, chaos_seed) in CHAOS {
+        let c = counted_cell((&CATALOG, jobs, Some(chaos_seed), None));
+        let injected = c.counted().counters.get("chaos.faults_injected").copied().unwrap_or(0);
+        let repaired = c.counted().counters.get("chaos.faults_repaired").copied().unwrap_or(0);
         assert_eq!(
             injected, repaired,
             "fault accounting out of balance under chaos seed {chaos_seed}"
@@ -100,8 +64,8 @@ fn metrics_are_out_of_band_and_deterministic() {
         // Whatever the chaos seed injected, the pipeline's own counters
         // match a fault-free run exactly: recovery leaves no trace.
         assert_eq!(
-            pipeline_counters(&snap),
-            baseline,
+            c.pipeline_counters(),
+            seq.pipeline_counters(),
             "pipeline counters perturbed by chaos seed {chaos_seed}"
         );
     }
@@ -112,17 +76,20 @@ fn metrics_are_out_of_band_and_deterministic() {
         meta: obs::RunMeta {
             seed: 42,
             scale: 400,
-            jobs: 8,
+            jobs: CHAOS[1].0 as u64,
             run: 1,
-            chaos_seed: Some(4242),
+            chaos_seed: Some(CHAOS[1].1),
             bench: false,
             date: obs::report::today_utc(),
-            experiments: IDS.iter().map(|s| s.to_string()).collect(),
+            experiments: CATALOG.ids.iter().map(|s| s.to_string()).collect(),
         },
         total_wall_ms: 1,
         peak_rss_kb: obs::rss::peak_rss_kb(),
         stages: vec![obs::StageWall { name: "test".into(), wall_ms: 1 }],
-        metrics: obs::registry().snapshot(),
+        metrics: counted_cell((&CATALOG, CHAOS[1].0, Some(CHAOS[1].1), None))
+            .snapshot
+            .clone()
+            .unwrap(),
         trace: obs::trace::summary(),
     };
     let doc = report.to_json();
@@ -132,4 +99,22 @@ fn metrics_are_out_of_band_and_deterministic() {
     let back = obs::RunReport::from_json(&obs::Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, report, "report round-trips through JSON text");
     assert_eq!(back.to_json().pretty(), text, "re-serialization is byte-identical");
+}
+
+/// What `repro bench`'s configuration counts. Recorded when `repro bench
+/// --compare` was retired: on its last commit, this cell's snapshot
+/// compared equal — no failure, no warning — to the committed baseline
+/// that flag diffed against (`results/BENCH_2026-08-08.json`).
+const BENCH_COUNTERS: u64 = 0x1506_a7dc_69c5_7927;
+
+/// The counters are pure functions of the code for a pinned seed, scale
+/// and chaos seed, so any drift — a counter added, dropped or moved —
+/// fails here; re-record the constant when a change means to move them,
+/// and say so.
+#[test]
+fn bench_counters_match_the_recorded_digest() {
+    let c = counted_cell((&BENCH, 2, Some(bench_support::BENCH_CHAOS_SEED), None));
+    let counted = c.counted();
+    let got = digest(&[&counted]);
+    assert_eq!(got, BENCH_COUNTERS, "got {got:#018x} for {counted:#?}");
 }

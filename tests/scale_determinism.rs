@@ -1,75 +1,33 @@
 //! Scale-parameterized determinism: the byte-equality contract holds at
-//! sweep scale, not just on toy feeds.
+//! sweep scale, not just on toy feeds. Cells of the contract matrix
+//! (`tests/common`).
 //!
 //! The tier-1 cell runs the longitudinal pipeline at the sweep's 15k
-//! target (divisor 269) and byte-compares jobs=1 against jobs=8 and a
-//! chaos run against the fault-free run. The 150k and 1.5M cells are the
-//! same check at `repro bench --scale-sweep`'s heavy scales, gated behind
+//! target and compares jobs=1 against jobs=8 and a chaos run against the
+//! fault-free run. The 150k and 1.5M cells are the same check at
+//! `repro bench --scale-sweep`'s heavy scales, gated behind
 //! `DNSIMPACT_SCALE_HEAVY=1` / `=2` (they are minutes of debug-build work,
 //! and the release-built sweep already enforces the same fingerprints on
 //! every run that emits a report).
 
-use bench_support::divisor_for_target;
-use dnsimpact::prelude::*;
-use scenarios::{paper_longitudinal_config, world, PaperScale, WorldConfig};
+mod common;
+use bench_support::sweep::heavy_level;
+use common::{assert_same_artifacts, cell, cells, Fixture, SWEEP_150K, SWEEP_15K, SWEEP_1M5};
 
-/// Run the pinned longitudinal pipeline at a sweep scale target and
-/// fingerprint every deterministic artifact layer: the episode CSV, the
-/// joined events, the impact rows (f64 bits included via `Debug`), and
-/// the monthly table.
-fn run_at(scale_target: u64, jobs: usize, chaos_seed: Option<u64>) -> (String, String, String) {
-    let rngs = RngFactory::new(42);
-    let built = world::build(
-        &WorldConfig { providers: 20, domains: 6_000, ..WorldConfig::default() },
-        &rngs,
-    );
-    let cfg = paper_longitudinal_config(PaperScale { divisor: divisor_for_target(scale_target) });
-    let months = cfg.months.clone();
-    let attacks = AttackScheduler::new(cfg).generate(&built.target_pool(), &rngs);
-    let mut config = LongitudinalConfig { jobs, ..LongitudinalConfig::default() };
-    config.impact.chaos_seed = chaos_seed;
-    let report = run_longitudinal(
-        &built.infra,
-        &Darknet::ucsd_like(),
-        &attacks,
-        &months,
-        &built.meta,
-        &config,
-        &rngs,
-    );
-    (
-        report.feed.episodes_csv(),
-        format!("{:?}", report.dns_events),
-        format!("{:?}{:?}", report.impacts, report.monthly),
-    )
-}
-
-fn assert_scale_deterministic(scale_target: u64) {
-    let base = run_at(scale_target, 1, None);
-    assert!(!base.0.is_empty(), "scale {scale_target} produced episodes");
-
-    let par = run_at(scale_target, 8, None);
-    assert_eq!(base.0, par.0, "episode CSV differs across jobs at scale {scale_target}");
-    assert_eq!(base.1, par.1, "joined events differ across jobs at scale {scale_target}");
-    assert_eq!(base.2, par.2, "impacts/monthly differ across jobs at scale {scale_target}");
-
-    let chaos = run_at(scale_target, 8, Some(1337));
-    assert_eq!(base.0, chaos.0, "chaos changed the episode CSV at scale {scale_target}");
-    assert_eq!(base.1, chaos.1, "chaos changed the joined events at scale {scale_target}");
-    assert_eq!(base.2, chaos.2, "chaos changed the impacts at scale {scale_target}");
-}
-
-fn heavy_level() -> u64 {
-    match std::env::var("DNSIMPACT_SCALE_HEAVY").ok().as_deref() {
-        None | Some("") | Some("0") => 0,
-        Some("1") => 1,
-        Some(_) => 2,
-    }
+fn assert_scale_deterministic(fixture: &Fixture) {
+    let specs =
+        [(fixture, 1, None, None), (fixture, 8, None, None), (fixture, 8, Some(1337), None)];
+    // A 1.5M cell holds ~3.8 GB (SWEEP_2026-10-01.json): those run one at a time.
+    let [base, par, chaos] =
+        if fixture.name == SWEEP_1M5.name { specs.map(cell) } else { cells(specs) };
+    assert!(base.episodes > 0, "{} produced episodes", fixture.name);
+    assert_same_artifacts(&base, &par, "jobs 1 vs jobs 8");
+    assert_same_artifacts(&base, &chaos, "chaos");
 }
 
 #[test]
 fn sweep_scale_15k_is_jobs_and_chaos_invariant() {
-    assert_scale_deterministic(15_000);
+    assert_scale_deterministic(&SWEEP_15K);
 }
 
 #[test]
@@ -78,7 +36,7 @@ fn sweep_scale_150k_is_jobs_and_chaos_invariant_heavy() {
         eprintln!("skipped: set DNSIMPACT_SCALE_HEAVY=1 to run the 150k cell");
         return;
     }
-    assert_scale_deterministic(150_000);
+    assert_scale_deterministic(&SWEEP_150K);
 }
 
 #[test]
@@ -87,5 +45,5 @@ fn sweep_scale_1m5_is_jobs_and_chaos_invariant_heavy() {
         eprintln!("skipped: set DNSIMPACT_SCALE_HEAVY=2 to run the 1.5M cell");
         return;
     }
-    assert_scale_deterministic(1_500_000);
+    assert_scale_deterministic(&SWEEP_1M5);
 }

@@ -15,8 +15,8 @@
 //! One `#[test]` only: the trace ring is process-global, so the scenarios
 //! run sequentially in a single function and reset the ring between runs.
 
-use bench_support::{run_catalog_checkpointed, run_experiments_chaos};
-use scenarios::{PaperScale, WorldConfig};
+use bench_support::{run_catalog_checkpointed, run_experiments};
+use scenarios::{paper_longitudinal_config, PaperScale, WorldConfig};
 
 /// Covers every emission site: the longitudinal pipeline (onsets, joins,
 /// baselines, impacts — `rsdos` scope), the reactive platform (feed
@@ -30,7 +30,8 @@ fn run_and_trace(jobs: usize, chaos_seed: Option<u64>) -> Vec<obs::trace::TraceE
     obs::registry().reset();
     obs::trace::reset();
     let cfg = WorldConfig { providers: 20, domains: 6_000, ..WorldConfig::default() };
-    let ex = run_experiments_chaos(42, PaperScale { divisor: 400 }, &cfg, jobs, chaos_seed);
+    let schedule = paper_longitudinal_config(PaperScale { divisor: 400 });
+    let ex = run_experiments(42, schedule, &cfg, jobs, chaos_seed);
     let ids: Vec<String> = IDS.iter().map(|s| s.to_string()).collect();
     let fault = chaos_seed.map(|cs| {
         streamproc::FaultPlan::from_seed(
