@@ -6,10 +6,14 @@
 #                `dnssim`, `obs`, `telescope`, `openintel`, `simcore`,
 #                `core`, `netbase`, `reactive`, `census`, `scenarios` or
 #                `attack` re-exports must be used outside its crate (crates/*/src,
-#                src/, benchmark/src), and every `name.rs:N` cited in
+#                src/, benchmark/src), every `name.rs:N` cited in
 #                DESIGN.md, README.md, EXPERIMENTS.md or ROADMAP.md must
 #                name a file under crates/ src/ tests/ examples/
-#                benchmark/src/ with at least N lines
+#                benchmark/src/ with at least N lines, and every
+#                `crate::item` named in DESIGN.md, README.md or
+#                EXPERIMENTS.md must be a module or item defined or
+#                `pub use`d in that crate's src/ (crate names read from
+#                crates/*/Cargo.toml; ROADMAP.md names planned items)
 #   build        cargo build --release (workspace)
 #   tests        cargo test --workspace
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
@@ -32,13 +36,12 @@
 #                domain mid-ingest (only after /statz proves ingest
 #                progress), kill -9, restart from the checkpoint, diff the
 #                recovered index fingerprint against a clean replay
-#   live         the telemetry plane: scrape /metricsz mid-ingest and
-#                parse the exposition, assert SLO verdicts surface in
-#                /statz, render `repro watch` frames against the live
-#                daemon, then replay the same feed prefix twice (different
-#                chaos seed and --jobs) and byte-diff the deterministic
-#                /seriesz + /sloz fields; the emitted dnsimpactd-live/v2
-#                report must schema-validate
+#   live         the telemetry plane (dnsimpactd's own modules): scrape
+#                /metricsz mid-ingest and parse the exposition, assert SLO
+#                verdicts surface in /statz, then replay the same feed
+#                prefix twice (different chaos seed and --jobs) and
+#                byte-diff the deterministic /seriesz + /sloz fields; the
+#                emitted dnsimpactd-live/v2 report must schema-validate
 #   results      hygiene, over `git ls-files results`: every tracked
 #                results/*.json must schema-validate, every tracked file
 #                must be covered by results/INDEX.md, and every series
@@ -79,7 +82,7 @@ lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh, no
              re-export of streamproc/dnswire/dnssim/obs/telescope/openintel/
              simcore/core/netbase/reactive/census/scenarios/attack without a
              caller outside its crate, no docs citation name.rs:N past the
-             end of its file
+             end of its file, no docs `crate::item` its crate does not define
 build        cargo build --release (workspace)
 tests        cargo test --workspace
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
@@ -89,8 +92,8 @@ wirebench    criterion smoke: every telescope/load-book/trace bench runs and rep
 trace        trace export schema + causality; repro explain deterministic
 sweep        bench --scale-sweep smoke: cross-jobs fingerprints + sweep schema
 daemon       dnsimpactd kill -9 crash recovery fingerprint-identical to clean replay
-live         /metricsz parses mid-ingest, SLO verdicts surface, repro watch renders,
-             deterministic /seriesz + /sloz byte-identical across chaos seed and jobs
+live         /metricsz parses mid-ingest, SLO verdicts surface in /statz, deterministic
+             /seriesz + /sloz byte-identical across chaos seed and jobs
 results      every tracked results/*.json validates; INDEX.md and results/ cover each other
 benchmark    benchmark/check.sh: its unit tests + every workload smoked in both modes
 EOF
@@ -263,6 +266,33 @@ gate_lint() {
         }
     done
     [ "$STALE" -eq 0 ]
+    echo "==> lint gate: every \`crate::item\` named in the docs is defined in that crate"
+    # A crate answers to its directory name and to its [package] and [lib]
+    # names (dashes as underscores), all read from its Cargo.toml.
+    NAMES=$(for T in crates/*/Cargo.toml; do
+        D=$(dirname "$T")
+        echo "$(basename "$D") $D"
+        awk -v d="$D" '/^\[/ { sec = $0 }
+            /^name *=/ && (sec == "[package]" || sec == "[lib]") {
+                gsub(/[" ]/, "", $3); gsub(/-/, "_", $3); print $3, d }' "$T"
+    done)
+    UNDEFINED=0
+    for M in $(grep -ohE '`[a-z_][a-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' \
+        DESIGN.md README.md EXPERIMENTS.md | tr -d '`' | sort -u); do
+        CRATE=${M%%::*}
+        SEG=${M#*::}
+        D=$(echo "$NAMES" | awk -v c="$CRATE" '$1 == c { print $2; exit }')
+        [ -n "$D" ] || continue
+        [ -f "$D/src/$SEG.rs" ] || [ -f "$D/src/$SEG/mod.rs" ] ||
+            grep -rqE "(\b(fn|struct|enum|trait|type|const|static|mod|union) +|macro_rules! *)$SEG\b" \
+                "$D/src" ||
+            awk '/^ *pub use/ { on = 1 } on { print } /;/ { on = 0 }' $(find "$D/src" -name '*.rs') |
+            grep -qw -- "$SEG" || {
+            echo "docs name \`$M\` but $D/src defines no $SEG" >&2
+            UNDEFINED=$((UNDEFINED + 1))
+        }
+    done
+    [ "$UNDEFINED" -eq 0 ]
 }
 
 gate_build() {
@@ -492,7 +522,7 @@ live_capture() {
 }
 
 gate_live() {
-    echo "==> live gate: telemetry plane (exposition, SLO verdicts, watch, replay diff)"
+    echo "==> live gate: telemetry plane (exposition, SLO verdicts, replay diff)"
     LFEED="--seed 7 --scale-target 15000 --months 2 --providers 20 --domains 6000"
 
     # Phase 1: a paced, chaos-seeded daemon is scraped MID-ingest — the
@@ -523,10 +553,6 @@ gate_live() {
     "$DAEMON" get --field slo "$LADDR/statz" > "$SMOKE/live-slo.json"
     grep -q '"diagnosis"' "$SMOKE/live-slo.json"
     grep -q '"worst"' "$SMOKE/live-slo.json"
-    # The watch dashboard renders real frames against the live daemon.
-    "$REPRO" watch "$LADDR" --frames 2 --interval-ms 300 2> "$SMOKE/watch.txt"
-    grep -q "verdict" "$SMOKE/watch.txt"
-    grep -q "ingest_lag" "$SMOKE/watch.txt"
     kill -9 "$DPID"
     wait "$DPID" 2> /dev/null || true
     DPID=""

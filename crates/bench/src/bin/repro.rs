@@ -11,7 +11,6 @@
 //! repro bench --scale-sweep [--out DIR] [same flags]
 //! repro bench --trajectory [--out DIR]
 //! repro explain EPISODE-ID [same flags]
-//! repro watch HOST:PORT [--interval-ms N] [--frames N]
 //! repro validate-metrics FILE
 //! repro validate-trace FILE
 //!
@@ -81,12 +80,6 @@
 //! timeline is built from the trace's deterministic fields only, so it is
 //! byte-identical for any `--jobs` value.
 //!
-//! `repro watch HOST:PORT` renders a polling stderr dashboard against a
-//! live `dnsimpactd`: sparkline trajectories of the tick-clock series,
-//! the SLO verdict table, and the staleness/ingest header. An
-//! unreachable daemon is a rendered state, not an exit; `--frames N`
-//! bounds the run for CI.
-//!
 //! `repro validate-metrics FILE` schema-validates a previously written
 //! report, dispatching on the document's `schema` field: a
 //! `dnsimpact-metrics/v2` run report additionally gets the cross-counter
@@ -104,9 +97,11 @@
 //! fault repairs match injections, probe budgets hold). Exit 1 on any
 //! violation — this is the CI trace gate.
 
+use bench_support::sweep_report::SweepReport;
 use bench_support::{
-    needs_longitudinal, run_catalog_checkpointed, run_experiments, Artifact, CheckpointDir,
-    ExperimentRun, Experiments, BENCH_CHAOS_SEED, BENCH_EXPERIMENTS, BENCH_SCALE, CATALOG,
+    needs_longitudinal, run_catalog_checkpointed, run_experiments, schemas, Artifact,
+    CheckpointDir, ExperimentRun, Experiments, BENCH_CHAOS_SEED, BENCH_EXPERIMENTS, BENCH_SCALE,
+    CATALOG,
 };
 use dnsimpact_core::report::{write_atomic, write_output, write_report};
 use scenarios::{paper_longitudinal_config, PaperScale, WorldConfig};
@@ -210,10 +205,6 @@ fn parse_args() -> Options {
             "--scale-sweep" => opts.scale_sweep = true,
             "--trajectory" => opts.trajectory = true,
             "explain" => opts.explain = Some(operand(&mut args, "explain", "EPISODE-ID")),
-            "watch" => {
-                let rest: Vec<String> = args.collect();
-                std::process::exit(watch(&rest));
-            }
             "validate-metrics" => {
                 let file = PathBuf::from(operand(&mut args, "validate-metrics", "FILE"));
                 std::process::exit(validate_metrics(&file));
@@ -248,10 +239,6 @@ fn parse_args() -> Options {
                 println!("                              series");
                 println!("repro explain EPISODE-ID      print an episode's causal timeline");
                 println!("                              (e.g. rsdos/3, milru/0, transip/1)");
-                println!("repro watch HOST:PORT         live stderr dashboard for a running");
-                println!("                              dnsimpactd: sparkline series, SLO");
-                println!("                              verdicts, staleness ([--interval-ms N]");
-                println!("                              [--frames N])");
                 println!("repro validate-metrics FILE   schema + invariant check a report");
                 println!("repro validate-trace FILE     causality-check a --trace-json file");
                 println!("run `repro --list` for the experiment catalog");
@@ -348,7 +335,7 @@ fn slot_path(dir: &Path, prefix: &str, date: &str, run: u64) -> PathBuf {
 
 /// The `validate-metrics` subcommand: validate a previously written
 /// report under the schema its `schema` field names — one row of
-/// [`obs::schema::REPORT_SCHEMAS`], which holds each schema's decoder
+/// [`bench_support::schemas::REPORT_SCHEMAS`], which holds each schema's decoder
 /// (shape, cross-field rules and, for run reports, the counter
 /// invariants) and its one-line summary. A document whose schema is
 /// missing or matches no row is rejected (exit 2) with the unknown id
@@ -370,9 +357,9 @@ fn validate_metrics(path: &Path) -> i32 {
             return 2;
         }
     };
-    let Some(schema) = obs::schema::lookup(&doc) else {
+    let Some(schema) = schemas::lookup(&doc) else {
         // `validate` on an unknown id says which id and lists the known ones.
-        let unknown = obs::schema::validate(&doc).err().unwrap_or_default().join("; ");
+        let unknown = schemas::validate(&doc).err().unwrap_or_default().join("; ");
         obs::progress("repro", &format!("{}: unknown schema: {unknown}", path.display()));
         return 2;
     };
@@ -448,36 +435,12 @@ fn validate_trace(path: &Path) -> i32 {
     }
 }
 
-/// `repro watch HOST:PORT`: poll a running daemon and render the live
-/// dashboard to stderr. Returns the process exit code.
-fn watch(args: &[String]) -> i32 {
-    let mut addr: Option<String> = None;
-    let mut cfg = bench_support::WatchConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        };
-        match a.as_str() {
-            "--interval-ms" => cfg.interval_ms = num_operand("--interval-ms", &val(a)),
-            "--frames" => cfg.frames = Some(num_operand("--frames", &val(a))),
-            other => addr = Some(other.to_string()),
-        }
-    }
-    let Some(addr) = addr else { die("watch needs HOST:PORT") };
-    let addr = match addr.trim_start_matches("http://").parse() {
-        Ok(a) => a,
-        Err(e) => die(&format!("watch: bad address {addr:?}: {e}")),
-    };
-    bench_support::watch::run(addr, &cfg)
-}
-
 /// Every report `repro` writes goes through here: `write_report`
-/// validates the document under its own schema and refuses an invalid
-/// one, so a broken report never reaches disk silently. False (after
-/// saying why on stderr) when nothing was written.
-fn emit_report(kind: &str, doc: &obs::Json, path: &Path) -> bool {
-    match write_report(path, doc) {
+/// validates the report as its own type and refuses an invalid one, so a
+/// broken report never reaches disk silently. False (after saying why on
+/// stderr) when nothing was written.
+fn emit_report<R: obs::schema::Report>(kind: &str, report: &R, path: &Path) -> bool {
+    match write_report(path, report) {
         Ok(()) => {
             obs::progress("repro", &format!("{kind} report written to {}", path.display()));
             true
@@ -713,7 +676,7 @@ fn main() {
     if opts.metrics_json.is_some() || opts.metrics_summary {
         let report = build_report(&opts, jobs, &timings, total.elapsed());
         if let Some(path) = &opts.metrics_json {
-            if !emit_report("metrics", &report.to_json(), path) {
+            if !emit_report("metrics", &report, path) {
                 std::process::exit(1);
             }
         }
@@ -867,7 +830,7 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
         // (scale, jobs) cell of the previous report that had one.
         let mut prev: std::collections::HashMap<(u64, u64), f64> = std::collections::HashMap::new();
         for r in &sweeps {
-            let Some(report) = r.decoded(obs::SweepReport::from_json(&r.doc)) else { continue };
+            let Some(report) = r.decoded(SweepReport::from_json(&r.doc)) else { continue };
             for c in &report.cells {
                 let key = (c.scale, c.jobs);
                 let dthru =
@@ -952,7 +915,7 @@ fn run_scale_sweep_cmd(opts: &Options) -> i32 {
         }
     }
     let (_, path) = next_slot(&opts.out, "SWEEP", &obs::report::today_utc());
-    if !emit_report("sweep", &report.to_json(), &path) {
+    if !emit_report("sweep", &report, &path) {
         return 1;
     }
     eprint!("{}", report.summary_table());

@@ -18,11 +18,11 @@ use std::sync::Arc;
 use telescope::Darknet;
 
 pub mod checkpoint;
+pub mod schemas;
 pub mod sweep;
-pub mod watch;
+pub mod sweep_report;
 pub use checkpoint::CheckpointDir;
 pub use sweep::{divisor_for_target, run_scale_sweep, SweepConfig, PAPER_TOTAL_ATTACKS};
-pub use watch::{sparkline, WatchConfig};
 
 /// The longitudinal pipeline's inputs: the world built for a seed and the
 /// attacks scheduled on it. Built once, they feed any number of runs.

@@ -1,6 +1,6 @@
 //! The `repro bench --scale-sweep` runner: the pinned longitudinal
 //! pipeline at scale ∈ {1.5k, 15k, 150k, 1.5M} × jobs ∈ {1, N}, emitting
-//! one [`obs::SweepCell`] of throughput/wall/peak-RSS per grid point.
+//! one [`SweepCell`] of throughput/wall/peak-RSS per grid point.
 //!
 //! A sweep "scale" is the *target attack count*: the paper's pinned
 //! catalog totals [`PAPER_TOTAL_ATTACKS`] attacks, and
@@ -18,6 +18,7 @@
 //! a report has *proven* cross-jobs determinism at every scale it swept,
 //! not sampled it.
 
+use crate::sweep_report::{SweepCell, SweepMeta, SweepReport};
 use dnsimpact_core::longitudinal::{self, LongitudinalConfig, LongitudinalReport};
 use scenarios::{paper_longitudinal_config, world, PaperScale, WorldConfig};
 use simcore::rng::RngFactory;
@@ -75,7 +76,7 @@ fn counter_delta(before: &obs::Snapshot, after: &obs::Snapshot, name: &str) -> u
 /// Fails (rather than emitting a report) if any jobs>1 cell's artifact
 /// fingerprint differs from its scale's jobs=1 cell — a determinism
 /// violation must never produce a committable artifact.
-pub fn run_scale_sweep(cfg: &SweepConfig) -> Result<obs::SweepReport, String> {
+pub fn run_scale_sweep(cfg: &SweepConfig) -> Result<SweepReport, String> {
     if cfg.jobs.first() != Some(&1) {
         return Err("sweep jobs list must start with 1 (the speedup baseline)".into());
     }
@@ -148,7 +149,7 @@ pub fn run_scale_sweep(cfg: &SweepConfig) -> Result<obs::SweepReport, String> {
                      {records} records in {wall_ms} ms (speedup {speedup:.2}x)"
                 ),
             );
-            cells.push(obs::SweepCell {
+            cells.push(SweepCell {
                 scale,
                 jobs: jobs as u64,
                 episodes,
@@ -163,8 +164,8 @@ pub fn run_scale_sweep(cfg: &SweepConfig) -> Result<obs::SweepReport, String> {
         }
     }
 
-    Ok(obs::SweepReport {
-        meta: obs::SweepMeta {
+    Ok(SweepReport {
+        meta: SweepMeta {
             seed: cfg.seed,
             chaos_seed: cfg.chaos_seed,
             date: obs::report::today_utc(),
@@ -220,6 +221,6 @@ mod tests {
         assert!(report.cells[1].records > 0);
         // Same scale, same catalog: both cells processed identical work.
         assert_eq!(report.cells[0].records, report.cells[1].records);
-        obs::sweep::validate(&report.to_json()).unwrap();
+        crate::sweep_report::validate(&report.to_json()).unwrap();
     }
 }

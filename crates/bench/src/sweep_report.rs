@@ -28,7 +28,7 @@
 //! [`validate`] rejects unsorted or duplicate cells and any non-finite
 //! float, so a NaN throughput can never reach a committed artifact.
 
-use crate::schema::{self, record, Reader, Report};
+use obs::schema::{self, record, Reader, Report};
 
 /// Schema identifier carried in every sweep report.
 pub const SWEEP_SCHEMA_ID: &str = "dnsimpact-sweep/v1";
@@ -153,7 +153,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use obs::Json;
 
     fn cell(scale: u64, jobs: u64, wall_ms: u64, speedup: f64) -> SweepCell {
         let (episodes, joined_rows, records_measured) = (1_700, 950, 80_000);

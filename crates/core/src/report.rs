@@ -80,13 +80,16 @@ pub fn write_atomic(path: &Path, content: &str) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// The one way a schema'd report (`results/*.json`) reaches disk: `doc` is
-/// validated under the schema it names ([`obs::schema::validate`]) and
+/// The one way a schema'd report (`results/*.json`) reaches disk: the
+/// report's document is validated as its own type `R` (decode plus
+/// [`obs::schema::Report::invariants`], [`obs::schema::validate_as`]) and
 /// then written atomically as its `pretty()` text, which ends in exactly
 /// one newline; missing parent directories are created. An invalid
-/// document is refused with every violation in the error, one per line.
-pub fn write_report(path: &Path, doc: &obs::Json) -> io::Result<()> {
-    if let Err(violations) = obs::schema::validate(doc) {
+/// report is refused with every violation in the error, one per line, and
+/// nothing is written.
+pub fn write_report<R: obs::schema::Report>(path: &Path, report: &R) -> io::Result<()> {
+    let doc = report.write();
+    if let Err(violations) = obs::schema::validate_as::<R>(&doc) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(

@@ -20,11 +20,12 @@
 //! All flag parsing reports contextful errors on stderr and exits 2 —
 //! never panics.
 
+use dnsimpactd::live::{self, LiveFinal, LiveMeta};
 use dnsimpactd::{
     http_get, DomainDir, FeedConfig, IndexSnapshot, IndexState, IngestConfig, Ingestor, Server,
     ServerConfig, Telemetry, TelemetryConfig,
 };
-use obs::{Json, LiveFinal, LiveMeta};
+use obs::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -157,7 +158,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let telemetry = Telemetry::new(TelemetryConfig {
         tick_cap: o.tick_cap,
         staleness_slo_s: o.staleness_bound_s,
-        ..TelemetryConfig::default()
     });
     let server = Server::start(&server_cfg, Arc::clone(&cell), dir, Some(Arc::clone(&telemetry)))
         .map_err(|e| format!("bind {}: {e}", o.bind))?;
@@ -203,7 +203,8 @@ fn serve(args: &[String]) -> Result<(), String> {
             staleness_s: ingestor.state.staleness_s(),
             full_fp: format!("{:#018x}", ingestor.state.full_fingerprint()),
         };
-        dnsimpact_core::report::write_report(path, &telemetry.live_report(&meta, &fin))
+        let report = live::build(&meta, &fin, &telemetry, &obs::registry().snapshot());
+        dnsimpact_core::report::write_report(path, &report)
             .map_err(|e| format!("write live report {}: {e}", path.display()))?;
         obs::progress("daemon", &format!("live report written to {}", path.display()));
     }
@@ -296,7 +297,7 @@ fn get(args: &[String]) -> ExitCode {
             if expo {
                 // Exposition mode: strict-parse the text body instead of
                 // printing it — the CI gate's "does /metricsz parse" check.
-                return match obs::expo::parse_text(&body) {
+                return match dnsimpactd::expo::parse_text(&body) {
                     Ok(families) if (200..300).contains(&status) => {
                         println!("expo-ok {} families", families.len());
                         ExitCode::SUCCESS

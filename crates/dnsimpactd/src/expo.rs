@@ -19,7 +19,7 @@
 //! and runs this parser — an exposition bug fails the build, not the
 //! operator's dashboard.
 
-use crate::metrics::Snapshot;
+use obs::metrics::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -212,7 +212,7 @@ pub fn parse_text(text: &str) -> Result<Vec<Family>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSnapshot;
+    use obs::metrics::HistogramSnapshot;
     use std::collections::BTreeMap;
 
     fn snapshot_with_histogram() -> Snapshot {

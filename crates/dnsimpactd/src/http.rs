@@ -29,7 +29,7 @@
 //!   checkpoint sequence, and current SLO verdicts — one consistent
 //!   snapshot for the CI gate and the watchdog.
 //! - `GET /metricsz` — every registered metric as Prometheus text
-//!   exposition (`obs::expo`), `text/plain`.
+//!   exposition ([`crate::expo`]), `text/plain`.
 //! - `GET /seriesz?name=NAME&last=N` — a window of one live time series,
 //!   split into deterministic fields and annotation.
 //! - `GET /sloz` — SLO specs, deterministic verdict transitions, live
@@ -287,7 +287,7 @@ fn handle(
     let started = Instant::now();
     let result = if path == "/metricsz" {
         // Text exposition, not JSON — rendered from the whole registry.
-        respond_text(conn, 200, &obs::expo::render(&obs::registry().snapshot()))
+        respond_text(conn, 200, &crate::expo::render(&obs::registry().snapshot()))
     } else {
         let snap = cell.load();
         let (status, body) = route(path, query, &snap, dir, cfg, telemetry);

@@ -33,13 +33,22 @@
 //!   function of the feed prefix — byte-identical across chaos seeds,
 //!   `--jobs` counts, and crash/recovery replays. Wall-clock timestamps
 //!   and scheduling-dependent serving metrics ride along as annotation.
+//!
+//! The live plane is this crate's own: the tick ring ([`timeseries`]), the
+//! burn-rate objectives ([`slo`]), the `/metricsz` exposition ([`expo`])
+//! and the `dnsimpactd-live/v2` report ([`live`]) serve the daemon and
+//! nothing else, so they live beside [`telemetry`] rather than in `obs`.
 
 pub mod checkpoint;
+pub mod expo;
 pub mod feed;
 pub mod http;
 pub mod index;
 pub mod ingest;
+pub mod live;
+pub mod slo;
 pub mod telemetry;
+pub mod timeseries;
 
 pub use feed::{FeedBatch, FeedConfig, FeedRecord, FeedSource};
 pub use http::{http_get, Server, ServerConfig};

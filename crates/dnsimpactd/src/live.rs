@@ -25,11 +25,12 @@
 //! is how a committed report proves no sample was dropped or
 //! double-counted across ring wrap.
 
-use crate::json::Json;
-use crate::metrics::{HistogramSnapshot, Snapshot};
-use crate::schema::{self, record, Reader, Report};
-use crate::slo::{SloSet, SloSpecRow, SloStatusView, Transition};
+use crate::slo::{SloSpecRow, SloStatusView, Transition};
+use crate::telemetry::{is_live_deterministic, Telemetry};
 use crate::timeseries::TsStore;
+use obs::metrics::{HistogramSnapshot, Snapshot};
+use obs::schema::{self, record, Reader, Report};
+use obs::Json;
 use std::collections::BTreeMap;
 
 /// Schema identifier carried in every live report.
@@ -220,21 +221,16 @@ fn series_where(store: &TsStore, keep: impl Fn(&str) -> bool) -> Vec<LiveSeries>
         .collect()
 }
 
-/// Assemble a live report. `is_det` decides which stored series are
-/// deterministic (the daemon derives those from index state only); the
+/// Assemble the live report from the daemon's live plane: the stored
+/// series [`is_live_deterministic`] names form the deterministic half, the
 /// rest land in annotation. `snap` supplies the scheduling-dependent
 /// extras (sched counters, per-route latency histograms).
-pub fn build(
-    meta: &LiveMeta,
-    fin: &LiveFinal,
-    store: &TsStore,
-    slos: &SloSet,
-    is_det: &dyn Fn(&str) -> bool,
-    snap: &Snapshot,
-) -> Json {
+pub fn build(meta: &LiveMeta, fin: &LiveFinal, tel: &Telemetry, snap: &Snapshot) -> LiveReport {
+    let inner = tel.inner.lock().expect("a tick panicked while holding the live plane");
+    let (store, slos) = (&inner.store, &inner.slos);
     let deterministic = LiveDeterministic {
         r#final: fin.clone(),
-        series: series_where(store, is_det),
+        series: series_where(store, is_live_deterministic),
         slo_specs: slos.deterministic_specs(),
         slo_transitions: slos.deterministic_transitions().into_iter().cloned().collect(),
     };
@@ -245,7 +241,7 @@ pub fn build(
             ticks: store.ticks().map(|t| t.tick).collect(),
             ms: store.ticks().map(|t| t.wall_ms).collect(),
         },
-        series: series_where(store, |n| !is_det(n)),
+        series: series_where(store, |n| !is_live_deterministic(n)),
         slo_statuses: slos.statuses(),
         diagnosis: slos.diagnose().into(),
         sched_counters: snap
@@ -275,13 +271,13 @@ pub fn build(
         deterministic,
         annotation,
     }
-    .to_json()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{SloKind, SloSpec};
+    use crate::slo::{SloKind, SloSet, SloSpec};
+    use crate::telemetry::{Inner, TelemetryConfig};
     use std::collections::BTreeMap;
 
     fn sample_report() -> Json {
@@ -356,7 +352,9 @@ mod tests {
                 },
             )]),
         };
-        build(&meta, &fin, &store, &slos, &|n| n.starts_with("live."), &snap)
+        let tel = Telemetry::new(TelemetryConfig::default());
+        *tel.inner.lock().unwrap() = Inner { store, slos };
+        build(&meta, &fin, &tel, &snap).to_json()
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! drowning) and **ingest starvation** (staleness/lag SLOs burn — the
 //! served answers are honest but old, whatever the query plane does).
 
-use crate::json::Json;
-use crate::schema::{record, Field, Reader};
+use obs::schema::{record, Field, Reader};
+use obs::Json;
 use std::collections::VecDeque;
 
 /// Which failure shape a breached objective indicates.
@@ -92,7 +92,7 @@ impl Field for SloStatus {
     }
 }
 
-// Rows of `/sloz` and of the live report (`crate::live`), as written.
+// Rows of `/sloz` and of the live report ([`crate::live`]), as written.
 record! {
     /// A recorded status change.
     #[derive(Eq)]

@@ -26,15 +26,17 @@
 //! branches on what it samples.
 
 use crate::index::IndexState;
+use crate::slo::{SloKind, SloSet, SloSpec, SloStatus};
+use crate::timeseries::TsStore;
 use obs::schema::Field as _;
-use obs::slo::{SloKind, SloSet, SloSpec, SloStatus};
-use obs::timeseries::TsStore;
-use obs::{Json, LiveFinal, LiveMeta};
+use obs::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Live-plane policy: ring capacity and the SLO thresholds.
+/// Live-plane policy: ring capacity and the staleness bound the
+/// `ingest_staleness` SLO holds; the other objectives are the constants
+/// below.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
     /// Retained ticks in the ring.
@@ -42,30 +44,24 @@ pub struct TelemetryConfig {
     /// `ingest_staleness` SLO: breach when `live.staleness_s` exceeds
     /// this. Defaults to the serving staleness bound.
     pub staleness_slo_s: u64,
-    /// `ingest_lag` SLO: breach while more batches than this remain.
-    pub lag_slo_batches: u64,
-    /// `query_p99_us` SLO (annotation): breach when the query route's
-    /// p99 exceeds this.
-    pub p99_slo_us: u64,
-    /// `shed_ratio` SLO (annotation): breach when more than this
-    /// permille of offered queries were shed.
-    pub shed_slo_permille: u64,
-    /// Burn-rate window, in ticks.
-    pub slo_window: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            tick_cap: 1024,
-            staleness_slo_s: 1_800,
-            lag_slo_batches: 64,
-            p99_slo_us: 50_000,
-            shed_slo_permille: 100,
-            slo_window: 16,
-        }
+        TelemetryConfig { tick_cap: 1024, staleness_slo_s: 1_800 }
     }
 }
+
+/// `ingest_lag` SLO: breach while more batches than this remain.
+const LAG_SLO_BATCHES: u64 = 64;
+/// `query_p99_us` SLO (annotation): breach when the query route's p99
+/// exceeds this.
+const P99_SLO_US: u64 = 50_000;
+/// `shed_ratio` SLO (annotation): breach when more than this permille of
+/// offered queries were shed.
+const SHED_SLO_PERMILLE: u64 = 100;
+/// Burn-rate window of every objective, in ticks.
+const SLO_WINDOW: usize = 16;
 
 /// Whether a series name belongs to the live plane's deterministic half
 /// (see module docs).
@@ -73,9 +69,9 @@ pub fn is_live_deterministic(name: &str) -> bool {
     name.starts_with("live.")
 }
 
-struct Inner {
-    store: TsStore,
-    slos: SloSet,
+pub(crate) struct Inner {
+    pub(crate) store: TsStore,
+    pub(crate) slos: SloSet,
 }
 
 /// The shared live plane. The ingest thread ticks it; HTTP workers read
@@ -83,7 +79,7 @@ struct Inner {
 /// reads are per-request, so contention is negligible next to either.
 pub struct Telemetry {
     cfg: TelemetryConfig,
-    inner: Mutex<Inner>,
+    pub(crate) inner: Mutex<Inner>,
     checkpoint_seq: AtomicU64,
 }
 
@@ -94,31 +90,31 @@ impl Telemetry {
                 name: "ingest_staleness".into(),
                 series: "live.staleness_s".into(),
                 max: cfg.staleness_slo_s,
-                window: cfg.slo_window,
+                window: SLO_WINDOW,
                 kind: SloKind::Ingest,
                 deterministic: true,
             },
             SloSpec {
                 name: "ingest_lag".into(),
                 series: "live.ingest_lag".into(),
-                max: cfg.lag_slo_batches,
-                window: cfg.slo_window,
+                max: LAG_SLO_BATCHES,
+                window: SLO_WINDOW,
                 kind: SloKind::Ingest,
                 deterministic: true,
             },
             SloSpec {
                 name: "query_p99_us".into(),
                 series: "sched.daemon.http.p99_us.query".into(),
-                max: cfg.p99_slo_us,
-                window: cfg.slo_window,
+                max: P99_SLO_US,
+                window: SLO_WINDOW,
                 kind: SloKind::Serving,
                 deterministic: false,
             },
             SloSpec {
                 name: "shed_ratio".into(),
                 series: "sched.daemon.shed_permille".into(),
-                max: cfg.shed_slo_permille,
-                window: cfg.slo_window,
+                max: SHED_SLO_PERMILLE,
+                window: SLO_WINDOW,
                 kind: SloKind::Serving,
                 deterministic: false,
             },
@@ -131,10 +127,6 @@ impl Telemetry {
             cfg,
             checkpoint_seq: AtomicU64::new(0),
         })
-    }
-
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
     }
 
     /// Record one tick after a batch apply. `state` is the index *after*
@@ -286,19 +278,6 @@ impl Telemetry {
         o.set("status", per);
         o
     }
-
-    /// Build the `dnsimpactd-live/v2` report (validated by the caller).
-    pub fn live_report(&self, meta: &LiveMeta, fin: &LiveFinal) -> Json {
-        let inner = self.inner.lock().unwrap();
-        obs::live::build(
-            meta,
-            fin,
-            &inner.store,
-            &inner.slos,
-            &is_live_deterministic,
-            &obs::registry().snapshot(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -354,12 +333,9 @@ mod tests {
     fn lag_slo_breaches_then_recovers() {
         let source = tiny_feed();
         let total = source.batches.len() as u64;
-        let cfg = TelemetryConfig {
-            lag_slo_batches: total / 2,
-            slo_window: 4,
-            ..TelemetryConfig::default()
-        };
-        let tel = Telemetry::new(cfg);
+        // The first tick must leave more than `LAG_SLO_BATCHES` behind.
+        assert!(total > LAG_SLO_BATCHES + 1, "fixture too short: {total} batches");
+        let tel = Telemetry::new(TelemetryConfig::default());
         let mut state = IndexState::default();
         for batch in &source.batches {
             state.apply(&source.world, batch);

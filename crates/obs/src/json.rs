@@ -105,7 +105,7 @@ impl Json {
 
     /// One-line form with no whitespace at all — the driver benchmark's
     /// last stdout line and report file (`benchmark/src/main.rs`), and the
-    /// unknown-schema message of [`crate::schema::validate`].
+    /// unknown-schema message of `repro validate-metrics`.
     pub fn compact(&self) -> String {
         let mut out = String::new();
         self.write_compact(&mut out);
@@ -237,7 +237,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// recurses once per level, so without a cap a hostile input (a checkpoint
 /// marker, a report) of ~100k `[` overflows the thread's stack and aborts
 /// the process; past the cap it returns an error instead. The deepest
-/// committed document (`results/LIVE_*.json`, `golden/live.json`) nests 5
+/// committed document (`results/LIVE_*.json`) nests 5
 /// levels, and the round-trip tests go to 500.
 const MAX_DEPTH: usize = 512;
 

@@ -34,6 +34,12 @@
 //!
 //! ## Pieces
 //!
+//! `obs` holds the recording primitives and the schema machinery; each
+//! report schema lives with the binary that writes it. The run report
+//! stays here because [`trace`] shares its constants; the sweep report is
+//! `bench_support::sweep_report`, and the daemon's live plane (tick ring,
+//! SLOs, exposition, live report) is `dnsimpactd`'s.
+//!
 //! - [`metrics`]: atomic [`Counter`]s, max-[`Gauge`]s, log-bucketed
 //!   [`Histogram`]s behind a process-global registry with stable,
 //!   sorted snapshots ([`metrics::HistogramSnapshot`] is the one histogram
@@ -44,58 +50,33 @@
 //!   lock-sharded ring of typed, episode-attributed pipeline events, with
 //!   Chrome-trace export, causality checking, and the `repro explain`
 //!   timeline renderer;
-//! - [`schema`]: one description per report schema — the [`schema::Reader`]
-//!   (the crate's only error-accumulating, path-tracking document
-//!   reader), the [`schema::Field`] codecs, the `record!` declaration
-//!   every report struct below is written with (struct, JSON writer,
-//!   parser and shape validator from one token list; decode *is*
-//!   validate; per-record cross-field `rules`), and the
-//!   [`schema::REPORT_SCHEMAS`] table of [`schema::Report`] roots that
-//!   `validate-metrics` and the report writer dispatch on (DESIGN §17);
+//! - [`schema`]: the schema machinery — the [`schema::Reader`] (the
+//!   workspace's only error-accumulating, path-tracking document reader),
+//!   the [`schema::Field`] codecs, the exported [`record!`] declaration
+//!   every report struct is written with (struct, JSON writer, parser and
+//!   shape validator from one token list; decode *is* validate;
+//!   per-record cross-field `rules`), the [`schema::Report`] root trait,
+//!   and [`schema::validate_as`], which a writer runs on its own type;
 //! - [`report`]: the machine-readable run report (`dnsimpact-metrics/v2`),
-//!   the counter-invariant checks, and the bench-regression comparator;
-//! - [`sweep`]: the scale-sweep report (`dnsimpact-sweep/v1`) emitted by
-//!   `repro bench --scale-sweep` — per-(scale, jobs) throughput, wall, and
-//!   peak-RSS cells, strictly sorted, floats finite;
-//! - [`timeseries`]: the live plane's bounded tick ring ([`TsStore`]) —
-//!   per-tick counter deltas and gauge levels on a feed-sequence tick
-//!   clock, with eviction accounting that makes "no sample lost or
-//!   double-counted across ring wrap" machine-checkable;
-//! - [`slo`]: declarative burn-rate objectives over stored series, with
-//!   a transition log and the overload-vs-starvation diagnosis;
-//! - [`expo`]: dependency-free Prometheus text exposition (renderer +
-//!   strict parser) over a metrics snapshot — the `/metricsz` body;
-//! - [`live`]: the live-telemetry report (`dnsimpactd-live/v2`) — tick
-//!   series, SLO verdicts, and final state split into `deterministic` /
-//!   `annotation` halves, built from the tick store and read back down
-//!   to the delta-conservation law;
+//!   and the counter-invariant checks;
 //! - [`json`]: the dependency-free JSON value/writer/parser the report
 //!   rides on;
 //! - [`progress`]: stderr-only progress/timing lines, so nothing
 //!   nondeterministic can ever reach the stdout that the CI determinism
 //!   diff compares.
 
-pub mod expo;
 pub mod json;
-pub mod live;
 pub mod metrics;
 pub mod progress;
 pub mod report;
 pub mod rss;
 pub mod schema;
-pub mod slo;
 pub mod span;
-pub mod sweep;
-pub mod timeseries;
 pub mod trace;
 
 pub use json::Json;
-pub use live::{LiveFinal, LiveMeta};
 pub use metrics::{counter, gauge, histogram, registry, Counter, Gauge, Histogram, Snapshot};
 pub use progress::progress;
 pub use report::{RunMeta, RunReport, StageWall};
-pub use slo::{SloKind, SloSet, SloSpec, SloStatus};
 pub use span::span;
-pub use sweep::{SweepCell, SweepMeta, SweepReport};
-pub use timeseries::TsStore;
 pub use trace::EventKind;

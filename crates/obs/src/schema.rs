@@ -17,9 +17,9 @@
 //! `Default`, written only when `self.p()`). Confusing the two is how a
 //! reader and a writer drift.
 //!
-//! [`REPORT_SCHEMAS`] is the table of every schema id the workspace
-//! writes; `repro validate-metrics`, the report writer and the results
-//! round-trip test all go through it.
+//! [`record!`] is exported, so each report schema is declared beside the
+//! binary that writes it (`dnsimpactd::live`, `bench_support::sweep_report`,
+//! [`crate::report`]); [`validate_as`] is how a writer checks its own type.
 
 use crate::json::Json;
 use std::collections::BTreeMap;
@@ -272,6 +272,7 @@ pub fn key(ident: &'static str) -> &'static str {
 /// Field modifiers: `[is f]` runs the field check `f` on the raw value;
 /// `[flatten]` reads and writes another record's fields in place;
 /// `[optional if p]` is optional-absent (see the module docs).
+#[macro_export]
 macro_rules! record {
     ($(
         $(#[$meta:meta])*
@@ -295,12 +296,12 @@ macro_rules! record {
                 v: &$crate::json::Json,
                 r: &mut $crate::schema::Reader,
             ) -> Option<Self> {
-                $( let $field = $crate::schema::record!(@read v r $field $ty $([$($modifier)+])?); )*
+                $( let $field = $crate::record!(@read v r $field $ty $([$($modifier)+])?); )*
                 Some($name { $( $field: $field?, )* })
             }
 
             pub(crate) fn write_fields(&self, pairs: &mut Vec<(String, $crate::json::Json)>) {
-                $( $crate::schema::record!(@write self pairs $field $([$($modifier)+])?); )*
+                $( $crate::record!(@write self pairs $field $([$($modifier)+])?); )*
             }
 
             $(
@@ -362,7 +363,7 @@ macro_rules! record {
     };
     (@write $s:ident $pairs:ident $field:ident [optional if $present:ident]) => {
         if $s.$present() {
-            $crate::schema::record!(@write $s $pairs $field)
+            $crate::record!(@write $s $pairs $field)
         }
     };
     (@write $s:ident $pairs:ident $field:ident $([is $check:path])?) => {
@@ -372,7 +373,7 @@ macro_rules! record {
         ))
     };
 }
-pub(crate) use record;
+pub use crate::record;
 
 /// A document root: a record declared `: Report`.
 pub trait Report: Field {
@@ -387,52 +388,11 @@ pub trait Report: Field {
     }
 }
 
-/// One row per schema id the workspace writes.
-pub struct ReportSchema {
-    pub id: &'static str,
-    /// Decode-is-validate, plus the schema's [`Report::invariants`].
-    pub validate: fn(&Json) -> Result<(), Vec<String>>,
-    /// [`Report::headline`] of a document that passed `validate`.
-    pub summary: fn(&Json) -> String,
-}
-
-impl ReportSchema {
-    const fn of<T: Report>() -> ReportSchema {
-        ReportSchema {
-            id: T::SCHEMA_ID,
-            validate: |doc| {
-                let mut errors = from_json::<T>(doc).err().unwrap_or_default();
-                errors.extend(T::invariants(doc));
-                errors.is_empty().then_some(()).ok_or(errors)
-            },
-            summary: |doc| from_json::<T>(doc).map(|r| r.headline()).unwrap_or_default(),
-        }
-    }
-}
-
-/// Every report schema, in the order `validate-metrics` lists them.
-pub const REPORT_SCHEMAS: &[ReportSchema] = &[
-    ReportSchema::of::<crate::report::RunReport>(),
-    ReportSchema::of::<crate::sweep::SweepReport>(),
-    ReportSchema::of::<crate::live::LiveReport>(),
-];
-
-/// The table row for `doc`'s `schema` field; `None` for a missing or
-/// unknown id — a typo'd or future schema must never fall through to
-/// the wrong validator.
-pub fn lookup(doc: &Json) -> Option<&'static ReportSchema> {
-    let id = doc.get("schema")?.as_str()?;
-    REPORT_SCHEMAS.iter().find(|s| s.id == id)
-}
-
-/// Validate `doc` under the schema it names.
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    match lookup(doc) {
-        Some(schema) => (schema.validate)(doc),
-        None => Err(vec![format!(
-            "$.schema is {}; known schemas: {}",
-            doc.get("schema").map_or("missing".to_string(), Json::compact),
-            REPORT_SCHEMAS.iter().map(|s| s.id).collect::<Vec<_>>().join(", ")
-        )]),
-    }
+/// Decode-is-validate for a document of type `R`, plus the schema's
+/// [`Report::invariants`]: what a writer of `R` and a reader of its
+/// documents both hold it to.
+pub fn validate_as<R: Report>(doc: &Json) -> Result<(), Vec<String>> {
+    let mut errors = from_json::<R>(doc).err().unwrap_or_default();
+    errors.extend(R::invariants(doc));
+    errors.is_empty().then_some(()).ok_or(errors)
 }

@@ -308,6 +308,49 @@ mod tests {
     }
 
     #[test]
+    fn runs_finished_out_of_order_come_back_in_input_order() {
+        use std::sync::{Condvar, Mutex as StdMutex};
+        // 96 items at jobs = 2 are 32 runs of 3. Run 0 waits until run 1
+        // has started, so the two go to different workers; run 1 then
+        // waits until the last item has been computed, so its worker
+        // finishes it after every other run. One worker holds [0, 2, 3,
+        // …], the other [1]: every way of concatenating them is out of
+        // order, and only the sort restores input order.
+        let (n, jobs, run_len) = (96usize, 2, 3);
+        // (run 1 started, last item computed)
+        let state = (StdMutex::new((false, false)), Condvar::new());
+        let set = |step: fn(&mut (bool, bool))| {
+            step(&mut state.0.lock().unwrap());
+            state.1.notify_all();
+        };
+        // Bounded, so that a regression fails instead of hanging.
+        let wait_for = |holds: fn(&(bool, bool)) -> bool| {
+            let guard = state.0.lock().unwrap();
+            let wait = state.1.wait_timeout_while(guard, Duration::from_secs(10), |s| !holds(s));
+            assert!(!wait.unwrap().1.timed_out(), "the forced schedule did not happen");
+        };
+        let finished = StdMutex::new(Vec::new());
+        let got = parallel_map(jobs, (0..n).collect(), |i, x: usize| {
+            if i == 0 {
+                wait_for(|s| s.0);
+            }
+            if i == run_len {
+                set(|s| s.0 = true);
+                wait_for(|s| s.1);
+            }
+            finished.lock().unwrap().push(i);
+            if i == n - 1 {
+                set(|s| s.1 = true);
+            }
+            x * 3 + 1
+        });
+        assert_eq!(got, (0..n).map(|x| x * 3 + 1).collect::<Vec<_>>());
+        // Not vacuous: run 1 really was the last run to finish.
+        let finished = finished.into_inner().unwrap();
+        assert_eq!(finished[n - run_len..], [run_len, run_len + 1, run_len + 2], "{finished:?}");
+    }
+
+    #[test]
     fn panic_inside_a_run_propagates_after_every_worker_stopped() {
         struct Running<'a>(&'a AtomicUsize);
         impl Drop for Running<'_> {

@@ -282,7 +282,7 @@ fn http_surface_serves_impact_answers_and_errors() {
     // and that carries the per-route instrumentation.
     let (code, body) = http_get(addr, "/metricsz", t).expect("metricsz");
     assert_eq!(code, 200);
-    let families = obs::expo::parse_text(&body).expect("exposition must parse strictly");
+    let families = dnsimpactd::expo::parse_text(&body).expect("exposition must parse strictly");
     assert!(!families.is_empty());
     assert!(
         body.contains("sched_daemon_http_requests_query"),

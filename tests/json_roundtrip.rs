@@ -5,6 +5,7 @@
 //! baseline written by one run diffs clean against a re-serialization by
 //! another.
 
+use bench_support::{schemas, sweep_report};
 use obs::Json;
 use proptest::prelude::*;
 use proptest::{Strategy, TestRng};
@@ -105,9 +106,10 @@ fn number_edge_cases() {
     assert_eq!(Json::parse(spaced).unwrap(), want);
 }
 
-/// The sweep schema's own sample document, the golden `obs::sweep` pins.
+/// The sweep schema's own sample document, the golden
+/// `bench_support::sweep_report` pins.
 fn sweep_sample() -> Json {
-    Json::parse(include_str!("../crates/obs/src/golden/sweep.json")).expect("sample parses")
+    Json::parse(include_str!("../crates/bench/src/golden/sweep.json")).expect("sample parses")
 }
 
 #[test]
@@ -117,7 +119,7 @@ fn unknown_schema_sweep_report_is_rejected() {
     for bad in ["dnsimpact-sweep/v2", "dnsimpact-metrics/v2", ""] {
         let mut doc = sweep_sample();
         doc.set("schema", Json::Str(bad.into()));
-        let errors = obs::sweep::validate(&doc).unwrap_err();
+        let errors = sweep_report::validate(&doc).unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("schema")),
             "schema {bad:?}: errors do not mention the schema field: {errors:?}"
@@ -125,7 +127,7 @@ fn unknown_schema_sweep_report_is_rejected() {
     }
     // The schema table rejects a retired id by name, listing what it does
     // know — it never hands the document to a neighbour's validator.
-    assert_eq!(obs::schema::REPORT_SCHEMAS.len(), 3);
+    assert_eq!(schemas::REPORT_SCHEMAS.len(), 3);
     for retired in [
         "dnsimpactd-report/v1",
         "dnsimpact-suite/v1",
@@ -135,17 +137,17 @@ fn unknown_schema_sweep_report_is_rejected() {
     ] {
         let mut doc = sweep_sample();
         doc.set("schema", Json::Str(retired.into()));
-        assert!(obs::schema::lookup(&doc).is_none(), "{retired} still has a table row");
-        let errors = obs::schema::validate(&doc).unwrap_err();
+        assert!(schemas::lookup(&doc).is_none(), "{retired} still has a table row");
+        let errors = schemas::validate(&doc).unwrap_err();
         assert_eq!(errors.len(), 1, "{retired}: {errors:?}");
         assert!(errors[0].contains(retired), "{retired} not named: {errors:?}");
-        for known in obs::schema::REPORT_SCHEMAS {
+        for known in schemas::REPORT_SCHEMAS {
             assert!(errors[0].contains(known.id), "{} not listed: {errors:?}", known.id);
         }
     }
     let Json::Object(pairs) = sweep_sample() else { unreachable!() };
     let doc = Json::Object(pairs.into_iter().filter(|(k, _)| k != "schema").collect());
-    assert!(obs::sweep::validate(&doc).is_err(), "schema-less report accepted");
+    assert!(sweep_report::validate(&doc).is_err(), "schema-less report accepted");
 }
 
 /// Generator for arbitrary `Json` trees, depth-bounded so generation
@@ -204,15 +206,48 @@ proptest! {
     }
 }
 
+#[test]
+fn typed_writer_refuses_a_report_that_breaks_a_rule() {
+    // `write_report` validates the report as its own type: a sweep whose
+    // cells are out of order and a live report whose delta series no
+    // longer conserves are refused, with the violation, and nothing
+    // reaches the path.
+    use dnsimpact_core::report::write_report;
+    let dir = std::env::temp_dir().join(format!("typed-writer-{}", std::process::id()));
+    let path = dir.join("report.json");
+
+    let mut sweep = sweep_report::SweepReport::from_json(&sweep_sample()).unwrap();
+    sweep.cells.swap(1, 2);
+    let err = write_report(&path, &sweep).expect_err("an unsorted sweep was written");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("cells must be sorted"), "{err}");
+    assert!(!dir.exists(), "a refused sweep left {} behind", dir.display());
+
+    let live = Json::parse(include_str!("../crates/dnsimpactd/src/golden/live.json")).unwrap();
+    let mut live = dnsimpactd::live::LiveReport::from_json(&live).unwrap();
+    let delta = live.deterministic.series.iter_mut().find(|s| s.kind == "delta").unwrap();
+    delta.cumulative += 1;
+    let err = write_report(&path, &live).expect_err("a non-conserving live report was written");
+    assert!(err.to_string().contains("double-counted"), "{err}");
+    assert!(!dir.exists(), "a refused live report left {} behind", dir.display());
+
+    // The same writer takes the sound sample as its golden bytes.
+    let sound = sweep_report::SweepReport::from_json(&sweep_sample()).unwrap();
+    write_report(&path, &sound).unwrap();
+    let written = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(written, include_str!("../crates/bench/src/golden/sweep.json"));
+}
+
 /// Re-serialize a report document through the typed decoder of the
 /// schema it names: `from_json(doc).to_json()`.
 fn reencode(doc: &Json) -> Result<Json, Vec<String>> {
-    use obs::live::{LiveReport, LIVE_SCHEMA_ID};
+    use dnsimpactd::live::{LiveReport, LIVE_SCHEMA_ID};
     use obs::report::SCHEMA_ID;
-    use obs::sweep::SWEEP_SCHEMA_ID;
+    use sweep_report::{SweepReport, SWEEP_SCHEMA_ID};
     match doc.get("schema").and_then(Json::as_str) {
         Some(SCHEMA_ID) => obs::RunReport::from_json(doc).map(|r| r.to_json()),
-        Some(SWEEP_SCHEMA_ID) => obs::SweepReport::from_json(doc).map(|r| r.to_json()),
+        Some(SWEEP_SCHEMA_ID) => SweepReport::from_json(doc).map(|r| r.to_json()),
         Some(LIVE_SCHEMA_ID) => LiveReport::from_json(doc).map(|r| r.to_json()),
         other => panic!("no typed decoder listed for schema {other:?}"),
     }
@@ -234,11 +269,11 @@ fn committed_reports_validate_and_reserialize_byte_for_byte() {
         }
         let text = std::fs::read_to_string(&path).expect("report is readable");
         let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        if let Err(errors) = obs::schema::validate(&doc) {
+        if let Err(errors) = schemas::validate(&doc) {
             panic!("{} does not validate: {errors:#?}", path.display());
         }
         let back = reencode(&doc).unwrap_or_else(|e| panic!("{}: {e:#?}", path.display()));
-        if let Err(errors) = obs::schema::validate(&back) {
+        if let Err(errors) = schemas::validate(&back) {
             panic!("{} re-serializes to an invalid document: {errors:#?}", path.display());
         }
         assert_eq!(
@@ -247,9 +282,9 @@ fn committed_reports_validate_and_reserialize_byte_for_byte() {
             "{} changed across from_json -> to_json",
             path.display()
         );
-        seen.push(obs::schema::lookup(&doc).expect("validated above").id);
+        seen.push(schemas::lookup(&doc).expect("validated above").id);
     }
-    for schema in obs::schema::REPORT_SCHEMAS {
+    for schema in schemas::REPORT_SCHEMAS {
         assert!(seen.contains(&schema.id), "no committed results/*.json of schema {}", schema.id);
     }
 }
@@ -329,14 +364,14 @@ proptest! {
                 |d| obs::RunReport::from_json(d).map(drop),
             ),
             (
-                include_str!("../crates/obs/src/golden/sweep.json"),
-                obs::sweep::validate,
-                |d| obs::SweepReport::from_json(d).map(drop),
+                include_str!("../crates/bench/src/golden/sweep.json"),
+                sweep_report::validate,
+                |d| sweep_report::SweepReport::from_json(d).map(drop),
             ),
             (
-                include_str!("../crates/obs/src/golden/live.json"),
-                obs::live::validate,
-                |d| obs::live::LiveReport::from_json(d).map(drop),
+                include_str!("../crates/dnsimpactd/src/golden/live.json"),
+                dnsimpactd::live::validate,
+                |d| dnsimpactd::live::LiveReport::from_json(d).map(drop),
             ),
         ];
         let mut rng = TestRng::new(seed);

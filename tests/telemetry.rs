@@ -2,11 +2,11 @@
 //!
 //! 1. Per-route registry histograms survive concurrent writers without
 //!    losing or cross-routing samples.
-//! 2. The tick ring ([`obs::TsStore`]) never double-counts a sample
+//! 2. The tick ring ([`dnsimpactd::timeseries::TsStore`]) never double-counts a sample
 //!    across ring wrap: for every window width, the conservation law
 //!    `evicted_sum + Σ window deltas == cumulative` holds exactly.
 
-use obs::TsStore;
+use dnsimpactd::timeseries::TsStore;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
